@@ -127,6 +127,7 @@ __all__ = [
     "system_from_dict",
     "system_to_dict",
     "topological_order",
+    "triangularize",
     "validate",
     "variables_of",
 ]

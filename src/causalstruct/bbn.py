@@ -14,27 +14,90 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
+from operator import mul
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dotutil import dot_id
 from .errors import CycleError, FormatError
 from .graphs import find_cycle, topological_order as _topo
 
-VariableId = int
-
 ROW_SUM_TOLERANCE = 1e-9
+
+MAX_ENUMERABLE_CONFIGURATIONS = 2 ** 20
 
 Assignment = tuple[int, ...]
 
 
-def config_index(radices: Sequence[int], digits: Sequence[int]) -> int:
-    """Mixed-radix rank of ``digits``, first digit most significant."""
-    rank = 0
-    for radix, digit in zip(radices, digits):
-        rank = rank * radix + digit
-    return rank
+class _Factor(NamedTuple):
+    """One node compiled against its parents' outcome counts."""
+
+    index: int
+    parents: tuple[int, ...]
+    strides: tuple[int, ...]  # parent values -> row index, first parent most significant
+    table: tuple  # the joint factor for row r and own value x, at r * outcomes + x
+
+
+def _compile(index, parents, counts, factors) -> _Factor:
+    """Compile one node; ``factors`` holds its joint factor per row and outcome."""
+    radices = [counts[p] for p in parents]
+    if len(factors) != math.prod(radices) or any(len(f) != counts[index] for f in factors):
+        raise ValueError(f"the table of variable {index} does not fit its outcome counts")
+    strides = tuple(math.prod(radices[j + 1:]) for j in range(len(radices)))
+    return _Factor(index, parents, strides, tuple(chain.from_iterable(factors)))
+
+
+def _probability(model, assignment: Sequence[int]) -> float:
+    """Product of ``model``'s factors for one total assignment, in index order."""
+    counts = model.outcome_counts()
+    if len(assignment) != len(counts):
+        raise ValueError(
+            f"assignment covers {len(assignment)} of {len(counts)} variables"
+        )
+    if not all(0 <= x < k for x, k in zip(assignment, counts)):
+        raise ValueError(f"assignment {tuple(assignment)} has an outcome out of range")
+    p = 1.0
+    for i, parents, strides, table in model._plan:
+        r = 0
+        for q, s in zip(parents, strides):
+            r += assignment[q] * s
+        p *= table[r * counts[i] + assignment[i]]
+    return p
+
+
+def _joint(model) -> list[float]:
+    """``_probability`` of every assignment, in ``assignments()`` order.
+
+    The table grows one variable at a time.  A factor is multiplied in once
+    it and every earlier factor can be read off the variables placed so far,
+    so assignments that share a prefix share its partial product while each
+    value is still formed in node-index order, starting from 1.0.  Raises
+    ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` assignments.
+    """
+    counts = model.outcome_counts()
+    total = math.prod(counts)
+    if total > MAX_ENUMERABLE_CONFIGURATIONS:
+        raise ValueError(
+            f"{total} joint configurations exceed the enumeration bound "
+            f"{MAX_ENUMERABLE_CONFIGURATIONS}"
+        )
+    plan = model._plan
+    values = [1.0]
+    m = 0
+    for depth, k in enumerate(counts):
+        values = list(chain.from_iterable(map(repeat, values, repeat(k))))
+        while m < len(plan) and max((m, *plan[m].parents)) <= depth:
+            # The table offset of each placed assignment, summed from per-variable parts.
+            weights = [0] * (depth + 1)
+            weights[m] = 1
+            for p, s in zip(plan[m].parents, plan[m].strides):
+                weights[p] += s * counts[m]
+            parts = (range(0, c * w, w) if w else (0,) * c for c, w in zip(counts, weights))
+            entries = map(plan[m].table.__getitem__, map(sum, product(*parts)))
+            values = list(map(mul, values, entries))
+            m += 1
+    return values
 
 
 @dataclass(frozen=True)
@@ -104,10 +167,18 @@ class Bbn:
         """All joint outcome assignments, in row-major index order."""
         return product(*(range(k) for k in self.outcome_counts()))
 
+    @cached_property
+    def _plan(self) -> tuple[_Factor, ...]:
+        """Per node, its table entries as joint factors."""
+        counts = self.outcome_counts()
+        return tuple(
+            _compile(i, node.parents, counts, node.cpt)
+            for i, node in enumerate(self.nodes)
+        )
+
     def row_index(self, child: int, assignment: Sequence[int]) -> int:
-        node = self.nodes[child]
-        radices = [self.nodes[p].outcome_count for p in node.parents]
-        return config_index(radices, [assignment[p] for p in node.parents])
+        factor = self._plan[child]
+        return sum(assignment[p] * s for p, s in zip(factor.parents, factor.strides))
 
 
 @dataclass(frozen=True)
@@ -188,10 +259,12 @@ def validate(bbn: Bbn) -> BbnReport:
                     )
                 )
                 continue
-            if any(p < 0.0 or p > 1.0 for p in row):
+            if not all(0.0 <= p <= 1.0 for p in row):
                 issues.append(
                     BbnIssue("entry-range", i, r, f"row {r} has entries outside [0, 1]")
                 )
+                if not all(map(math.isfinite, row)):
+                    continue
             deviation = abs(math.fsum(row) - 1.0)
             if deviation > ROW_SUM_TOLERANCE:
                 issues.append(
@@ -213,26 +286,32 @@ def topological_order(bbn: Bbn) -> list[int]:
 
 def joint_probability(bbn: Bbn, assignment: Sequence[int]) -> float:
     """Product of the table entries selected by a total assignment."""
-    if len(assignment) != bbn.n:
-        raise ValueError(
-            f"assignment covers {len(assignment)} of {bbn.n} variables"
-        )
-    p = 1.0
-    for i, node in enumerate(bbn.nodes):
-        p *= node.cpt[bbn.row_index(i, assignment)][assignment[i]]
-    return p
+    return _probability(bbn, assignment)
 
 
 def marginals(bbn: Bbn) -> list[list[float]]:
-    """Per-variable outcome marginals by exact enumeration of the joint."""
-    buckets: list[list[list[float]]] = [
-        [[] for _ in node.outcomes] for node in bbn.nodes
-    ]
-    for assignment in bbn.assignments():
-        p = joint_probability(bbn, assignment)
-        for i, outcome in enumerate(assignment):
-            buckets[i][outcome].append(p)
-    return [[math.fsum(cell) for cell in rows] for rows in buckets]
+    """Per-variable outcome marginals by exact enumeration of the joint.
+
+    Each cell is the ``math.fsum`` of the joint probabilities of the
+    assignments giving that variable that outcome.  Raises ``ValueError``
+    beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` joint configurations.
+    """
+    joint = _joint(bbn)
+    total = len(joint)
+    result = []
+    block = total  # assignments per run of this variable's outcomes
+    for k in bbn.outcome_counts():
+        stride = block // k
+        cells = []
+        for start in range(0, block, stride):
+            if stride <= total // block:
+                parts = (joint[start + t::block] for t in range(stride))
+            else:
+                parts = (joint[s:s + stride] for s in range(start, total, block))
+            cells.append(math.fsum(chain.from_iterable(parts)))
+        result.append(cells)
+        block = stride
+    return result
 
 
 def bbn_to_dot(bbn: Bbn) -> str:
@@ -251,58 +330,20 @@ def bbn_to_dot(bbn: Bbn) -> str:
 
 def bbn_from_dict(doc: object) -> Bbn:
     """Parse a network document; node order fixes variable indices."""
-    if not isinstance(doc, dict):
-        raise FormatError("network document must be a JSON object")
-    extra = set(doc) - {"nodes"}
-    if extra:
-        raise FormatError(f"unknown keys in network document: {sorted(extra)}")
-    raw_nodes = doc.get("nodes")
-    if not isinstance(raw_nodes, list):
-        raise FormatError('"nodes" must be a list')
-
-    names: list[str] = []
-    for k, raw in enumerate(raw_nodes):
-        if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
-            raise FormatError(f'node {k}: missing or non-string "name"')
-        names.append(raw["name"])
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise FormatError("node names must be distinct")
-
     nodes = []
-    for raw in raw_nodes:
-        name = raw["name"]
-        extra = set(raw) - {"name", "outcomes", "parents", "cpt"}
-        if extra:
-            raise FormatError(f"node {name!r}: unknown keys {sorted(extra)}")
+    items = _named_items(doc, "network", "node", "name", ("outcomes", "cpt"))
+    for name, raw, parents in items:
         outcomes = raw.get("outcomes")
-        parents = raw.get("parents")
         cpt = raw.get("cpt")
         if not isinstance(outcomes, list) or not all(isinstance(o, str) for o in outcomes):
             raise FormatError(f'node {name!r}: "outcomes" must be a list of strings')
-        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
-            raise FormatError(f'node {name!r}: "parents" must be a list of names')
-        unknown = [p for p in parents if p not in index]
-        if unknown:
-            raise FormatError(f"node {name!r}: unknown parent {unknown[0]!r}")
         if not isinstance(cpt, list):
             raise FormatError(f'node {name!r}: "cpt" must be a list of rows')
-        rows = []
-        for r, row in enumerate(cpt):
-            if not isinstance(row, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-            ):
-                raise FormatError(f"node {name!r}: cpt row {r} must be a list of numbers")
-            rows.append(tuple(float(x) for x in row))
+        rows = tuple(
+            _json_floats(row, f"node {name!r}: cpt row {r}") for r, row in enumerate(cpt)
+        )
         try:
-            nodes.append(
-                BbnNode(
-                    name=name,
-                    outcomes=tuple(outcomes),
-                    parents=tuple(index[p] for p in parents),
-                    cpt=tuple(rows),
-                )
-            )
+            nodes.append(BbnNode(name, tuple(outcomes), parents, rows))
         except ValueError as exc:
             raise FormatError(f"node {name!r}: {exc}") from None
     return Bbn(tuple(nodes))
@@ -322,9 +363,73 @@ def bbn_to_dict(bbn: Bbn) -> dict:
     }
 
 
-def load_bbn(path: str | Path) -> Bbn:
+def _named_items(doc: object, document: str, item: str, name_key: str, keys: tuple):
+    """Check ``{item + "s": [{name_key: ..., "parents": [...], *keys}]}``.
+
+    Yields (name, item object, parent indices) in list order once the item's
+    own keys and parents check out; names must be distinct and every parent
+    must be one of them.
+    """
+    if not isinstance(doc, dict):
+        raise FormatError(f"{document} document must be a JSON object")
+    extra = set(doc) - {item + "s"}
+    if extra:
+        raise FormatError(f"unknown keys in {document} document: {sorted(extra)}")
+    raw_items = doc.get(item + "s")
+    if not isinstance(raw_items, list):
+        raise FormatError(f'"{item}s" must be a list')
+    names: list[str] = []
+    for k, raw in enumerate(raw_items):
+        if not isinstance(raw, dict) or not isinstance(raw.get(name_key), str):
+            raise FormatError(f'{item} {k}: missing or non-string "{name_key}"')
+        names.append(raw[name_key])
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise FormatError(f"{item} {name_key}s must be distinct")
+    for name, raw in zip(names, raw_items):
+        extra = set(raw) - {name_key, "parents", *keys}
+        if extra:
+            raise FormatError(f"{item} {name!r}: unknown keys {sorted(extra)}")
+        parents = raw.get("parents")
+        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+            raise FormatError(f'{item} {name!r}: "parents" must be a list of names')
+        unknown = [p for p in parents if p not in index]
+        if unknown:
+            raise FormatError(f"{item} {name!r}: unknown parent {unknown[0]!r}")
+        yield name, raw, tuple(index[p] for p in parents)
+
+
+def _json_floats(value: object, what: str) -> tuple[float, ...]:
+    """A JSON list of finite numbers as floats; ``FormatError`` otherwise."""
+    if not isinstance(value, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    ):
+        raise FormatError(f"{what} must be a list of numbers")
+    try:
+        floats = tuple(map(float, value))
+        finite = all(map(math.isfinite, floats))
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise FormatError(f"{what} holds a non-finite number")
+    return floats
+
+
+def _reject_constant(name: str):
+    raise FormatError(f"non-finite number {name} is not allowed")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _load_json(path: str | Path) -> object:
+    """Parse a JSON file, refusing the NaN and Infinity extensions."""
     with open(path, encoding="utf-8") as handle:
-        return bbn_from_dict(json.load(handle))
+        return _DECODER.decode(handle.read())
+
+
+def load_bbn(path: str | Path) -> Bbn:
+    return bbn_from_dict(_load_json(path))
 
 
 def save_bbn(bbn: Bbn, path: str | Path) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,9 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"not a comma-separated list of finite floats: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,8 +212,8 @@ def _cmd_intervene(args) -> int:
         print(f"error:usage: unknown node {args.node!r}", file=sys.stderr)
         return 2
     after = intervene_bbn(before, node, args.dist)
-    save_bbn(after, args.out)
     deltas = compare_marginals(before, after)
+    save_bbn(after, args.out)
     width = max(len("variable"), max(len(name) for name in deltas))
     print(f"{'variable':<{width}}  max marginal deviation")
     for name in (n.name for n in before.nodes):

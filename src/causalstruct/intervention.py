@@ -9,13 +9,12 @@ degenerate one-hot case covering value-fixing interventions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bbn import Bbn, BbnNode, marginals
+from .bbn import Bbn, BbnNode, _json_floats, _load_json, marginals
 from .errors import FormatError, NotSelfContainedError
 from .graphs import reachable_from
 from .ordering import CausalOrdering
@@ -121,7 +120,7 @@ def intervene_bbn(bbn: Bbn, node: int, dist: Sequence[float]) -> Bbn:
         raise ValueError(
             f"distribution has {len(dist)} entries for {target.outcome_count} outcomes"
         )
-    if any(p < 0.0 or p > 1.0 for p in dist):
+    if not all(0.0 <= p <= 1.0 for p in dist):
         raise ValueError("distribution entries must lie in [0, 1]")
     if abs(math.fsum(dist) - 1.0) > DIST_SUM_TOLERANCE:
         raise ValueError(f"distribution sums to {math.fsum(dist)!r}, not 1")
@@ -136,7 +135,11 @@ def intervene_bbn(bbn: Bbn, node: int, dist: Sequence[float]) -> Bbn:
 
 
 def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
-    """Per-variable max absolute marginal gap, by exact enumeration."""
+    """Per-variable max absolute marginal gap, by exact enumeration.
+
+    Raises ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` joint
+    configurations, before enumerating either network.
+    """
     names = [node.name for node in before.nodes]
     if set(names) != {node.name for node in after.nodes}:
         raise ValueError("networks name different variable sets")
@@ -178,19 +181,12 @@ def change_from_dict(doc: object) -> StructuralChange:
         or not all(isinstance(v, str) for v in vars_field)
     ):
         raise FormatError('"vars" must be a list of variable names')
-    if dist_field is not None and (
-        not isinstance(dist_field, list)
-        or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in dist_field
-        )
-    ):
-        raise FormatError('"dist" must be a list of numbers')
     try:
         return StructuralChange(
             kind=kind,
             target=target,
             vars=None if vars_field is None else tuple(vars_field),
-            dist=None if dist_field is None else tuple(float(x) for x in dist_field),
+            dist=None if dist_field is None else _json_floats(dist_field, '"dist"'),
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from None
@@ -206,5 +202,4 @@ def change_to_dict(change: StructuralChange) -> dict:
 
 
 def load_change(path: str | Path) -> StructuralChange:
-    with open(path, encoding="utf-8") as handle:
-        return change_from_dict(json.load(handle))
+    return change_from_dict(_load_json(path))

@@ -25,19 +25,21 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
+from operator import itemgetter, sub
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .bbn import Assignment, Bbn, config_index, joint_probability, validate
+from .bbn import Assignment, Bbn, validate
+from .bbn import MAX_ENUMERABLE_CONFIGURATIONS, joint_probability  # noqa: F401  (still sem.*)
+from .bbn import _compile, _Factor, _joint, _json_floats, _load_json, _named_items
+from .bbn import _probability
 from .errors import FormatError, InvalidBbnError
 from .ordering import causal_ordering
 from .structure import StructureMatrix
 from .graphs import topological_order as _topo
 
 FINAL_THRESHOLD_TOLERANCE = 1e-9
-
-MAX_ENUMERABLE_CONFIGURATIONS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class ThresholdEquation:
         for r, row in enumerate(self.thresholds):
             if len(row) != width:
                 raise ValueError(f"threshold row {r} has inconsistent length")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"threshold row {r} has a non-finite entry")
             if any(b < a for a, b in zip(row, row[1:])):
                 raise ValueError(f"threshold row {r} is not non-decreasing")
             if row[0] < 0.0:
@@ -127,10 +131,44 @@ class ThresholdEquationSystem:
         """Topological order of targets; raises ``CycleError`` on feedback."""
         return tuple(_topo(self.n, [eq.parents for eq in self.equations]))
 
+    @cached_property
+    def _plan(self) -> tuple[_Factor, ...]:
+        """Per equation, the interval lengths of its rows as joint factors."""
+        counts = self.outcome_counts()
+        plan = []
+        for i, eq in enumerate(self.equations):
+            lengths = [tuple(map(sub, row, (0.0,) + row)) for row in eq.thresholds]
+            plan.append(_compile(i, eq.parents, counts, lengths))
+        return tuple(plan)
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """Per target in evaluation order: the target, a key reader, rows by key.
+
+        A key holds the parents' values and the target's own value, which
+        ``_forward`` reads before setting it, so every own value maps to the
+        row the parents select.  Raises ``CycleError`` on feedback.
+        """
+        counts = self.outcome_counts()
+        steps = []
+        for v in self.evaluation_order:
+            eq = self.equations[v]
+            keys = product(*(range(counts[p]) for p in eq.parents), range(counts[v]))
+            rows = {
+                key if eq.parents else key[0]: eq.thresholds[i // counts[v]]
+                for i, key in enumerate(keys)
+            }
+            steps.append((v, itemgetter(*eq.parents, v), rows))
+        return tuple(steps)
+
+    @cached_property
+    def _name_to_index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.variable_names)}
+
     def index_of(self, name: str) -> int:
         try:
-            return self.variable_names.index(name)
-        except ValueError:
+            return self._name_to_index[name]
+        except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
 
@@ -145,17 +183,8 @@ def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
         raise InvalidBbnError(report.describe(), report)
     equations = []
     for i, node in enumerate(bbn.nodes):
-        rows = []
-        for row in node.cpt:
-            acc = 0.0
-            cumulative = []
-            for p in row:
-                acc += p
-                cumulative.append(acc)
-            rows.append(tuple(cumulative))
-        equations.append(
-            ThresholdEquation(target=i, parents=node.parents, thresholds=tuple(rows))
-        )
+        rows = tuple(tuple(accumulate(row, initial=0.0))[1:] for row in node.cpt)
+        equations.append(ThresholdEquation(target=i, parents=node.parents, thresholds=rows))
     return ThresholdEquationSystem(
         variable_names=tuple(node.name for node in bbn.nodes),
         equations=tuple(equations),
@@ -176,26 +205,21 @@ def evaluate(
             raise ValueError(
                 f"latent for {sem.variable_names[v]!r} is {u!r}, outside (0, 1]"
             )
-    values = [0] * sem.n
-    for v in sem.evaluation_order:
-        eq = sem.equations[v]
-        radices = [sem.equations[p].outcome_count for p in eq.parents]
-        row = eq.thresholds[config_index(radices, [values[p] for p in eq.parents])]
-        values[v] = bisect_left(row, latents[v])
-    return tuple(values)
+    return next(_forward(sem._steps, [latents]))
+
+
+def _forward(steps, draws) -> Iterator[Assignment]:
+    """The assignment each latent vector in ``draws`` selects, parents first."""
+    values = [0] * len(steps)
+    for latents in draws:
+        for v, key, rows in steps:
+            values[v] = bisect_left(rows[key(values)], latents[v])
+        yield tuple(values)
 
 
 def sem_joint(sem: ThresholdEquationSystem, assignment: Sequence[int]) -> float:
     """Probability of a total assignment: product of selected interval lengths."""
-    if len(assignment) != sem.n:
-        raise ValueError(f"assignment covers {len(assignment)} of {sem.n} variables")
-    p = 1.0
-    for eq in sem.equations:
-        radices = [sem.equations[q].outcome_count for q in eq.parents]
-        row = eq.thresholds[config_index(radices, [assignment[q] for q in eq.parents])]
-        j = assignment[eq.target]
-        p *= row[j] - (row[j - 1] if j else 0.0)
-    return p
+    return _probability(sem, assignment)
 
 
 def check_equivalence(bbn: Bbn, sem: ThresholdEquationSystem) -> float:
@@ -208,18 +232,9 @@ def check_equivalence(bbn: Bbn, sem: ThresholdEquationSystem) -> float:
     counts = bbn.outcome_counts()
     if counts != sem.outcome_counts():
         raise ValueError("network and equation system disagree on outcome counts")
-    total = math.prod(counts)
-    if total > MAX_ENUMERABLE_CONFIGURATIONS:
-        raise ValueError(
-            f"{total} joint configurations exceed the enumeration bound "
-            f"{MAX_ENUMERABLE_CONFIGURATIONS}"
-        )
-    worst = 0.0
-    for assignment in product(*(range(k) for k in counts)):
-        gap = abs(joint_probability(bbn, assignment) - sem_joint(sem, assignment))
-        if gap > worst:
-            worst = gap
-    return worst
+    # Both joints are finite: validate and ThresholdEquation refuse
+    # non-finite entries, so no NaN gap can hide from max.
+    return max(map(abs, map(sub, _joint(bbn), _joint(sem))))
 
 
 def sample(
@@ -235,22 +250,8 @@ def sample(
         raise ValueError("count must be at least 1")
     rng = random.Random(seed)
     n = sem.n
-    plan = []
-    for v in sem.evaluation_order:
-        eq = sem.equations[v]
-        radices = tuple(sem.equations[p].outcome_count for p in eq.parents)
-        plan.append((v, eq.parents, radices, eq.thresholds))
-    counts: Counter[Assignment] = Counter()
-    values = [0] * n
-    for _ in range(count):
-        latents = [1.0 - rng.random() for _ in range(n)]
-        for v, parents, radices, rows in plan:
-            r = 0
-            for p, k in zip(parents, radices):
-                r = r * k + values[p]
-            values[v] = bisect_left(rows[r], latents[v])
-        counts[tuple(values)] += 1
-    return counts
+    draws = ([1.0 - rng.random() for _ in range(n)] for _ in range(count))
+    return Counter(_forward(sem._steps, draws))
 
 
 def sem_structure(sem: ThresholdEquationSystem) -> StructureMatrix:
@@ -287,58 +288,21 @@ def roundtrip_check(bbn: Bbn) -> bool:
 # table convention (first parent most significant).
 
 def sem_from_dict(doc: object) -> ThresholdEquationSystem:
-    if not isinstance(doc, dict):
-        raise FormatError("equation-system document must be a JSON object")
-    extra = set(doc) - {"equations"}
-    if extra:
-        raise FormatError(f"unknown keys in equation-system document: {sorted(extra)}")
-    raw_eqs = doc.get("equations")
-    if not isinstance(raw_eqs, list):
-        raise FormatError('"equations" must be a list')
-
-    names: list[str] = []
-    for k, raw in enumerate(raw_eqs):
-        if not isinstance(raw, dict) or not isinstance(raw.get("target"), str):
-            raise FormatError(f'equation {k}: missing or non-string "target"')
-        names.append(raw["target"])
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise FormatError("equation targets must be distinct")
-
-    equations = []
-    for i, raw in enumerate(raw_eqs):
-        target = names[i]
-        extra = set(raw) - {"target", "parents", "thresholds"}
-        if extra:
-            raise FormatError(f"equation {target!r}: unknown keys {sorted(extra)}")
-        parents = raw.get("parents")
+    names, equations = [], []
+    items = _named_items(doc, "equation-system", "equation", "target", ("thresholds",))
+    for i, (target, raw, parents) in enumerate(items):
         thresholds = raw.get("thresholds")
-        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
-            raise FormatError(f'equation {target!r}: "parents" must be a list of names')
-        unknown = [p for p in parents if p not in index]
-        if unknown:
-            raise FormatError(f"equation {target!r}: unknown parent {unknown[0]!r}")
         if not isinstance(thresholds, list):
             raise FormatError(f'equation {target!r}: "thresholds" must be a list of rows')
-        rows = []
-        for r, row in enumerate(thresholds):
-            if not isinstance(row, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-            ):
-                raise FormatError(
-                    f"equation {target!r}: threshold row {r} must be a list of numbers"
-                )
-            rows.append(tuple(float(x) for x in row))
+        rows = tuple(
+            _json_floats(row, f"equation {target!r}: threshold row {r}")
+            for r, row in enumerate(thresholds)
+        )
         try:
-            equations.append(
-                ThresholdEquation(
-                    target=i,
-                    parents=tuple(index[p] for p in parents),
-                    thresholds=tuple(rows),
-                )
-            )
+            equations.append(ThresholdEquation(i, parents, rows))
         except ValueError as exc:
             raise FormatError(f"equation {target!r}: {exc}") from None
+        names.append(target)
     try:
         return ThresholdEquationSystem(tuple(names), tuple(equations))
     except ValueError as exc:
@@ -359,8 +323,7 @@ def sem_to_dict(sem: ThresholdEquationSystem) -> dict:
 
 
 def load_sem(path: str | Path) -> ThresholdEquationSystem:
-    with open(path, encoding="utf-8") as handle:
-        return sem_from_dict(json.load(handle))
+    return sem_from_dict(_load_json(path))
 
 
 def save_sem(sem: ThresholdEquationSystem, path: str | Path) -> None:

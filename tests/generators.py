@@ -101,3 +101,10 @@ def random_distribution(rng: random.Random, k: int, degenerate_prob: float = 0.3
         hot = rng.randrange(k)
         return tuple(1.0 if i == hot else 0.0 for i in range(k))
     return random_probability_row(rng, k, zero_prob=0.0)
+
+
+def independent_binary_network(n: int) -> Bbn:
+    """``n`` parentless fair coins: 2**n joint configurations from a tiny file."""
+    return Bbn(
+        tuple(BbnNode(f"c{i}", ("h", "t"), (), ((0.5, 0.5),)) for i in range(n))
+    )

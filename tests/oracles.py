@@ -1,12 +1,68 @@
 """Brute-force reference implementations used only as test oracles.
 
-Everything here works by subset enumeration over bitmasks and deliberately
-avoids the matching/SCC machinery of the package under test.
+The structure oracles work by subset enumeration over bitmasks and
+deliberately avoid the matching/SCC machinery of the package under test.
+The probability oracles form one joint probability per assignment, ranking
+each node's parent values afresh, without the compiled per-model plans.
 """
 
 from __future__ import annotations
 
+import math
+
 from causalstruct import StructureMatrix
+
+
+def _rank(radices, digits) -> int:
+    rank = 0
+    for radix, digit in zip(radices, digits):
+        rank = rank * radix + digit
+    return rank
+
+
+def reference_joint(bbn, assignment) -> float:
+    """Product of the selected table entries in node-index order, from 1.0."""
+    p = 1.0
+    for i, node in enumerate(bbn.nodes):
+        radices = [bbn.nodes[q].outcome_count for q in node.parents]
+        p *= node.cpt[_rank(radices, [assignment[q] for q in node.parents])][assignment[i]]
+    return p
+
+
+def reference_sem_joint(sem, assignment) -> float:
+    """Product of the selected interval lengths in equation-index order, from 1.0."""
+    p = 1.0
+    for eq in sem.equations:
+        radices = [sem.equations[q].outcome_count for q in eq.parents]
+        row = eq.thresholds[_rank(radices, [assignment[q] for q in eq.parents])]
+        j = assignment[eq.target]
+        p *= row[j] - (row[j - 1] if j else 0.0)
+    return p
+
+
+def reference_marginals(bbn) -> list[list[float]]:
+    buckets = [[[] for _ in node.outcomes] for node in bbn.nodes]
+    for assignment in bbn.assignments():
+        p = reference_joint(bbn, assignment)
+        for i, outcome in enumerate(assignment):
+            buckets[i][outcome].append(p)
+    return [[math.fsum(cell) for cell in rows] for rows in buckets]
+
+
+def reference_gap(bbn, sem) -> float:
+    """Largest joint gap between a network and an equation system over the same variables."""
+    worst = 0.0
+    for assignment in bbn.assignments():
+        gap = abs(reference_joint(bbn, assignment) - reference_sem_joint(sem, assignment))
+        if gap > worst:
+            worst = gap
+    return worst
+
+
+def reference_compare_marginals(before, after) -> dict[str, float]:
+    """Per-variable largest marginal gap; both networks list the same names in order."""
+    pairs = zip(before.nodes, reference_marginals(before), reference_marginals(after))
+    return {node.name: max(abs(x - y) for x, y in zip(a, b)) for node, a, b in pairs}
 
 
 def row_masks(matrix: StructureMatrix) -> list[int]:

@@ -18,7 +18,7 @@ from causalstruct import (
     validate,
 )
 
-from generators import random_bbn
+from generators import independent_binary_network, random_bbn
 
 
 def binary(name, parents, rows):
@@ -113,6 +113,18 @@ class TestJointProbability:
     def test_partial_assignment_rejected(self, xy_bbn):
         with pytest.raises(ValueError):
             joint_probability(xy_bbn, (0,))
+
+    @pytest.mark.parametrize("assignment", [(-1, 0), (0, 2)])
+    def test_outcome_out_of_range_rejected(self, xy_bbn, assignment):
+        with pytest.raises(ValueError, match="out of range"):
+            joint_probability(xy_bbn, assignment)
+
+    def test_table_that_does_not_fit_is_refused(self):
+        bbn = Bbn((binary("x", (), ((0.4, 0.6),)), binary("y", (0,), ((0.7, 0.3),))))
+        with pytest.raises(ValueError, match="does not fit"):
+            joint_probability(bbn, (0, 0))
+        with pytest.raises(ValueError, match="does not fit"):
+            marginals(bbn)
 
     def test_invariant_under_outcome_relabeling(self, xy_bbn):
         relabeled = Bbn(
@@ -219,3 +231,8 @@ def test_marginals_by_enumeration(xy_bbn):
 def test_dot_lists_edges(xy_bbn):
     text = bbn_to_dot(xy_bbn)
     assert "  x -> y;" in text.splitlines()
+
+
+def test_marginals_refuse_past_the_enumeration_bound():
+    with pytest.raises(ValueError, match="enumeration bound"):
+        marginals(independent_binary_network(40))

@@ -8,6 +8,7 @@ from causalstruct import (
     bbn_to_sem,
     intervene_bbn,
     load_bbn,
+    save_bbn,
     load_sem,
     sem_from_dict,
     sem_to_dict,
@@ -17,6 +18,7 @@ from causalstruct import (
 from causalstruct.cli import main
 
 from conftest import DATA
+from generators import independent_binary_network
 
 
 def run(argv, capsys):
@@ -215,6 +217,17 @@ class TestIntervene:
         )
         assert code == 2
         assert err.startswith("error:usage:")
+
+    def test_network_past_the_enumeration_bound(self, capsys, tmp_path):
+        path = tmp_path / "coins.json"
+        save_bbn(independent_binary_network(40), path)
+        out_path = tmp_path / "after.json"
+        code, out, err = run(
+            ["intervene", path, "--node", "c0", "--dist", "1,0", "--out", out_path], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:usage:") and "enumeration bound" in err
+        assert not out_path.exists()
 
     def test_missing_dist_flag(self, capsys, tmp_path):
         code, out, err = run(

@@ -22,6 +22,7 @@ from causalstruct import (
 )
 
 from generators import (
+    independent_binary_network,
     random_bbn,
     random_distribution,
     random_self_contained_system,
@@ -156,6 +157,11 @@ class TestCompareMarginals:
         after = intervene_bbn(xy_bbn, 0, (1.0, 0.0))
         deltas = compare_marginals(xy_bbn, after)
         assert deltas["y"] == pytest.approx(0.3, abs=1e-12)
+
+    def test_refused_past_the_enumeration_bound(self):
+        before = independent_binary_network(40)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            compare_marginals(before, intervene_bbn(before, 0, (1.0, 0.0)))
 
     def test_mismatched_variable_sets(self, xy_bbn):
         smaller = intervene_bbn(xy_bbn, 0, (1.0, 0.0))

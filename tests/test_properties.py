@@ -1,6 +1,8 @@
 """Property tests for the structural invariants the library promises."""
 
 import math
+import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,15 +13,26 @@ from causalstruct import (
     bbn_to_sem,
     causal_ordering,
     check_equivalence,
+    compare_marginals,
     evaluate,
     intervene_bbn,
     is_self_contained,
     is_triangularizable,
     joint_probability,
+    marginals,
     roundtrip_check,
+    sample,
+    sem_joint,
 )
 
-from oracles import brute_self_contained_subsets
+from oracles import (
+    brute_self_contained_subsets,
+    reference_compare_marginals,
+    reference_gap,
+    reference_joint,
+    reference_marginals,
+    reference_sem_joint,
+)
 
 
 @st.composite
@@ -78,6 +91,32 @@ def bbns(draw, max_nodes=4, max_outcomes=3):
                 parents=parents,
                 cpt=cpt,
             )
+        )
+    return Bbn(tuple(nodes))
+
+
+@st.composite
+def shuffled_bbns(draw, max_nodes=5, max_outcomes=3):
+    """Networks whose node order need not be topological.
+
+    A drawn permutation fixes the topological order, so a parent may have a
+    larger index than its child, and parent lists come in drawn order.
+    """
+    n = draw(st.integers(1, max_nodes))
+    order = draw(st.permutations(range(n)))
+    counts = [draw(st.integers(2, max_outcomes)) for _ in range(n)]
+    nodes = [None] * n
+    for position, i in enumerate(order):
+        earlier = order[:position]
+        parents = tuple(
+            draw(st.lists(st.sampled_from(earlier), unique=True, max_size=2))
+        ) if earlier else ()
+        row_count = math.prod(counts[p] for p in parents)
+        nodes[i] = BbnNode(
+            name=f"v{i}",
+            outcomes=tuple(f"o{j}" for j in range(counts[i])),
+            parents=parents,
+            cpt=tuple(draw(probability_rows(counts[i])) for _ in range(row_count)),
         )
     return Bbn(tuple(nodes))
 
@@ -180,3 +219,30 @@ def test_intervention_is_idempotent(bbn, data):
     dist = data.draw(probability_rows(k))
     once = intervene_bbn(bbn, node, dist)
     assert intervene_bbn(once, node, dist) == once
+
+
+@given(shuffled_bbns(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_joint_enumeration_equals_the_per_assignment_reference(bbn, data):
+    sem = bbn_to_sem(bbn)
+    for assignment in bbn.assignments():
+        assert joint_probability(bbn, assignment) == reference_joint(bbn, assignment)
+        assert sem_joint(sem, assignment) == reference_sem_joint(sem, assignment)
+    assert marginals(bbn) == reference_marginals(bbn)
+    assert check_equivalence(bbn, sem) == reference_gap(bbn, sem)
+    node = data.draw(st.integers(0, bbn.n - 1))
+    dist = data.draw(probability_rows(bbn.nodes[node].outcome_count))
+    after = intervene_bbn(bbn, node, dist)
+    assert compare_marginals(bbn, after) == reference_compare_marginals(bbn, after)
+    # An equation system with other parents leaves a real gap to measure.
+    other = bbn_to_sem(after)
+    assert check_equivalence(bbn, other) == reference_gap(bbn, other)
+
+
+@given(shuffled_bbns(), st.integers(0, 2**32 - 1))
+@settings(max_examples=50)
+def test_one_sample_draw_is_evaluate_on_the_same_latents(bbn, seed):
+    sem = bbn_to_sem(bbn)
+    rng = random.Random(seed)
+    latents = {v: 1.0 - rng.random() for v in range(sem.n)}
+    assert sample(sem, seed, 1) == Counter({evaluate(sem, latents): 1})

@@ -138,6 +138,11 @@ class TestSemJoint:
         with pytest.raises(ValueError):
             sem_joint(xy_sem, (0,))
 
+    @pytest.mark.parametrize("assignment", [(-1, 0), (0, 2)])
+    def test_outcome_out_of_range_rejected(self, xy_sem, assignment):
+        with pytest.raises(ValueError, match="out of range"):
+            sem_joint(xy_sem, assignment)
+
     def test_interval_lengths_reproduce_conditional_entries(self):
         rng = random.Random(11)
         for _ in range(20):
