@@ -21,7 +21,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .dotutil import dot_id
 from .errors import CycleError, FormatError
-from .graphs import find_cycle, topological_order as _topo
+from .graphs import topological_order as _topo
+from .structure import _load_json
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -217,11 +218,10 @@ def validate(bbn: Bbn) -> BbnReport:
     issues: list[BbnIssue] = []
     cycle = None
 
-    parent_lists = [node.parents for node in bbn.nodes]
     try:
-        _topo(bbn.n, parent_lists)
-    except CycleError:
-        cycle = find_cycle(bbn.n, parent_lists)
+        _topo(bbn.n, [node.parents for node in bbn.nodes])
+    except CycleError as exc:
+        cycle = exc.members
         issues.append(
             BbnIssue(
                 kind="cycle",
@@ -413,19 +413,6 @@ def _json_floats(value: object, what: str) -> tuple[float, ...]:
     if not finite:
         raise FormatError(f"{what} holds a non-finite number")
     return floats
-
-
-def _reject_constant(name: str):
-    raise FormatError(f"non-finite number {name} is not allowed")
-
-
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-
-def _load_json(path: str | Path) -> object:
-    """Parse a JSON file, refusing the NaN and Infinity extensions."""
-    with open(path, encoding="utf-8") as handle:
-        return _DECODER.decode(handle.read())
 
 
 def load_bbn(path: str | Path) -> Bbn:

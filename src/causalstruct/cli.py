@@ -33,7 +33,7 @@ from .sem import (
     save_sem,
     sem_to_dict,
 )
-from .structure import check_system, load_system, system_from_dict
+from .structure import _load_json, load_system, system_from_dict
 from .triangular import is_triangularizable, triangularize
 
 VERIFY_TOLERANCE = 1e-9
@@ -105,19 +105,21 @@ def _require_valid(bbn):
 
 def _cmd_check(args) -> int:
     matrix = load_system(args.system)
-    report = check_system(matrix)
-    if report.self_contained:
-        print("self-contained: yes")
-        print(f"acyclic: {'yes' if is_triangularizable(matrix) else 'no'}")
-        return 0
-    print("self-contained: no")
-    if report.unused_variables:
-        names = ", ".join(matrix.variable_names[v] for v in report.unused_variables)
-        print(f"variables in no equation: {names}")
-    if report.violation is not None:
-        print(f"violating subset: {report.violation.describe(matrix)}")
-    print("error:not-self-contained: system check failed", file=sys.stderr)
-    return 1
+    try:
+        acyclic = is_triangularizable(matrix)
+    except NotSelfContainedError as exc:
+        report = exc.report
+        print("self-contained: no")
+        if report.unused_variables:
+            names = ", ".join(matrix.variable_names[v] for v in report.unused_variables)
+            print(f"variables in no equation: {names}")
+        if report.violation is not None:
+            print(f"violating subset: {report.violation.describe(matrix)}")
+        print("error:not-self-contained: system check failed", file=sys.stderr)
+        return 1
+    print("self-contained: yes")
+    print(f"acyclic: {'yes' if acyclic else 'no'}")
+    return 0
 
 
 def _cmd_order(args) -> int:
@@ -222,8 +224,7 @@ def _cmd_intervene(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    with open(args.input, encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = _load_json(args.input)
     if isinstance(doc, dict) and "nodes" in doc:
         text = bbn_to_dot(bbn_from_dict(doc))
     else:
@@ -253,9 +254,6 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error:parse: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:
         print(f"error:parse: {exc}", file=sys.stderr)

@@ -20,10 +20,10 @@ class NotSelfContainedError(ValueError):
 
 
 class CyclicStructureError(Exception):
-    """Triangularization hit a pivot step with no single-variable row.
+    """Triangularization found no equation left with a single unplaced variable.
 
-    ``remaining_equations`` is the set of equation indices still unplaced
-    at that point; it acts as the cyclic witness.
+    ``remaining_equations``, the cyclic witness, holds the equations of each
+    causal-ordering cluster of degree above one and of all clusters downstream.
     """
 
     def __init__(self, remaining_equations: frozenset[int]):

@@ -80,34 +80,22 @@ def condensation_edges(
 def longest_path_levels(n: int, edges: set[tuple[int, int]]) -> list[int]:
     """Level of each node in a DAG: 0 at sources, else 1 + max over preds."""
     preds: list[list[int]] = [[] for _ in range(n)]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
     for u, v in edges:
         preds[v].append(u)
-        succs[u].append(v)
-        indegree[v] += 1
-
-    levels = [0] * n
-    ready = [v for v in range(n) if indegree[v] == 0]
-    done = 0
-    while ready:
-        v = ready.pop()
-        done += 1
-        for w in succs[v]:
-            levels[w] = max(levels[w], levels[v] + 1)
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    if done != n:
+    order = topological_prefix(n, preds)
+    if len(order) != n:
         raise ValueError("edge set contains a cycle")
+    levels = [0] * n
+    for v in order:
+        levels[v] = max((levels[u] + 1 for u in preds[v]), default=0)
     return levels
 
 
-def topological_order(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
-    """Kahn's algorithm with ascending-index tie-breaking.
+def topological_prefix(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm with ascending-index tie-breaking, stopping where it sticks.
 
-    ``parents[v]`` lists the vertices that must precede ``v``.  Raises
-    ``CycleError`` carrying one directed cycle if no order exists.
+    ``parents[v]`` lists the vertices that must precede ``v``.  The order
+    leaves out exactly the vertices on or downstream of a directed cycle.
     """
     children: list[list[int]] = [[] for _ in range(n)]
     indegree = [0] * n
@@ -125,6 +113,16 @@ def topological_order(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
             indegree[w] -= 1
             if indegree[w] == 0:
                 heapq.heappush(ready, w)
+    return order
+
+
+def topological_order(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm with ascending-index tie-breaking.
+
+    ``parents[v]`` lists the vertices that must precede ``v``.  Raises
+    ``CycleError`` carrying one directed cycle if no order exists.
+    """
+    order = topological_prefix(n, parents)
     if len(order) != n:
         raise CycleError(find_cycle(n, parents))
     return order
@@ -133,35 +131,33 @@ def topological_order(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
 def find_cycle(n: int, parents: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Return the vertices of one directed cycle of the parent relation.
 
-    The cycle is reported in arrow order (each listed vertex is a parent of
-    the next, the last wrapping to the first), rotated to start at its
-    smallest vertex.
+    An iterative depth-first walk up the parent links, roots in ascending
+    order.  The cycle is reported in arrow order (each listed vertex is a
+    parent of the next, the last wrapping to the first), rotated to start
+    at its smallest vertex.
     """
-    color = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    trail: list[int] = []
-
-    def visit(v: int) -> tuple[int, ...] | None:
-        color[v] = 1
-        trail.append(v)
-        for p in parents[v]:
-            if color[p] == 1:
-                cycle = trail[trail.index(p):]
-                cycle.reverse()  # walk was child-to-parent; arrows run the other way
-                at = cycle.index(min(cycle))
-                return tuple(cycle[at:] + cycle[:at])
-            if color[p] == 0:
-                found = visit(p)
-                if found is not None:
-                    return found
-        trail.pop()
-        color[v] = 2
-        return None
-
-    for v in range(n):
-        if color[v] == 0:
-            found = visit(v)
-            if found is not None:
-                return found
+    color = [0] * n  # 0 unvisited, 1 on the walk, 2 done
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        trail = [root]
+        pending = [iter(parents[root])]
+        while pending:
+            for p in pending[-1]:
+                if color[p] == 1:
+                    cycle = trail[trail.index(p):]
+                    cycle.reverse()  # walk was child-to-parent; arrows run the other way
+                    at = cycle.index(min(cycle))
+                    return tuple(cycle[at:] + cycle[:at])
+                if color[p] == 0:
+                    color[p] = 1
+                    trail.append(p)
+                    pending.append(iter(parents[p]))
+                    break
+            else:
+                color[trail.pop()] = 2
+                pending.pop()
     raise ValueError("graph is acyclic; no cycle to report")
 
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bbn import Bbn, BbnNode, _json_floats, _load_json, marginals
+from .bbn import Bbn, BbnNode, _json_floats, marginals
 from .errors import FormatError, NotSelfContainedError
 from .graphs import reachable_from
 from .ordering import CausalOrdering
-from .structure import StructureMatrix, check_system
+from .structure import StructureMatrix, _load_json, check_system
 
 DIST_SUM_TOLERANCE = 1e-9
 

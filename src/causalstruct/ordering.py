@@ -8,9 +8,10 @@ precedence edges from already-solved variables into each cluster.
 Instead of enumerating subsets, the implementation matches each equation to
 one of its variables, orients the remaining participations toward the
 matched variable, and reads the clusters off as strongly connected
-components; the condensation's longest-path levels are the orders.  The
-result is matching-independent and is held against a brute-force oracle in
-the test suite.
+components; the condensation's longest-path levels are the orders.  That is
+the square Dulmage-Mendelsohn decomposition (Iwasaki & Simon 1994, "Causality
+and model abstraction"), computed as in Pothen & Fan (1990).  The result is
+matching-independent and held against a brute-force oracle in the tests.
 """
 
 from __future__ import annotations

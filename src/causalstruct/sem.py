@@ -32,11 +32,11 @@ from typing import Iterator, Mapping, Sequence
 
 from .bbn import Assignment, Bbn, validate
 from .bbn import MAX_ENUMERABLE_CONFIGURATIONS, joint_probability  # noqa: F401  (still sem.*)
-from .bbn import _compile, _Factor, _joint, _json_floats, _load_json, _named_items
+from .bbn import _compile, _Factor, _joint, _json_floats, _named_items
 from .bbn import _probability
 from .errors import FormatError, InvalidBbnError
 from .ordering import causal_ordering
-from .structure import StructureMatrix
+from .structure import StructureMatrix, _load_json
 from .graphs import topological_order as _topo
 
 FINAL_THRESHOLD_TOLERANCE = 1e-9

@@ -154,13 +154,15 @@ class SystemReport:
     """Outcome of ``check_system`` with a witness when the check fails.
 
     At most one failure is needed to reject a system, but both witness kinds
-    are reported when both can be derived.
+    are reported when both can be derived.  ``matching[e]`` is the variable
+    a maximum matching gives equation e, or -1 if none.
     """
 
     matrix: StructureMatrix
     self_contained: bool
     unused_variables: tuple[int, ...] = ()
     violation: EquationSubset | None = None
+    matching: tuple[int, ...] = ()
 
     def describe(self) -> str:
         if self.self_contained:
@@ -231,6 +233,7 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
         self_contained=ok,
         unused_variables=unused,
         violation=violation,
+        matching=tuple(match),
     )
 
 
@@ -283,9 +286,26 @@ def system_to_dict(matrix: StructureMatrix) -> dict:
     }
 
 
+def _reject_constant(name: str):
+    raise FormatError(f"non-finite number {name} is not allowed")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _load_json(path: str | Path) -> object:
+    """Parse a UTF-8 JSON file without NaN or Infinity; any failure is a ``FormatError``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _DECODER.decode(handle.read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(str(exc)) from None
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
+
+
 def load_system(path: str | Path) -> StructureMatrix:
-    with open(path, encoding="utf-8") as handle:
-        return system_from_dict(json.load(handle))
+    return system_from_dict(_load_json(path))
 
 
 def save_system(matrix: StructureMatrix, path: str | Path) -> None:

@@ -1,10 +1,13 @@
 """Permuting a structure matrix to lower-triangular form.
 
-A self-contained system can be rearranged so the matrix is lower-triangular
-with a full diagonal exactly when every cluster of its causal ordering has
-degree one; the diagonal then reads off which equation determines which
-variable.  Feedback makes some pivot step run out of single-variable rows,
-which is reported with the remaining equations as the witness.
+This is the block-triangular form (Pothen & Fan 1990, "Computing the block
+triangular form of a sparse matrix", ACM TOMS 16(4)) when every block has
+size one.  Each equation of a self-contained system's perfect matching
+follows the equations matched to its other variables; a topological order
+of that precedence gives the rows, and their matched variables the
+columns.  The order exists exactly when every cluster of the causal
+ordering has degree one, and it does not depend on the matching: the last
+unplaced variable of a placeable equation is always its matched one.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CyclicStructureError, NotSelfContainedError
+from .graphs import topological_prefix
 from .structure import StructureMatrix, check_system
 
 
@@ -33,41 +37,32 @@ class Triangularization:
 
 
 def triangularize(matrix: StructureMatrix) -> Triangularization:
-    """Pivot single-variable rows to the diagonal until none remain.
+    """Order equations so each determines its matched variable from earlier ones.
 
-    At each step the rows are scanned for one with exactly one participation
-    among the not-yet-pivoted columns; ties go to the lowest equation index.
-    Raises ``CyclicStructureError`` with the unplaced equations if no such
-    row exists, and ``NotSelfContainedError`` if the system fails the
-    entry precondition.
+    Ties between equations that are ready at the same step go to the lowest
+    equation index.  Raises ``CyclicStructureError`` with the equations
+    that can never be placed (those in feedback clusters and everything
+    downstream of them), and ``NotSelfContainedError`` if the system fails
+    the entry precondition.
     """
     report = check_system(matrix)
     if not report.self_contained:
         raise NotSelfContainedError(report.describe(), report)
 
-    remaining_eqs = list(range(matrix.n))
-    remaining_vars = set(range(matrix.n))
-    row_perm: list[int] = []
-    col_perm: list[int] = []
-    for _ in range(matrix.n):
-        pivot = None
-        for e in remaining_eqs:
-            live = matrix.rows[e] & remaining_vars
-            if len(live) == 1:
-                pivot = (e, next(iter(live)))
-                break
-        if pivot is None:
-            raise CyclicStructureError(frozenset(remaining_eqs))
-        e, v = pivot
-        row_perm.append(e)
-        col_perm.append(v)
-        remaining_eqs.remove(e)
-        remaining_vars.remove(v)
-    return Triangularization(tuple(row_perm), tuple(col_perm))
+    match = report.matching
+    equation_of = {v: e for e, v in enumerate(match)}
+    parents = [[equation_of[u] for u in row if u != v] for row, v in zip(matrix.rows, match)]
+    row_perm = topological_prefix(matrix.n, parents)
+    if len(row_perm) != matrix.n:
+        raise CyclicStructureError(frozenset(range(matrix.n)).difference(row_perm))
+    return Triangularization(tuple(row_perm), tuple(match[e] for e in row_perm))
 
 
 def is_triangularizable(matrix: StructureMatrix) -> bool:
-    """Whether the system can be rearranged to lower-triangular form."""
+    """Whether the system can be rearranged to lower-triangular form.
+
+    Raises ``NotSelfContainedError``, with its report, on a system that is not self-contained.
+    """
     try:
         triangularize(matrix)
     except CyclicStructureError:

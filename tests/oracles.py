@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only as test oracles.
 
-The structure oracles work by subset enumeration over bitmasks and
-deliberately avoid the matching/SCC machinery of the package under test.
+The structure oracles work by subset enumeration over bitmasks, by pivoting
+rows one at a time, or by recursive depth-first search, and deliberately
+avoid the matching/SCC/Kahn machinery of the package under test.
 The probability oracles form one joint probability per assignment, ranking
 each node's parent values afresh, without the compiled per-model plans.
 """
@@ -171,3 +172,68 @@ def naive_causal_ordering(matrix: StructureMatrix):
         remaining = [e for e in remaining if e not in solved_eqs]
         step += 1
     return clusters, variable_edges
+
+
+def pivot_scan_triangularize(matrix: StructureMatrix):
+    """Pivot single-variable rows to the diagonal until none remain.
+
+    At each step the rows are scanned for one with exactly one participation
+    among the not-yet-pivoted columns; ties go to the lowest equation index.
+    Returns ``(row_perm, col_perm, stuck)``: the pivots placed, in order,
+    and the frozenset of equations left unplaced (empty when the scan
+    completes).
+    """
+    remaining_eqs = list(range(matrix.n))
+    remaining_vars = set(range(matrix.n))
+    row_perm: list[int] = []
+    col_perm: list[int] = []
+    while remaining_eqs:
+        pivot = None
+        for e in remaining_eqs:
+            live = matrix.rows[e] & remaining_vars
+            if len(live) == 1:
+                pivot = (e, next(iter(live)))
+                break
+        if pivot is None:
+            break
+        e, v = pivot
+        row_perm.append(e)
+        col_perm.append(v)
+        remaining_eqs.remove(e)
+        remaining_vars.remove(v)
+    return tuple(row_perm), tuple(col_perm), frozenset(remaining_eqs)
+
+
+def recursive_find_cycle(n: int, parents) -> tuple[int, ...]:
+    """One directed cycle of the parent relation, by recursive depth-first search.
+
+    Roots are tried in ascending order and parents in list order; the first
+    parent found on the current walk closes the cycle, which is returned in
+    arrow order rotated to start at its smallest vertex.
+    """
+    color = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    trail: list[int] = []
+
+    def visit(v: int):
+        color[v] = 1
+        trail.append(v)
+        for p in parents[v]:
+            if color[p] == 1:
+                cycle = trail[trail.index(p):]
+                cycle.reverse()  # walk was child-to-parent; arrows run the other way
+                at = cycle.index(min(cycle))
+                return tuple(cycle[at:] + cycle[:at])
+            if color[p] == 0:
+                found = visit(p)
+                if found is not None:
+                    return found
+        trail.pop()
+        color[v] = 2
+        return None
+
+    for v in range(n):
+        if color[v] == 0:
+            found = visit(v)
+            if found is not None:
+                return found
+    raise ValueError("graph is acyclic; no cycle to report")

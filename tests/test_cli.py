@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import causalstruct
 from causalstruct import (
     bbn_from_dict,
     bbn_to_dict,
@@ -19,6 +21,14 @@ from causalstruct.cli import main
 
 from conftest import DATA
 from generators import independent_binary_network
+
+
+RING = 3000
+
+
+def ring_names(n=RING):
+    """Vertex i's single parent is vertex i - 1, and vertex 0's is the last."""
+    return [(f"v{i}", f"v{(i - 1) % n}") for i in range(n)]
 
 
 def run(argv, capsys):
@@ -48,6 +58,25 @@ class TestCheck:
         assert "variables in no equation: y" in out
         assert "violating subset: {e1, e2} covering variables {x}" in out
         assert err.startswith("error:not-self-contained:")
+
+    @pytest.mark.parametrize(
+        "name", ["seat_belts.json", "feedback.json", "unused_variable.json"]
+    )
+    def test_decides_self_containment_once(self, capsys, monkeypatch, name):
+        calls = []
+        original = causalstruct.check_system
+
+        def counted(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("causalstruct") and (
+                getattr(module, "check_system", None) is original
+            ):
+                monkeypatch.setattr(module, "check_system", counted)
+        run(["check", DATA / name], capsys)
+        assert len(calls) == 1
 
 
 class TestOrder:
@@ -161,6 +190,18 @@ class TestVerify:
         deviation = float(out.split("max deviation ")[1].split(";")[0])
         assert deviation <= 1e-12
 
+    def test_long_ring_reports_the_cycle(self, capsys, tmp_path):
+        path = tmp_path / "ring.json"
+        nodes = [
+            {"name": v, "outcomes": ["a", "b"], "parents": [p], "cpt": [[0.5, 0.5]] * 2}
+            for v, p in ring_names()
+        ]
+        path.write_text(json.dumps({"nodes": nodes}))
+        code, out, err = run(["verify", path], capsys)
+        assert code == 1
+        assert out == "cycle: cycle through " + " -> ".join(v for v, _ in ring_names()) + "\n"
+        assert err.startswith("error:invalid-bbn:")
+
 
 class TestSample:
     def test_deterministic_output(self, capsys, tmp_path, xy_bbn):
@@ -178,6 +219,18 @@ class TestSample:
         code, out, _ = run(["sample", sem_path, "--seed", "1", "--count", "1000"], capsys)
         lines = out.splitlines()[3:]
         assert sum(int(line.split()[2]) for line in lines) == 1000
+
+    def test_long_ring_is_cyclic(self, capsys, tmp_path):
+        path = tmp_path / "ring.json"
+        equations = [
+            {"target": v, "parents": [p], "thresholds": [[0.5, 1.0]] * 2}
+            for v, p in ring_names()
+        ]
+        path.write_text(json.dumps({"equations": equations}))
+        code, out, err = run(["sample", path, "--count", "10"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error:cyclic: cycle through nodes {list(range(RING))}\n"
 
 
 class TestIntervene:
@@ -270,6 +323,24 @@ class TestErrorChannel:
         code, out, err = run(["check", bad], capsys)
         assert code == 2
         assert err.startswith("error:parse:")
+
+    @pytest.mark.parametrize("command", ["check", "verify", "graph", "sample"])
+    def test_over_deep_nesting_is_a_parse_error(self, capsys, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, out, err = run([command, deep], capsys)
+        assert code == 2
+        assert err.startswith("error:parse:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "verify", "graph", "sample"])
+    def test_undecodable_bytes_are_a_parse_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, out, err = run([command, bad], capsys)
+        assert code == 2
+        assert err.startswith("error:parse:")
+        assert err.count("\n") == 1
 
     def test_format_violation(self, capsys, tmp_path):
         bad = tmp_path / "extra.json"

@@ -1,0 +1,120 @@
+"""Depth-robustness of the graph helpers on long chains and rings.
+
+Every helper keeps its own stack, so chains and rings thousands of vertices
+deep must work like short ones.  The recursive depth-first search in
+``oracles`` is the reference for which cycle ``find_cycle`` reports; it is
+only run on small graphs, where its recursion stays shallow.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from causalstruct import Bbn, BbnNode, CycleError, validate
+from causalstruct.graphs import find_cycle, topological_order, topological_prefix
+
+from oracles import recursive_find_cycle
+
+DEEP = 5000
+# Vertex 0 is the deepest: its parent walk passes through every other vertex.
+DEEPEST = list(range(DEEP - 1, -1, -1))
+
+
+@st.composite
+def paths(draw, max_n=DEEP):
+    """Vertices 0..n-1 in a random order; each is the parent of the next."""
+    n = draw(st.integers(1, max_n))
+    path = list(range(n))
+    draw(st.randoms(use_true_random=False)).shuffle(path)
+    return path
+
+
+def chain_parents(path):
+    parents = [[] for _ in path]
+    for before, v in zip(path, path[1:]):
+        parents[v].append(before)
+    return parents
+
+
+def ring_parents(path):
+    parents = chain_parents(path)
+    parents[path[0]].append(path[-1])
+    return parents
+
+
+def rotated_to_min(path):
+    at = path.index(min(path))
+    return tuple(path[at:] + path[:at])
+
+
+@st.composite
+def digraphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    return [draw(st.lists(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
+
+
+def ring_network(path):
+    return Bbn(
+        tuple(
+            BbnNode(f"v{v}", ("a", "b"), tuple(p), ((0.5, 0.5),) * 2 ** len(p))
+            for v, p in enumerate(ring_parents(path))
+        )
+    )
+
+
+@given(digraphs())
+def test_find_cycle_equals_the_recursive_reference(parents):
+    try:
+        expected = recursive_find_cycle(len(parents), parents)
+    except ValueError:
+        with pytest.raises(ValueError):
+            find_cycle(len(parents), parents)
+        return
+    assert find_cycle(len(parents), parents) == expected
+
+
+@given(paths())
+@example(DEEPEST)
+@settings(max_examples=30, deadline=None)
+def test_chains_sort_in_path_order_and_have_no_cycle(path):
+    parents = chain_parents(path)
+    assert topological_order(len(path), parents) == path
+    assert topological_prefix(len(path), parents) == path
+    with pytest.raises(ValueError):
+        find_cycle(len(path), parents)
+
+
+@given(paths())
+@example(DEEPEST)
+@settings(max_examples=30, deadline=None)
+def test_rings_report_the_whole_ring_in_arrow_order(path):
+    parents = ring_parents(path)
+    expected = rotated_to_min(path)
+    assert find_cycle(len(path), parents) == expected
+    assert topological_prefix(len(path), parents) == []
+    with pytest.raises(CycleError) as info:
+        topological_order(len(path), parents)
+    assert info.value.members == expected
+
+
+@given(paths(), st.integers(1, 50))
+@example(DEEPEST, 50)
+@settings(max_examples=30, deadline=None)
+def test_prefix_stops_at_a_ring_and_everything_below_it(path, ring_size):
+    """A ring fed by the first vertices of a chain stalls the chain below it."""
+    ring = [len(path) + k for k in range(ring_size)]
+    parents = chain_parents(path) + [[ring[k - 1]] for k in range(ring_size)]
+    cut = len(path) // 2
+    parents[path[cut]].append(ring[0])
+    assert topological_prefix(len(parents), parents) == path[:cut]
+    assert find_cycle(len(parents), parents) == tuple(ring)
+
+
+@given(paths())
+@example(DEEPEST)
+@settings(max_examples=20, deadline=None)
+def test_validate_names_a_deep_ring(path):
+    report = validate(ring_network(path))
+    expected = rotated_to_min(path)
+    assert report.cycle == expected
+    assert [issue.kind for issue in report.issues] == ["cycle"]
+    assert report.issues[0].detail == "cycle through " + " -> ".join(f"v{v}" for v in expected)

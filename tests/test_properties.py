@@ -4,11 +4,13 @@ import math
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalstruct import (
     Bbn,
     BbnNode,
+    CyclicStructureError,
     StructureMatrix,
     bbn_to_sem,
     causal_ordering,
@@ -23,10 +25,12 @@ from causalstruct import (
     roundtrip_check,
     sample,
     sem_joint,
+    triangularize,
 )
 
 from oracles import (
     brute_self_contained_subsets,
+    pivot_scan_triangularize,
     reference_compare_marginals,
     reference_gap,
     reference_joint,
@@ -50,13 +54,20 @@ def square_matrices(draw, max_n=6):
 
 
 @st.composite
-def self_contained_matrices(draw, max_n=6):
+def self_contained_matrices(draw, max_n=6, plant_cycle=False):
+    """Extra participations on a planted perfect matching; ``plant_cycle``
+    wires two matched pairs into a two-cycle when n is at least 2."""
     n = draw(st.integers(1, max_n))
     matched = draw(st.permutations(range(n)))
     rows = []
     for i in range(n):
         extras = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-        rows.append(frozenset({matched[i]} | extras))
+        rows.append({matched[i]} | extras)
+    if plant_cycle and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i].add(matched[j])
+        rows[j].add(matched[i])
+    rows = [frozenset(row) for row in rows]
     return StructureMatrix(
         tuple(f"x{i}" for i in range(n)),
         tuple(f"e{i + 1}" for i in range(n)),
@@ -176,6 +187,51 @@ def test_ordering_determinism_under_permutation(matrix, data):
 def test_triangularizable_iff_every_cluster_has_degree_one(matrix):
     ordering = causal_ordering(matrix)
     assert is_triangularizable(matrix) == all(c.degree == 1 for c in ordering.clusters)
+
+
+any_self_contained = st.one_of(
+    self_contained_matrices(max_n=8), self_contained_matrices(max_n=8, plant_cycle=True)
+)
+
+
+@given(any_self_contained, st.booleans(), st.data())
+@settings(max_examples=300)
+def test_triangularize_equals_the_pivot_scan(matrix, permute, data):
+    if permute:
+        matrix = matrix.permuted(
+            data.draw(st.permutations(range(matrix.n))),
+            data.draw(st.permutations(range(matrix.n))),
+        )
+    row_perm, col_perm, stuck = pivot_scan_triangularize(matrix)
+    if stuck:
+        with pytest.raises(CyclicStructureError) as info:
+            triangularize(matrix)
+        assert info.value.remaining_equations == stuck
+    else:
+        result = triangularize(matrix)
+        assert (result.row_perm, result.col_perm) == (row_perm, col_perm)
+
+
+@given(any_self_contained)
+def test_cyclic_witness_is_the_feedback_clusters_and_their_descendants(matrix):
+    ordering = causal_ordering(matrix)
+    below = {a: [] for a in range(len(ordering.clusters))}
+    for a, b in ordering.cluster_edges:
+        below[a].append(b)
+    stalled = {ci for ci, cluster in enumerate(ordering.clusters) if cluster.degree > 1}
+    frontier = list(stalled)
+    while frontier:
+        for b in below[frontier.pop()]:
+            if b not in stalled:
+                stalled.add(b)
+                frontier.append(b)
+    witness = frozenset(e for ci in stalled for e in ordering.clusters[ci].equations)
+    if not witness:
+        triangularize(matrix)
+        return
+    with pytest.raises(CyclicStructureError) as info:
+        triangularize(matrix)
+    assert info.value.remaining_equations == witness
 
 
 @given(bbns())
