@@ -30,11 +30,8 @@ from .intervention import (
     StructuralChange,
     affected_variables,
     apply_change,
-    change_from_dict,
-    change_to_dict,
     compare_marginals,
     intervene_bbn,
-    load_change,
 )
 from .ordering import (
     CausalOrdering,
@@ -98,8 +95,6 @@ __all__ = [
     "bbn_to_dot",
     "bbn_to_sem",
     "causal_ordering",
-    "change_from_dict",
-    "change_to_dict",
     "check_equivalence",
     "check_system",
     "compare_marginals",
@@ -109,7 +104,6 @@ __all__ = [
     "is_triangularizable",
     "joint_probability",
     "load_bbn",
-    "load_change",
     "load_sem",
     "load_system",
     "marginals",

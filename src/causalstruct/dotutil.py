@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-_BARE_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^-?(\.\d+|\d+(\.\d*)?)$")
+_BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?(\.\d+|\d+(\.\d*)?)")
 
 # Keywords may not be used as bare identifiers in DOT.
 _KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
@@ -12,7 +12,7 @@ _KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 def dot_id(name: str) -> str:
     """Quote ``name`` if it is not usable as a bare DOT identifier."""
-    if _BARE_ID.match(name) and name.lower() not in _KEYWORDS:
+    if _BARE_ID.fullmatch(name) and name.lower() not in _KEYWORDS:
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

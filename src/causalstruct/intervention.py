@@ -9,47 +9,35 @@ degenerate one-hot case covering value-fixing interventions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from .bbn import Bbn, BbnNode, _json_floats, marginals
-from .errors import FormatError, NotSelfContainedError
+from .bbn import Bbn, BbnNode, marginals, validate
+from .errors import NotSelfContainedError
 from .graphs import reachable_from
 from .ordering import CausalOrdering
-from .structure import StructureMatrix, _load_json, check_system
+from .structure import StructureMatrix, check_system
 
-DIST_SUM_TOLERANCE = 1e-9
-
-CHANGE_KINDS = ("replace_equation", "add_exogenous_variable", "set_bbn_node")
+CHANGE_KINDS = ("replace_equation", "add_exogenous_variable")
 
 
 @dataclass(frozen=True)
 class StructuralChange:
-    """One edit to a system's mechanisms.
+    """One edit to a system's equations.
 
     ``replace_equation``: ``target`` is an equation label, ``vars`` the new
     participation row.  ``add_exogenous_variable``: ``target`` is the new
     variable's name, ``vars`` the row of its defining equation (it may
-    mention the new variable itself).  ``set_bbn_node``: ``target`` is a
-    node name and ``dist`` the replacement parentless distribution.
+    mention the new variable itself).
     """
 
     kind: str
     target: str
-    vars: tuple[str, ...] | None = None
-    dist: tuple[float, ...] | None = None
+    vars: tuple[str, ...]
 
     def __post_init__(self):
         if self.kind not in CHANGE_KINDS:
             raise ValueError(f"unknown change kind {self.kind!r}")
-        if self.kind == "set_bbn_node":
-            if self.dist is None or self.vars is not None:
-                raise ValueError('set_bbn_node takes "dist" and no "vars"')
-        else:
-            if self.vars is None or self.dist is not None:
-                raise ValueError(f'{self.kind} takes "vars" and no "dist"')
 
 
 def apply_change(matrix: StructureMatrix, change: StructuralChange) -> StructureMatrix:
@@ -66,7 +54,7 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
         rows = list(matrix.rows)
         rows[e] = row
         edited = StructureMatrix(matrix.variable_names, matrix.equation_labels, tuple(rows))
-    elif change.kind == "add_exogenous_variable":
+    else:
         if change.target in matrix.variable_names:
             raise ValueError(f"variable {change.target!r} already exists")
         names = matrix.variable_names + (change.target,)
@@ -85,8 +73,6 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
             equation_labels=matrix.equation_labels + (label,),
             rows=matrix.rows + (row,),
         )
-    else:
-        raise ValueError("set_bbn_node does not apply to a structure matrix")
 
     report = check_system(edited)
     if not report.self_contained:
@@ -112,25 +98,19 @@ def affected_variables(ordering: CausalOrdering, changed_equation: int) -> froze
 
 
 def intervene_bbn(bbn: Bbn, node: int, dist: Sequence[float]) -> Bbn:
-    """Cut a node loose from its parents and impose ``dist`` on it."""
+    """Cut a node loose from its parents and impose ``dist`` on it.
+
+    ``dist`` must pass ``validate`` as the node's one parentless CPT row.
+    """
     if node < 0 or node >= bbn.n:
         raise IndexError(f"node index {node} out of range")
     target = bbn.nodes[node]
-    if len(dist) != target.outcome_count:
-        raise ValueError(
-            f"distribution has {len(dist)} entries for {target.outcome_count} outcomes"
-        )
-    if not all(0.0 <= p <= 1.0 for p in dist):
-        raise ValueError("distribution entries must lie in [0, 1]")
-    if abs(math.fsum(dist) - 1.0) > DIST_SUM_TOLERANCE:
-        raise ValueError(f"distribution sums to {math.fsum(dist)!r}, not 1")
+    row = tuple(dist)
+    report = validate(Bbn((BbnNode(target.name, target.outcomes, (), (row,)),)))
+    if not report.valid:
+        raise ValueError(f"distribution {row!r} rejected: {report.issues[0].detail}")
     nodes = list(bbn.nodes)
-    nodes[node] = BbnNode(
-        name=target.name,
-        outcomes=target.outcomes,
-        parents=(),
-        cpt=(tuple(float(p) for p in dist),),
-    )
+    nodes[node] = BbnNode(target.name, target.outcomes, (), (tuple(map(float, row)),))
     return Bbn(tuple(nodes))
 
 
@@ -156,50 +136,3 @@ def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
         rows_b = after_marg[after.index_of(name)]
         result[name] = max(abs(x - y) for x, y in zip(rows_a, rows_b))
     return result
-
-
-# ---------------------------------------------------------------------------
-# File format: {"kind":..., "target":..., "vars":[...]} or {"kind":...,
-# "target":..., "dist":[...]}
-
-def change_from_dict(doc: object) -> StructuralChange:
-    if not isinstance(doc, dict):
-        raise FormatError("change document must be a JSON object")
-    extra = set(doc) - {"kind", "target", "vars", "dist"}
-    if extra:
-        raise FormatError(f"unknown keys in change document: {sorted(extra)}")
-    kind = doc.get("kind")
-    target = doc.get("target")
-    if not isinstance(kind, str):
-        raise FormatError('"kind" must be a string')
-    if not isinstance(target, str) or not target:
-        raise FormatError('"target" must be a non-empty string')
-    vars_field = doc.get("vars")
-    dist_field = doc.get("dist")
-    if vars_field is not None and (
-        not isinstance(vars_field, list)
-        or not all(isinstance(v, str) for v in vars_field)
-    ):
-        raise FormatError('"vars" must be a list of variable names')
-    try:
-        return StructuralChange(
-            kind=kind,
-            target=target,
-            vars=None if vars_field is None else tuple(vars_field),
-            dist=None if dist_field is None else _json_floats(dist_field, '"dist"'),
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def change_to_dict(change: StructuralChange) -> dict:
-    doc: dict = {"kind": change.kind, "target": change.target}
-    if change.vars is not None:
-        doc["vars"] = list(change.vars)
-    if change.dist is not None:
-        doc["dist"] = list(change.dist)
-    return doc
-
-
-def load_change(path: str | Path) -> StructuralChange:
-    return change_from_dict(_load_json(path))

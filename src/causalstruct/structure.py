@@ -22,9 +22,6 @@ from typing import Iterable
 from .errors import FormatError
 from .matching import hall_violator, maximum_matching
 
-VariableId = int
-EquationId = int
-
 
 @dataclass(frozen=True)
 class StructureMatrix:

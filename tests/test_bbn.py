@@ -233,6 +233,11 @@ def test_dot_lists_edges(xy_bbn):
     assert "  x -> y;" in text.splitlines()
 
 
+def test_dot_quotes_a_name_ending_in_a_newline():
+    bbn = Bbn((binary("a", (), ((0.5, 0.5),)), binary("a\n", (0,), ((1.0, 0.0), (0.0, 1.0)))))
+    assert bbn_to_dot(bbn) == 'digraph bbn {\n  a;\n  "a\n";\n  a -> "a\n";\n}\n'
+
+
 def test_marginals_refuse_past_the_enumeration_bound():
     with pytest.raises(ValueError, match="enumeration bound"):
         marginals(independent_binary_network(40))

@@ -1,24 +1,24 @@
+import math
 import random
 
 import pytest
 
 from causalstruct import (
-    FormatError,
+    Bbn,
+    BbnNode,
     NotSelfContainedError,
     StructuralChange,
     affected_variables,
     apply_change,
     bbn_to_sem,
     causal_ordering,
-    change_from_dict,
-    change_to_dict,
     check_system,
     compare_marginals,
     intervene_bbn,
     joint_probability,
-    load_change,
     marginals,
     sem_structure,
+    validate,
 )
 
 from generators import (
@@ -74,12 +74,10 @@ class TestApplyChange:
         assert not report.self_contained
         assert names(model3, report.unused_variables) == {"m"}
 
-    def test_bbn_change_not_applicable(self, model3):
-        with pytest.raises(ValueError, match="structure matrix"):
-            apply_change(
-                model3,
-                StructuralChange(kind="set_bbn_node", target="m", dist=(1.0, 0.0)),
-            )
+    def test_bbn_change_not_applicable(self):
+        # network-side changes are intervene_bbn's; no change kind names them
+        with pytest.raises(ValueError, match="unknown change kind 'set_bbn_node'"):
+            StructuralChange("set_bbn_node", "m", ("m",))
 
     def test_existing_variable_cannot_be_added(self, model3):
         with pytest.raises(ValueError, match="already exists"):
@@ -141,6 +139,35 @@ class TestInterveneBbn:
     def test_unnormalized_rejected(self, xy_bbn):
         with pytest.raises(ValueError, match="sums to"):
             intervene_bbn(xy_bbn, 0, (0.6, 0.6))
+
+    @pytest.mark.parametrize(
+        "dist, accepted",
+        [
+            ((1.0, 0.0), True),
+            ((0.4, 0.6), True),
+            ((-0.0, 1.0), True),
+            ((0.5, 0.5 + 5e-10), True),
+            ((0.5, 0.5 - 5e-10), True),
+            ((0.5, 0.5 + 2e-9), False),
+            ((0.5, 0.5 - 2e-9), False),
+            ((1.5, -0.5), False),
+            ((math.nan, 1.0), False),
+            ((1.0,), False),
+            ((0.5, 0.3, 0.2), False),
+            ((), False),
+        ],
+    )
+    def test_accepts_exactly_what_validate_passes(self, xy_bbn, dist, accepted):
+        x = xy_bbn.nodes[0]
+        report = validate(Bbn((BbnNode(x.name, x.outcomes, (), (dist,)),)))
+        assert report.valid == accepted
+        if accepted:
+            assert intervene_bbn(xy_bbn, 0, dist).nodes[0].cpt == (dist,)
+        else:
+            with pytest.raises(ValueError) as info:
+                intervene_bbn(xy_bbn, 0, dist)
+            assert repr(dist) in str(info.value)
+            assert report.issues[0].detail in str(info.value)
 
 
 class TestCompareMarginals:
@@ -276,39 +303,3 @@ class TestChangesAndOrderings:
         assert survivors <= {
             (c.equations, c.variables, c.order) for c in after.clusters
         }
-
-
-class TestChangeFiles:
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "change.json"
-        path.write_text(
-            '{"kind": "set_bbn_node", "target": "x", "dist": [1.0, 0.0]}',
-            encoding="utf-8",
-        )
-        change = load_change(path)
-        assert change.kind == "set_bbn_node"
-        assert change.dist == (1.0, 0.0)
-
-    def test_round_trip_each_kind(self):
-        docs = [
-            {"kind": "replace_equation", "target": "e3", "vars": ["m", "a", "b"]},
-            {"kind": "add_exogenous_variable", "target": "b", "vars": ["b"]},
-            {"kind": "set_bbn_node", "target": "x", "dist": [1.0, 0.0]},
-        ]
-        for doc in docs:
-            change = change_from_dict(doc)
-            assert change_to_dict(change) == doc
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(FormatError, match="unknown keys"):
-            change_from_dict({"kind": "set_bbn_node", "target": "x", "dist": [1], "note": ""})
-
-    def test_payload_must_match_kind(self):
-        with pytest.raises(FormatError):
-            change_from_dict({"kind": "replace_equation", "target": "e1", "dist": [1.0]})
-        with pytest.raises(FormatError):
-            change_from_dict({"kind": "set_bbn_node", "target": "x", "vars": ["x"]})
-
-    def test_unknown_kind(self):
-        with pytest.raises(FormatError, match="unknown change kind"):
-            change_from_dict({"kind": "reverse_arc", "target": "x", "vars": ["x"]})

@@ -19,11 +19,9 @@ from causalstruct import (
     ThresholdEquation,
     bbn_from_dict,
     bbn_to_sem,
-    change_from_dict,
     check_equivalence,
     intervene_bbn,
     load_bbn,
-    load_change,
     load_sem,
     sem_from_dict,
     validate,
@@ -87,8 +85,6 @@ def test_documents_built_in_memory_are_refused(value):
         bbn_from_dict(network_doc([value, 1.0]))
     with pytest.raises(FormatError, match="non-finite"):
         sem_from_dict(sem_doc([value, 1.0]))
-    with pytest.raises(FormatError, match="non-finite"):
-        change_from_dict({"kind": "set_bbn_node", "target": "x", "dist": [value, 1.0]})
 
 
 @given(literal=non_finite_literals)
@@ -99,7 +95,6 @@ def test_files_with_non_finite_literals_are_refused(tmp_path_factory, literal):
     cases = {
         load_bbn: network_doc(row),
         load_sem: sem_doc(row),
-        load_change: {"kind": "set_bbn_node", "target": "x", "dist": row},
     }
     for loader, doc in cases.items():
         path = folder / f"{loader.__name__}.json"

@@ -203,3 +203,12 @@ class TestDot:
         )
         text = ordering_to_dot(causal_ordering(matrix))
         assert '"belt use" -> "graph";' in text
+        # a trailing newline must not let a name pass as a bare identifier
+        matrix = StructureMatrix.from_names(
+            ["a", "a\n", "node\n"],
+            [("e1", ["a"]), ("e2", ["a", "a\n"]), ("e3", ["a\n", "node\n"])],
+        )
+        lines = ordering_to_dot(causal_ordering(matrix)).split(";\n")
+        assert '  a -> "a\n"' in lines
+        assert '  "a\n" -> "node\n"' in lines
+        assert "  a -> a" not in lines
