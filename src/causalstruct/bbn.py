@@ -177,6 +177,11 @@ class Bbn:
             for i, node in enumerate(self.nodes)
         )
 
+    @cached_property
+    def _report(self) -> BbnReport:
+        """The verdict of ``validate``; a network is immutable, so it is computed once."""
+        return _validate(self)
+
     def row_index(self, child: int, assignment: Sequence[int]) -> int:
         factor = self._plan[child]
         return sum(assignment[p] * s for p, s in zip(factor.parents, factor.strides))
@@ -214,7 +219,14 @@ class BbnReport:
 
 
 def validate(bbn: Bbn) -> BbnReport:
-    """Report every invariant violation; an empty report means valid."""
+    """Report every invariant violation; an empty report means valid.
+
+    The report is computed on the first call for a network and kept on it.
+    """
+    return bbn._report
+
+
+def _validate(bbn: Bbn) -> BbnReport:
     issues: list[BbnIssue] = []
     cycle = None
 

@@ -1,4 +1,4 @@
-"""Small directed-graph helpers: SCCs, condensation levels, topo order."""
+"""Small directed-graph helpers: SCCs, topological order, cycles, reachability."""
 
 from __future__ import annotations
 
@@ -59,36 +59,6 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return components
-
-
-def condensation_edges(
-    components: Sequence[Sequence[int]], adjacency: Sequence[Sequence[int]]
-) -> set[tuple[int, int]]:
-    """Edges between distinct components, as pairs of component indices."""
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    edges = set()
-    for v, targets in enumerate(adjacency):
-        for w in targets:
-            if comp_of[v] != comp_of[w]:
-                edges.add((comp_of[v], comp_of[w]))
-    return edges
-
-
-def longest_path_levels(n: int, edges: set[tuple[int, int]]) -> list[int]:
-    """Level of each node in a DAG: 0 at sources, else 1 + max over preds."""
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        preds[v].append(u)
-    order = topological_prefix(n, preds)
-    if len(order) != n:
-        raise ValueError("edge set contains a cycle")
-    levels = [0] * n
-    for v in order:
-        levels[v] = max((levels[u] + 1 for u in preds[v]), default=0)
-    return levels
 
 
 def topological_prefix(n: int, parents: Sequence[Sequence[int]]) -> list[int]:

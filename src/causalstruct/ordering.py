@@ -6,9 +6,11 @@ recursive identify-solve-substitute procedure would reach it, and draws
 precedence edges from already-solved variables into each cluster.
 
 Instead of enumerating subsets, the implementation matches each equation to
-one of its variables, orients the remaining participations toward the
-matched variable, and reads the clusters off as strongly connected
-components; the condensation's longest-path levels are the orders.  That is
+one of its variables and lets every equation follow the equations matched
+to its other variables.  The clusters are the strongly connected components
+of that equation precedence, and one Tarjan pass (Tarjan 1972) yields them
+ancestors first, so each cluster's order (one more than the largest among
+its predecessors, else 0) and in-edges are read off as it is finished.  That is
 the square Dulmage-Mendelsohn decomposition (Iwasaki & Simon 1994, "Causality
 and model abstraction"), computed as in Pothen & Fan (1990).  The result is
 matching-independent and held against a brute-force oracle in the tests.
@@ -21,9 +23,9 @@ from functools import cached_property
 
 from .dotutil import dot_id
 from .errors import NotSelfContainedError
-from .graphs import condensation_edges, longest_path_levels, strongly_connected_components
+from .graphs import strongly_connected_components
 from .matching import maximum_matching
-from .structure import EquationSubset, StructureMatrix, check_system
+from .structure import EquationSubset, StructureMatrix, check_system, precedence
 
 
 @dataclass(frozen=True)
@@ -82,26 +84,21 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
     if not report.self_contained:
         raise NotSelfContainedError(report.describe(), report)
 
-    n = matrix.n
-    match = maximum_matching(n, [sorted(row) for row in matrix.rows])
-    equation_of = {v: e for e, v in enumerate(match)}
+    match = maximum_matching(matrix.n, [sorted(row) for row in matrix.rows])
+    parents = precedence(matrix, match)
 
-    # Orient every unmatched participation toward the matched variable.
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for e, v in enumerate(match):
-        for u in sorted(matrix.rows[e]):
-            if u != v:
-                adjacency[u].append(v)
-
-    components = strongly_connected_components(n, adjacency)
-    comp_edges = condensation_edges(components, adjacency)
-    levels = longest_path_levels(len(components), comp_edges)
-
-    raw = []
-    for ci, comp in enumerate(components):
-        variables = frozenset(comp)
-        equations = frozenset(equation_of[v] for v in comp)
-        raw.append(Cluster(equations, variables, levels[ci]))
+    # Tarjan finishes a component only after every component it reaches, so
+    # over parent lists each cluster's predecessors are already numbered.
+    raw: list[Cluster] = []
+    comp_edges = set()
+    cluster_of = [0] * matrix.n
+    for ci, comp in enumerate(strongly_connected_components(matrix.n, parents)):
+        for e in comp:
+            cluster_of[e] = ci
+        preds = {cluster_of[p] for e in comp for p in parents[e]} - {ci}
+        comp_edges.update((p, ci) for p in preds)
+        order = max((raw[p].order + 1 for p in preds), default=0)
+        raw.append(Cluster(frozenset(comp), frozenset(match[e] for e in comp), order))
 
     by_canonical = sorted(range(len(raw)), key=lambda ci: (raw[ci].order, min(raw[ci].variables)))
     clusters = tuple(raw[ci] for ci in by_canonical)

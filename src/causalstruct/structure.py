@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import FormatError
 from .matching import hall_violator, maximum_matching
@@ -234,6 +234,16 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
     )
 
 
+def precedence(matrix: StructureMatrix, match: Sequence[int]) -> list[list[int]]:
+    """Per equation, the equations matched to its other variables.
+
+    ``match`` is a perfect matching (``match[e]`` the variable equation e
+    determines); equation e can be solved only after the equations it lists.
+    """
+    equation_of = {v: e for e, v in enumerate(match)}
+    return [[equation_of[u] for u in row if u != v] for row, v in zip(matrix.rows, match)]
+
+
 # ---------------------------------------------------------------------------
 # File format: {"variables": [...], "equations": [{"label":..., "vars":[...]}]}
 
@@ -295,7 +305,7 @@ def _load_json(path: str | Path) -> object:
     try:
         with open(path, encoding="utf-8") as handle:
             return _DECODER.decode(handle.read())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also oversized integer literals
         raise FormatError(str(exc)) from None
     except RecursionError:
         raise FormatError("JSON nested too deeply") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CyclicStructureError, NotSelfContainedError
 from .graphs import topological_prefix
-from .structure import StructureMatrix, check_system
+from .structure import StructureMatrix, check_system, precedence
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ def triangularize(matrix: StructureMatrix) -> Triangularization:
         raise NotSelfContainedError(report.describe(), report)
 
     match = report.matching
-    equation_of = {v: e for e, v in enumerate(match)}
-    parents = [[equation_of[u] for u in row if u != v] for row, v in zip(matrix.rows, match)]
-    row_perm = topological_prefix(matrix.n, parents)
+    row_perm = topological_prefix(matrix.n, precedence(matrix, match))
     if len(row_perm) != matrix.n:
         raise CyclicStructureError(frozenset(range(matrix.n)).difference(row_perm))
     return Triangularization(tuple(row_perm), tuple(match[e] for e in row_perm))

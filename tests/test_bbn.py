@@ -62,6 +62,11 @@ class TestValidate:
         assert report.cycle == (0, 1)
         assert any(issue.kind == "cycle" for issue in report.issues)
 
+    def test_second_call_returns_an_equal_report(self, two_node_cycle):
+        first = validate(two_node_cycle)
+        assert validate(two_node_cycle) == first
+        assert validate(Bbn(two_node_cycle.nodes)) == first
+
     def test_row_sum_violation_amount(self):
         bbn = Bbn((binary("x", (), ((0.7, 0.2),)),))
         report = validate(bbn)

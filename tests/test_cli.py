@@ -5,6 +5,7 @@ import pytest
 
 import causalstruct
 from causalstruct import (
+    FormatError,
     bbn_from_dict,
     bbn_to_dict,
     bbn_to_sem,
@@ -12,6 +13,7 @@ from causalstruct import (
     load_bbn,
     save_bbn,
     load_sem,
+    load_system,
     sem_from_dict,
     sem_to_dict,
     system_from_dict,
@@ -338,6 +340,24 @@ class TestErrorChannel:
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{")
         code, out, err = run([command, bad], capsys)
+        assert code == 2
+        assert err.startswith("error:parse:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, kind", [("check", "system"), ("graph", "system"), ("verify", "network"), ("graph", "network")]
+    )
+    def test_oversized_integer_literal_is_a_parse_error(self, capsys, tmp_path, command, kind):
+        huge = "1" * 5001  # past the interpreter's limit on integer-string conversion
+        docs = {
+            "system": {"variables": ["a"], "equations": [{"label": "e", "vars": ["a", "HUGE"]}]},
+            "network": {"nodes": [{"name": "x", "outcomes": ["t", "f"], "parents": [], "cpt": [["HUGE", 0]]}]},
+        }
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(docs[kind]).replace('"HUGE"', huge))
+        with pytest.raises(FormatError):
+            (load_system if kind == "system" else load_bbn)(path)
+        code, out, err = run([command, path], capsys)
         assert code == 2
         assert err.startswith("error:parse:")
         assert err.count("\n") == 1

@@ -212,3 +212,85 @@ class TestDot:
         assert '  a -> "a\n"' in lines
         assert '  "a\n" -> "node\n"' in lines
         assert "  a -> a" not in lines
+
+
+def planted_feedback_system(rng, n, parents, cycles):
+    """DAG-ordered rows plus a few planted short cycles, shuffled.
+
+    Equation i determines variable i and draws up to ``parents`` earlier
+    variables, half of them from the last 40 so orders run deep.  Each
+    planted cycle chains a run of 2-4 consecutive variables and closes it.
+    """
+    rows = []
+    for i in range(n):
+        pool = range(max(0, i - 40), i) if rng.random() < 0.5 else range(i)
+        rows.append({i, *rng.sample(pool, min(parents, len(pool)))})
+    for _ in range(cycles):
+        size = rng.randint(2, 4)
+        start = rng.randrange(n - size)
+        for j in range(start + 1, start + size):
+            rows[j].add(j - 1)
+        rows[start].add(start + size - 1)
+    matrix = StructureMatrix(
+        tuple(f"x{i}" for i in range(n)),
+        tuple(f"e{i}" for i in range(n)),
+        tuple(frozenset(row) for row in rows),
+    )
+    row_perm, col_perm = list(range(n)), list(range(n))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    return matrix.permuted(row_perm, col_perm)
+
+
+def networkx_ordering(matrix, nx):
+    """Clusters, orders and edges from networkx's matching and condensation."""
+    graph = nx.Graph()
+    graph.add_nodes_from(("e", e) for e in range(matrix.n))
+    graph.add_edges_from((("e", e), ("v", v)) for e, row in enumerate(matrix.rows) for v in row)
+    matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=[("e", e) for e in range(matrix.n)])
+    match = [matching[("e", e)][1] for e in range(matrix.n)]
+    equation_of = {v: e for e, v in enumerate(match)}
+
+    influence = nx.DiGraph()
+    influence.add_nodes_from(range(matrix.n))
+    influence.add_edges_from((u, v) for e, v in enumerate(match) for u in matrix.rows[e] if u != v)
+    condensed = nx.condensation(influence)
+    level = {}
+    for c in nx.topological_sort(condensed):
+        level[c] = max((level[p] + 1 for p in condensed.predecessors(c)), default=0)
+
+    component = condensed.graph["mapping"]
+    comps = sorted(condensed, key=lambda c: (level[c], min(condensed.nodes[c]["members"])))
+    position = {c: k for k, c in enumerate(comps)}
+    clusters = [
+        (
+            frozenset(equation_of[v] for v in condensed.nodes[c]["members"]),
+            frozenset(condensed.nodes[c]["members"]),
+            level[c],
+        )
+        for c in comps
+    ]
+    cluster_edges = {(position[a], position[b]) for a, b in condensed.edges}
+    variable_edges = {
+        (u, w)
+        for e, v in enumerate(match)
+        for u in matrix.rows[e]
+        if component[u] != component[v]
+        for w in condensed.nodes[component[v]]["members"]
+    }
+    return clusters, cluster_edges, variable_edges
+
+
+@pytest.mark.parametrize("seed, cycles", [(0, 0), (1, 12), (2, 30)])
+def test_large_systems_match_networkx(seed, cycles):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    matrix = planted_feedback_system(rng, rng.randint(900, 1100), 3, cycles)
+    ordering = causal_ordering(matrix)
+    clusters, cluster_edges, variable_edges = networkx_ordering(matrix, nx)
+    assert [(c.equations, c.variables, c.order) for c in ordering.clusters] == clusters
+    assert ordering.cluster_edges == cluster_edges
+    assert ordering.variable_edges == variable_edges
+    if cycles:
+        assert max(c.degree for c in ordering.clusters) > 1
+    assert max(c.order for c in ordering.clusters) > 10

@@ -271,6 +271,11 @@ class TestRoundTrip:
     def test_random_networks(self, seed):
         assert roundtrip_check(random_bbn(random.Random(seed)))
 
+    def test_invalid_network_rejected(self):
+        bbn = Bbn((BbnNode("x", ("t", "f"), (), ((0.7, 0.2),)),))
+        with pytest.raises(InvalidBbnError):
+            roundtrip_check(bbn)
+
 
 class TestFileFormat:
     def test_round_trip(self, xy_sem):

@@ -9,6 +9,7 @@ from causalstruct import (
     check_system,
     is_self_contained,
     load_system,
+    save_system,
     system_from_dict,
     system_to_dict,
     variables_of,
@@ -168,6 +169,15 @@ class TestFileFormat:
         again = system_from_dict(json.loads(json.dumps(doc)))
         assert again == model5
         assert system_to_dict(again) == doc
+
+    def test_save_then_load(self, tmp_path):
+        matrix = StructureMatrix.from_names(
+            ["précis", "ω", "x"], [("équation", ["précis", "ω"]), ("e2", ["ω"]), ("e3", ["x", "ω"])]
+        )
+        path = tmp_path / "system.json"
+        save_system(matrix, path)
+        assert load_system(path) == matrix
+        assert path.read_text(encoding="utf-8").endswith("}\n")
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(FormatError, match="unknown keys"):
