@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from operator import getitem
 from pathlib import Path
 
 from . import __version__
@@ -192,17 +193,17 @@ def _cmd_sample(args) -> int:
     sem = load_sem(args.sem)
     counts = sample(sem, args.seed, args.count)
     total = args.count
-    print(f"draws: {total}")
-    print(f"seed: {args.seed}")
-    rows = [
-        (" ".join(f"{name}={v}" for name, v in zip(sem.variable_names, assignment)), n)
-        for assignment, n in sorted(counts.items())
+    labels = [
+        [f"{name}={j}" for j in range(k)]
+        for name, k in zip(sem.variable_names, sem.outcome_counts())
     ]
-    width = max(len(text) for text, _ in rows)
-    width = max(width, len("assignment"))
-    print(f"{'assignment':<{width}}  {'count':>10}  frequency")
-    for text, n in rows:
-        print(f"{text:<{width}}  {n:>10}  {n / total:.6f}")
+    keys = sorted(counts)
+    texts = [" ".join(map(getitem, labels, key)) for key in keys]
+    width = max(len("assignment"), *map(len, texts))
+    row = f"%-{width}s  %10d  %.6f\n"
+    report = [f"draws: {total}\nseed: {args.seed}\n{'assignment':<{width}}  {'count':>10}  frequency\n"]
+    report += [row % (text, n, n / total) for text, n in zip(texts, map(counts.__getitem__, keys))]
+    sys.stdout.write("".join(report))
     return 0
 
 

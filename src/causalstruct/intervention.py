@@ -115,10 +115,14 @@ def intervene_bbn(bbn: Bbn, node: int, dist: Sequence[float]) -> Bbn:
 
 
 def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
-    """Per-variable max absolute marginal gap, by exact enumeration.
+    """Per-variable max absolute marginal gap.
 
-    Raises ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` joint
-    configurations, before enumerating either network.
+    A variable is unaffected when neither it nor any ancestor has a changed
+    mechanism (parents by name, or table); its marginal is the same in both
+    networks and its gap is exactly 0.0.  The other gaps come from exact
+    enumeration.  Raises ``ValueError`` beyond
+    ``MAX_ENUMERABLE_CONFIGURATIONS`` joint configurations, before
+    enumerating either network.
     """
     names = [node.name for node in before.nodes]
     if set(names) != {node.name for node in after.nodes}:
@@ -130,9 +134,35 @@ def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
             raise ValueError(f"outcome space of {name!r} differs between networks")
     before_marg = marginals(before)
     after_marg = marginals(after)
+    affected = _affected(before, after)
     result = {}
-    for name in names:
-        rows_a = before_marg[before.index_of(name)]
+    for i, name in enumerate(names):
+        if i not in affected:
+            result[name] = 0.0
+            continue
+        rows_a = before_marg[i]
         rows_b = after_marg[after.index_of(name)]
         result[name] = max(abs(x - y) for x, y in zip(rows_a, rows_b))
     return result
+
+
+def _affected(before: Bbn, after: Bbn) -> set[int]:
+    """Indices in ``before`` of the changed mechanisms and their descendants.
+
+    Outside this set every variable keeps its parents and table, and so do
+    all its ancestors, which are then the same in both networks.
+    """
+
+    def mechanism(bbn: Bbn, name: str):
+        node = bbn.nodes[bbn.index_of(name)]
+        return [bbn.nodes[p].name for p in node.parents], node.cpt
+
+    changed = [
+        i for i, node in enumerate(before.nodes)
+        if mechanism(before, node.name) != mechanism(after, node.name)
+    ]
+    edges = before.edges
+    affected = set(changed)
+    for i in changed:
+        affected |= reachable_from(i, edges)
+    return affected

@@ -14,6 +14,10 @@ threshold is clamped to exactly 1.0 (after checking it lands within 1e-9 of
 1) so that a latent drawn at 1.0 always selects the last outcome with a
 non-empty interval.  Zero-probability entries yield empty intervals, which
 no latent can hit.
+
+``evaluate`` and ``sample`` share one forward pass, run by columns: for a
+block of draws, each variable in evaluation order selects all its values at
+once from its parents' value columns, so the per-draw work runs in C.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
-from operator import itemgetter, sub
+from itertools import accumulate, repeat, starmap
+from operator import getitem, sub
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -40,6 +44,10 @@ from .structure import StructureMatrix, _load_json
 from .graphs import topological_order as _topo
 
 FINAL_THRESHOLD_TOLERANCE = 1e-9
+
+# Draws evaluated per columnar pass of ``sample``: enough to spread each
+# variable's per-pass cost thin, few enough to keep memory flat in the count.
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -143,22 +151,22 @@ class ThresholdEquationSystem:
 
     @cached_property
     def _steps(self) -> tuple:
-        """Per target in evaluation order: the target, a key reader, rows by key.
+        """Per target in evaluation order: the target, its parents, nested rows.
 
-        A key holds the parents' values and the target's own value, which
-        ``_forward`` reads before setting it, so every own value maps to the
-        row the parents select.  Raises ``CycleError`` on feedback.
+        The rows nest by parent value, first parent outermost, so
+        ``rows[a][b]`` is the threshold row for parent values (a, b); a
+        parentless target's entry is its single row.  Raises ``CycleError``
+        on feedback.
         """
         counts = self.outcome_counts()
         steps = []
         for v in self.evaluation_order:
             eq = self.equations[v]
-            keys = product(*(range(counts[p]) for p in eq.parents), range(counts[v]))
-            rows = {
-                key if eq.parents else key[0]: eq.thresholds[i // counts[v]]
-                for i, key in enumerate(keys)
-            }
-            steps.append((v, itemgetter(*eq.parents, v), rows))
+            rows = eq.thresholds
+            for p in reversed(eq.parents):
+                c = counts[p]
+                rows = tuple(rows[i:i + c] for i in range(0, len(rows), c))
+            steps.append((v, eq.parents, rows[0]))
         return tuple(steps)
 
     @cached_property
@@ -199,22 +207,35 @@ def evaluate(
     Outcome j is selected for variable v when ``latents[v]`` lies in
     (c_{j-1}, c_j] of the threshold row picked by v's parent values.
     """
-    for v in range(sem.n):
-        u = latents[v]
+    flat = [latents[v] for v in range(sem.n)]
+    for v, u in enumerate(flat):
         if not 0.0 < u <= 1.0:
             raise ValueError(
                 f"latent for {sem.variable_names[v]!r} is {u!r}, outside (0, 1]"
             )
-    return next(_forward(sem._steps, [latents]))
+    return next(_forward(sem._steps, flat, 1))
 
 
-def _forward(steps, draws) -> Iterator[Assignment]:
-    """The assignment each latent vector in ``draws`` selects, parents first."""
-    values = [0] * len(steps)
-    for latents in draws:
-        for v, key, rows in steps:
-            values[v] = bisect_left(rows[key(values)], latents[v])
-        yield tuple(values)
+def _forward(steps, flat, k: int) -> Iterator[Assignment]:
+    """The ``k`` assignments that ``flat`` selects, evaluated by columns.
+
+    ``flat`` holds ``k`` latent vectors back to back, so variable v's
+    latents are ``flat[v::n]``.  Each variable's values for all ``k`` draws
+    come from one pass over its parents' value columns, parents first.
+    """
+    n = len(steps)
+    if not n:
+        return repeat((), k)
+    columns = [None] * n
+    for v, parents, rows in steps:
+        if not parents:
+            selected = repeat(rows, k)
+        else:
+            selected = map(rows.__getitem__, columns[parents[0]])
+            for p in parents[1:]:
+                selected = map(getitem, selected, columns[p])
+        columns[v] = list(map(bisect_left, selected, flat[v::n]))
+    return zip(*columns)
 
 
 def sem_joint(sem: ThresholdEquationSystem, assignment: Sequence[int]) -> float:
@@ -245,13 +266,19 @@ def sample(
     The generator is the stdlib Mersenne Twister (``random.Random``); each
     draw takes one uniform per variable in ascending variable order, mapped
     from [0, 1) to (0, 1].  Fixed (seed, count) reproduces tallies exactly.
+    Draws are evaluated ``CHUNK`` at a time, which changes neither the
+    stream nor the tallies.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     n = sem.n
-    draws = ([1.0 - rng.random() for _ in range(n)] for _ in range(count))
-    return Counter(_forward(sem._steps, draws))
+    tally: Counter[Assignment] = Counter()
+    for done in range(0, count, CHUNK):
+        k = min(CHUNK, count - done)
+        flat = list(map((1.0).__sub__, starmap(draw, repeat((), k * n))))
+        tally.update(_forward(sem._steps, flat, k))
+    return tally
 
 
 def sem_structure(sem: ThresholdEquationSystem) -> StructureMatrix:

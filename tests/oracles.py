@@ -5,11 +5,17 @@ rows one at a time, or by recursive depth-first search, and deliberately
 avoid the matching/SCC/Kahn machinery of the package under test.
 The probability oracles form one joint probability per assignment, ranking
 each node's parent values afresh, without the compiled per-model plans.
+The sampling oracle evaluates one draw at a time, one variable at a time.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_left
+from collections import Counter
+from itertools import product
+from operator import itemgetter
 
 from causalstruct import StructureMatrix
 
@@ -39,6 +45,47 @@ def reference_sem_joint(sem, assignment) -> float:
         j = assignment[eq.target]
         p *= row[j] - (row[j - 1] if j else 0.0)
     return p
+
+
+def _reference_steps(sem):
+    """Per target in evaluation order: the target, a key reader, rows by key.
+
+    A key holds the parents' values and the target's own value, which
+    ``_reference_forward`` reads before setting it, so every own value maps
+    to the row the parents select.
+    """
+    counts = sem.outcome_counts()
+    steps = []
+    for v in sem.evaluation_order:
+        eq = sem.equations[v]
+        keys = product(*(range(counts[p]) for p in eq.parents), range(counts[v]))
+        rows = {
+            key if eq.parents else key[0]: eq.thresholds[i // counts[v]]
+            for i, key in enumerate(keys)
+        }
+        steps.append((v, itemgetter(*eq.parents, v), rows))
+    return steps
+
+
+def _reference_forward(steps, draws):
+    values = [0] * len(steps)
+    for latents in draws:
+        for v, key, rows in steps:
+            values[v] = bisect_left(rows[key(values)], latents[v])
+        yield tuple(values)
+
+
+def reference_evaluate(sem, latents):
+    """The assignment one latent vector selects, evaluated parents first."""
+    return next(_reference_forward(_reference_steps(sem), [latents]))
+
+
+def reference_sample(sem, seed, count):
+    """Tally ``count`` draws, each taking ``1 - random()`` per variable in index order."""
+    rng = random.Random(seed)
+    n = sem.n
+    draws = ([1.0 - rng.random() for _ in range(n)] for _ in range(count))
+    return Counter(_reference_forward(_reference_steps(sem), draws))
 
 
 def reference_marginals(bbn) -> list[list[float]]:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import sys
 
 import pytest
@@ -22,7 +24,7 @@ from causalstruct import (
 from causalstruct.cli import main
 
 from conftest import DATA
-from generators import independent_binary_network
+from generators import independent_binary_network, random_bbn
 
 
 RING = 3000
@@ -222,6 +224,51 @@ class TestSample:
         lines = out.splitlines()[3:]
         assert sum(int(line.split()[2]) for line in lines) == 1000
 
+    # sha256 of `sample --seed 5` stdout, recorded from the per-draw
+    # sampler that evaluated one draw at a time; the counts straddle the
+    # library's chunk of 1024 draws.
+    GOLDEN = {
+        ("xy", 1): "376313a7ff8f135875da5a5a66f63de72cbb364b9ae5a62c04121f208170b16f",
+        ("xy", 1023): "d09d065a0ac6e9af07cf577fbfbb8675f2c5c96fdc494e2a03c8c39c2de375e8",
+        ("xy", 1024): "708ee71186fe2314cba294b098bb7b4b7291e1e4948d0be4e19b5cfa3597259e",
+        ("xy", 1025): "aa4db6081d60b8ff46e713942005805549eca3d7972e89d12adb5c31ed09c233",
+        ("xy", 2051): "510e8322848a65e6166244e199def7a30888e52083cd66f0a6ce4ca8259990f5",
+        ("xy", 3000): "4451c070a9d6cd70b082bce4538d98e05aa6b7e4533db10db1ac7866c7720ff6",
+        ("net30", 1): "20c0c8875fe9e6659dc1f18b3679ca8646739f61d9b5c87f09aece7e1d44baf1",
+        ("net30", 1023): "977858132fd966bdf80be4e73be4d29fb229d041e654d8c450c7dc479500fbbb",
+        ("net30", 1024): "70955ff2cab22018d1beeb8ffd81571d25989f876bf47b94be17a24904f16bfe",
+        ("net30", 1025): "ff60b9950a1ab43e02411612ebcb46789acfa9f54988f146fff7192f71d7cfd7",
+        ("net30", 2051): "98f8a0ab5722cc902e9710e8bc21aff5b08664386c248b9fba2fba87937ab1b9",
+        ("net30", 3000): "0a5bf3e3859fb9145ed6e6187fc216f182f21f7e48e9fb935705389cd63a2dce",
+    }
+
+    @pytest.mark.parametrize("name", ["xy", "net30"])
+    def test_golden_digests(self, capsys, tmp_path, name):
+        if name == "xy":
+            bbn_path = DATA / "xy.json"
+        else:
+            # Nine nodes of two or three outcomes, up to three parents each.
+            bbn_path = tmp_path / "net30.json"
+            save_bbn(random_bbn(random.Random(30), max_nodes=9, max_outcomes=3, max_parents=3), bbn_path)
+        sem_path = tmp_path / "sem.json"
+        assert run(["to-sem", bbn_path, "--out", sem_path], capsys)[0] == 0
+        for (net, count), digest in self.GOLDEN.items():
+            if net == name:
+                code, out, err = run(["sample", sem_path, "--seed", 5, "--count", count], capsys)
+                assert (code, err) == (0, "")
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, count
+
+    def test_empty_system_prints_one_empty_row(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"equations": []}')
+        code, out, err = run(["sample", path, "--seed", "4", "--count", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "draws: 3\nseed: 4\n"
+            "assignment       count  frequency\n"
+            "                     3  1.000000\n"
+        )
+
     def test_long_ring_is_cyclic(self, capsys, tmp_path):
         path = tmp_path / "ring.json"
         equations = [
@@ -255,6 +302,12 @@ class TestIntervene:
         assert load_bbn(out_path) == intervene_bbn(xy_bbn, 0, (1.0, 0.0))
         assert "variable  max marginal deviation" in out
         assert "y         3.000e-01" in out
+
+    def test_unaffected_variable_prints_an_exact_zero(self, capsys, tmp_path):
+        argv = ["intervene", DATA / "xy.json", "--node", "y", "--dist", "0.5,0.5"]
+        code, out, err = run([*argv, "--out", tmp_path / "after.json"], capsys)
+        assert (code, err) == (0, "")
+        assert out == "variable  max marginal deviation\nx         0.000e+00\ny         1.000e-01\n"
 
     def test_unknown_node(self, capsys, tmp_path):
         code, out, err = run(

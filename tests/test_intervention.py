@@ -174,7 +174,25 @@ class TestCompareMarginals:
     def test_intervening_on_effect_leaves_cause_untouched(self, xy_bbn):
         after = intervene_bbn(xy_bbn, 1, (1.0, 0.0))
         deltas = compare_marginals(xy_bbn, after)
-        assert deltas["x"] <= 1e-12
+        assert deltas["x"] == 0.0
+
+    def test_unaffected_gap_is_exact_where_enumeration_rounds(self, xy_bbn):
+        # Enumerating both joints puts x's gap at 1.1e-16 here.
+        after = intervene_bbn(xy_bbn, 1, (0.9, 0.1))
+        assert compare_marginals(xy_bbn, after) == {"x": 0.0, "y": pytest.approx(0.5)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_reordered_copy_changes_no_mechanism(self, seed):
+        bbn = random_bbn(random.Random(seed))
+        order = list(range(bbn.n))[::-1]
+        at = {old: new for new, old in enumerate(order)}
+        copy = Bbn(
+            tuple(
+                BbnNode(n.name, n.outcomes, tuple(at[p] for p in n.parents), n.cpt)
+                for n in (bbn.nodes[i] for i in order)
+            )
+        )
+        assert set(compare_marginals(bbn, copy).values()) == {0.0}
 
     def test_identical_networks(self, xy_bbn):
         deltas = compare_marginals(xy_bbn, xy_bbn)
@@ -225,7 +243,7 @@ class TestCompareMarginals:
                     changed = True
         for i, candidate in enumerate(bbn.nodes):
             if i not in descendants:
-                assert deltas[candidate.name] <= 1e-12
+                assert deltas[candidate.name] == 0.0
 
 
 class TestChangesAndOrderings:

@@ -11,7 +11,10 @@ from causalstruct import (
     Bbn,
     BbnNode,
     CyclicStructureError,
+    StructuralChange,
     StructureMatrix,
+    affected_variables,
+    apply_change,
     bbn_to_sem,
     causal_ordering,
     check_equivalence,
@@ -25,16 +28,20 @@ from causalstruct import (
     roundtrip_check,
     sample,
     sem_joint,
+    sem_structure,
     triangularize,
 )
+from causalstruct.sem import CHUNK
 
 from oracles import (
     brute_self_contained_subsets,
     pivot_scan_triangularize,
     reference_compare_marginals,
+    reference_evaluate,
     reference_gap,
     reference_joint,
     reference_marginals,
+    reference_sample,
     reference_sem_joint,
 )
 
@@ -289,7 +296,21 @@ def test_joint_enumeration_equals_the_per_assignment_reference(bbn, data):
     node = data.draw(st.integers(0, bbn.n - 1))
     dist = data.draw(probability_rows(bbn.nodes[node].outcome_count))
     after = intervene_bbn(bbn, node, dist)
-    assert compare_marginals(bbn, after) == reference_compare_marginals(bbn, after)
+    # Commuting square: cutting x in the network and replacing x's equation
+    # by [x] give the same structure, and the variables the intervention can
+    # move are those downstream of x's equation.  Outside them the gap is
+    # exactly 0; inside, it is the enumerated one.
+    name = bbn.nodes[node].name
+    structure = sem_structure(sem)
+    assert sem_structure(bbn_to_sem(after)) == apply_change(
+        structure, StructuralChange("replace_equation", f"f_{name}", (name,))
+    )
+    ordering = causal_ordering(structure)
+    moved = affected_variables(ordering, node) if after.nodes[node] != bbn.nodes[node] else ()
+    reference = reference_compare_marginals(bbn, after)
+    assert compare_marginals(bbn, after) == {
+        label: reference[label] if v in moved else 0.0 for v, label in enumerate(reference)
+    }
     # An equation system with other parents leaves a real gap to measure.
     other = bbn_to_sem(after)
     assert check_equivalence(bbn, other) == reference_gap(bbn, other)
@@ -302,3 +323,32 @@ def test_one_sample_draw_is_evaluate_on_the_same_latents(bbn, seed):
     rng = random.Random(seed)
     latents = {v: 1.0 - rng.random() for v in range(sem.n)}
     assert sample(sem, seed, 1) == Counter({evaluate(sem, latents): 1})
+
+
+@given(
+    shuffled_bbns(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_sample_equals_the_per_draw_reference(bbn, seed, count):
+    sem = bbn_to_sem(bbn)
+    # Same tallies, first drawn first.
+    assert list(sample(sem, seed, count).items()) == list(
+        reference_sample(sem, seed, count).items()
+    )
+
+
+@given(shuffled_bbns(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_equals_the_per_draw_reference_on_thresholds(bbn, data):
+    sem = bbn_to_sem(bbn)
+    latents = {}
+    for v, eq in enumerate(sem.equations):
+        # Every positive threshold, 1.0 among them, sits on an interval's closed end.
+        edges = sorted({c for row in eq.thresholds for c in row if c > 0.0})
+        latents[v] = data.draw(
+            st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_min=True),
+            label=f"latent_{v}",
+        )
+    assert evaluate(sem, latents) == reference_evaluate(sem, latents)

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -23,6 +25,8 @@ from causalstruct import (
     sem_structure,
     sem_to_dict,
 )
+
+from causalstruct.sem import CHUNK
 
 from generators import random_bbn
 
@@ -206,6 +210,24 @@ class TestSample:
         counts = sample(xy_sem, seed=1, count=1)
         assert sum(counts.values()) == 1
         assert len(counts) == 1
+
+    def test_empty_system_draws_the_empty_assignment(self):
+        empty = sem_from_dict({"equations": []})
+        assert sample(empty, seed=3, count=CHUNK + 1) == Counter({(): CHUNK + 1})
+        assert evaluate(empty, {}) == ()
+
+    def test_memory_stays_flat_in_the_count(self, xy_sem):
+        # Draws are evaluated a chunk at a time and xy has 4 assignments,
+        # so the transient memory of a long run is that of a short one.
+        def peak(count):
+            tracemalloc.start()
+            try:
+                sample(xy_sem, seed=9, count=count)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) <= 1.5 * peak(2 * CHUNK)
 
     def test_count_must_be_positive(self, xy_sem):
         with pytest.raises(ValueError):
