@@ -37,7 +37,6 @@ from .ordering import (
     CausalOrdering,
     Cluster,
     causal_ordering,
-    minimal_self_contained_subsets,
     ordering_to_dot,
 )
 from .sem import (
@@ -60,7 +59,6 @@ from .structure import (
     StructureMatrix,
     SystemReport,
     check_system,
-    is_self_contained,
     load_system,
     save_system,
     system_from_dict,
@@ -100,14 +98,12 @@ __all__ = [
     "compare_marginals",
     "evaluate",
     "intervene_bbn",
-    "is_self_contained",
     "is_triangularizable",
     "joint_probability",
     "load_bbn",
     "load_sem",
     "load_system",
     "marginals",
-    "minimal_self_contained_subsets",
     "ordering_to_dot",
     "roundtrip_check",
     "sample",

@@ -10,7 +10,6 @@ probability operations assume a network that validates cleanly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .dotutil import dot_id
 from .errors import CycleError, FormatError
 from .graphs import topological_order as _topo
-from .structure import _load_json
+from .structure import _load_json, _save_json
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -432,6 +431,4 @@ def load_bbn(path: str | Path) -> Bbn:
 
 
 def save_bbn(bbn: Bbn, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(bbn_to_dict(bbn), handle, indent=2)
-        handle.write("\n")
+    _save_json(bbn_to_dict(bbn), path)

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from operator import getitem
 from pathlib import Path
 
 from . import __version__
-from .bbn import bbn_from_dict, bbn_to_dot, load_bbn, save_bbn, validate
+from .bbn import _json_floats, bbn_from_dict, bbn_to_dot, load_bbn, save_bbn, validate
 from .errors import (
     CycleError,
     CyclicStructureError,
@@ -48,12 +47,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
-        if all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a comma-separated list of finite floats: {text!r}")
+        return _json_floats(list(map(float, text.split(","))), "--dist")
+    except ValueError:  # a part that is no number, or FormatError for a non-finite one
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of finite floats: {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,6 +124,8 @@ def _cmd_check(args) -> int:
 def _cmd_order(args) -> int:
     matrix = load_system(args.system)
     ordering = causal_ordering(matrix)
+    if args.dot:
+        args.dot.write_text(ordering_to_dot(ordering), encoding="utf-8")
     print("order  degree  variables")
     for cluster in ordering.clusters:
         names = ", ".join(matrix.variable_names[v] for v in sorted(cluster.variables))
@@ -143,8 +143,6 @@ def _cmd_order(args) -> int:
 
     for u, v in sorted(ordering.variable_edges, key=flow):
         print(f"  {matrix.variable_names[u]} -> {matrix.variable_names[v]}")
-    if args.dot:
-        args.dot.write_text(ordering_to_dot(ordering), encoding="utf-8")
     return 0
 
 

@@ -14,7 +14,8 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
     Vertices are 0..n-1.  Each component is returned with its members
     sorted; the component list itself is in reverse topological order
     (every edge leaves a later component toward an earlier one or stays
-    inside its own).
+    inside its own).  The walk keeps one adjacency iterator per vertex on
+    it, as ``find_cycle`` does.
     """
     index = [-1] * n
     low = [0] * n
@@ -26,38 +27,39 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for k in range(pos, len(adjacency[v])):
-                w = adjacency[v][k]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        trail = [root]
+        pending = [iter(adjacency[root])]
+        while pending:
+            v = trail[-1]
+            for w in pending[-1]:
                 if index[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    trail.append(w)
+                    pending.append(iter(adjacency[w]))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                trail.pop()
+                pending.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(component))
+                elif low[v] < low[trail[-1]]:
+                    low[trail[-1]] = low[v]
     return components
 
 

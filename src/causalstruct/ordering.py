@@ -25,7 +25,7 @@ from .dotutil import dot_id
 from .errors import NotSelfContainedError
 from .graphs import strongly_connected_components
 from .matching import maximum_matching
-from .structure import EquationSubset, StructureMatrix, check_system, precedence
+from .structure import StructureMatrix, check_system, precedence
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,6 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
         cluster_edges=cluster_edges,
         variable_edges=frozenset(variable_edges),
     )
-
-
-def minimal_self_contained_subsets(matrix: StructureMatrix) -> list[EquationSubset]:
-    """The self-contained subsets containing no smaller one: the order-0 clusters."""
-    ordering = causal_ordering(matrix)
-    return [
-        EquationSubset(cluster.equations, cluster.variables)
-        for cluster in ordering.clusters
-        if cluster.order == 0
-    ]
 
 
 def ordering_to_dot(ordering: CausalOrdering) -> str:

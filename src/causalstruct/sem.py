@@ -22,7 +22,6 @@ once from its parents' value columns, so the per-draw work runs in C.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_left
@@ -40,7 +39,7 @@ from .bbn import _compile, _Factor, _joint, _json_floats, _named_items
 from .bbn import _probability
 from .errors import FormatError, InvalidBbnError
 from .ordering import causal_ordering
-from .structure import StructureMatrix, _load_json
+from .structure import StructureMatrix, _load_json, _save_json
 from .graphs import topological_order as _topo
 
 FINAL_THRESHOLD_TOLERANCE = 1e-9
@@ -107,12 +106,18 @@ class ThresholdEquationSystem:
     def __post_init__(self):
         if len(self.variable_names) != len(self.equations):
             raise ValueError("need exactly one equation per variable")
+        if any(not name for name in self.variable_names):
+            raise ValueError("variable names must be non-empty")
         if len(set(self.variable_names)) != len(self.variable_names):
             raise ValueError("variable names must be distinct")
         n = len(self.equations)
         for i, eq in enumerate(self.equations):
             if eq.target != i:
                 raise ValueError(f"equation {i} targets variable {eq.target}")
+            if len(set(eq.parents)) != len(eq.parents):
+                raise ValueError(
+                    f"equation for {self.variable_names[i]!r} repeats a parent"
+                )
             for p in eq.parents:
                 if p < 0 or p >= n or p == i:
                     raise ValueError(
@@ -168,16 +173,6 @@ class ThresholdEquationSystem:
                 rows = tuple(rows[i:i + c] for i in range(0, len(rows), c))
             steps.append((v, eq.parents, rows[0]))
         return tuple(steps)
-
-    @cached_property
-    def _name_to_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.variable_names)}
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._name_to_index[name]
-        except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
 
 
 def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
@@ -354,6 +349,4 @@ def load_sem(path: str | Path) -> ThresholdEquationSystem:
 
 
 def save_sem(sem: ThresholdEquationSystem, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(sem_to_dict(sem), handle, indent=2)
-        handle.write("\n")
+    _save_json(sem_to_dict(sem), path)

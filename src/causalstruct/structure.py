@@ -157,9 +157,9 @@ class SystemReport:
 
     matrix: StructureMatrix
     self_contained: bool
-    unused_variables: tuple[int, ...] = ()
-    violation: EquationSubset | None = None
-    matching: tuple[int, ...] = ()
+    unused_variables: tuple[int, ...]
+    violation: EquationSubset | None
+    matching: tuple[int, ...]
 
     def describe(self) -> str:
         if self.self_contained:
@@ -186,25 +186,6 @@ def variables_of(matrix: StructureMatrix, subset: Iterable[int]) -> frozenset[in
             raise IndexError(f"equation index {e} out of range for n={matrix.n}")
         result |= matrix.rows[e]
     return frozenset(result)
-
-
-def is_self_contained(matrix: StructureMatrix, subset: Iterable[int]) -> bool:
-    """Whether the equations determine exactly the variables they mention.
-
-    True iff the subset has as many variables as equations and every
-    sub-subset has at least as many variables as equations.  The subset
-    condition is decided by a saturating equation-to-variable matching,
-    which Hall's theorem makes equivalent to checking all sub-subsets.
-    """
-    eqs = sorted(set(subset))
-    if not eqs:
-        raise ValueError("self-containment is undefined for the empty subset")
-    vars_union = variables_of(matrix, eqs)
-    if len(vars_union) != len(eqs):
-        return False
-    adjacency = [sorted(matrix.rows[e]) for e in eqs]
-    match = maximum_matching(matrix.n, adjacency)
-    return all(j != -1 for j in match)
 
 
 def check_system(matrix: StructureMatrix) -> SystemReport:
@@ -311,11 +292,16 @@ def _load_json(path: str | Path) -> object:
         raise FormatError("JSON nested too deeply") from None
 
 
+def _save_json(doc: object, path: str | Path) -> None:
+    """Write a document as two-space-indented JSON ending in a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2)
+        handle.write("\n")
+
+
 def load_system(path: str | Path) -> StructureMatrix:
     return system_from_dict(_load_json(path))
 
 
 def save_system(matrix: StructureMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(system_to_dict(matrix), handle, indent=2)
-        handle.write("\n")
+    _save_json(system_to_dict(matrix), path)

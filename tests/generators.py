@@ -57,6 +57,23 @@ def random_square_matrix(rng: random.Random, max_n: int = 8, fill: float = 0.35)
     )
 
 
+def subsystem(matrix: StructureMatrix, equations) -> StructureMatrix | None:
+    """The given equations as a system over the variables they mention.
+
+    ``None`` when the counts differ, so that no square system exists.
+    """
+    eqs = sorted(set(equations))
+    variables = sorted(set().union(*(matrix.rows[e] for e in eqs)))
+    if len(variables) != len(eqs):
+        return None
+    column = {v: k for k, v in enumerate(variables)}
+    return StructureMatrix(
+        variable_names=tuple(matrix.variable_names[v] for v in variables),
+        equation_labels=tuple(matrix.equation_labels[e] for e in eqs),
+        rows=tuple(frozenset(column[v] for v in matrix.rows[e]) for e in eqs),
+    )
+
+
 def random_probability_row(rng: random.Random, k: int, zero_prob: float = 0.15) -> tuple[float, ...]:
     weights = [rng.random() + 1e-3 for _ in range(k)]
     for i in range(k):

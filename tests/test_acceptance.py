@@ -16,7 +16,6 @@ from causalstruct import (
     compare_marginals,
     intervene_bbn,
     is_triangularizable,
-    minimal_self_contained_subsets,
     roundtrip_check,
     sample,
     sem_joint,
@@ -67,9 +66,9 @@ def test_criterion_1_worked_orderings(model3, model5):
         (frozenset({"m"}), 2),
     }
     assert named_edges(extended) == {("d", "a"), ("a", "m"), ("b", "m")}
-    first_step = minimal_self_contained_subsets(model5)
+    first_step = [c for c in extended.clusters if c.order == 0]
     assert [
-        frozenset(model5.equation_labels[e] for e in s.equations) for s in first_step
+        frozenset(model5.equation_labels[e] for e in c.equations) for c in first_step
     ] == [frozenset({"e1"}), frozenset({"e4"})]
 
     chain = causal_ordering(model3)

@@ -16,6 +16,7 @@ from causalstruct import (
     save_bbn,
     load_sem,
     load_system,
+    save_system,
     sem_from_dict,
     sem_to_dict,
     system_from_dict,
@@ -130,6 +131,14 @@ class TestOrder:
         assert code == 1
         assert err.startswith("error:not-self-contained:")
 
+    def test_unwritable_dot_prints_nothing(self, capsys, tmp_path):
+        # The DOT file is written before the table, so a failed write prints no table.
+        code, out, err = run(["order", DATA / "seat_belts.json", "--dot", tmp_path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:io:")
+        assert err.count("\n") == 1
+
 
 class TestTriangularize:
     def test_extended_model(self, capsys):
@@ -162,6 +171,16 @@ class TestToSem:
         code, out, err = run(["to-sem", DATA / "xy.json"], capsys)
         assert code == 0
         assert sem_from_dict(json.loads(out)) == bbn_to_sem(xy_bbn)
+
+    def test_out_file_equals_stdout(self, capsys, tmp_path):
+        out_path = tmp_path / "sem.json"
+        bbn_path = tmp_path / "bbn.json"
+        save_bbn(random_bbn(random.Random(31), max_nodes=6, max_outcomes=3, max_parents=2), bbn_path)
+        for source in (DATA / "xy.json", bbn_path):
+            code, out, err = run(["to-sem", source], capsys)
+            assert code == 0
+            assert run(["to-sem", source, "--out", out_path], capsys) == (0, "", "")
+            assert out_path.read_bytes() == out.encode("utf-8")
 
     def test_invalid_network(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -268,6 +287,26 @@ class TestSample:
             "assignment       count  frequency\n"
             "                     3  1.000000\n"
         )
+
+    @pytest.mark.parametrize(
+        "equations",
+        [
+            [
+                {"target": "x", "parents": [], "thresholds": [[0.5, 1.0]]},
+                {"target": "y", "parents": ["x", "x"], "thresholds": [[0.5, 1.0]] * 4},
+            ],
+            [{"target": "", "parents": [], "thresholds": [[0.5, 1.0]]}],
+        ],
+        ids=["repeated-parent", "empty-target"],
+    )
+    def test_malformed_system_is_a_parse_error(self, capsys, tmp_path, equations):
+        path = tmp_path / "sem.json"
+        path.write_text(json.dumps({"equations": equations}))
+        code, out, err = run(["sample", path, "--count", 5], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:parse:")
+        assert err.count("\n") == 1
 
     def test_long_ring_is_cyclic(self, capsys, tmp_path):
         path = tmp_path / "ring.json"
@@ -465,3 +504,20 @@ class TestGoldenCorpusRoundTrips:
         doc = json.loads((DATA / "xy.json").read_text())
         parsed = bbn_from_dict(doc)
         assert bbn_from_dict(bbn_to_dict(parsed)) == parsed
+
+
+class TestWriters:
+    """Every file writer emits ``json.dumps(doc, indent=2)`` and a newline."""
+
+    def test_network_file(self, tmp_path):
+        bbn = random_bbn(random.Random(32), max_nodes=6, max_outcomes=3, max_parents=2)
+        path = tmp_path / "bbn.json"
+        save_bbn(bbn, path)
+        assert path.read_bytes() == (json.dumps(bbn_to_dict(bbn), indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["seat_belts.json", "unused_variable.json"])
+    def test_system_file(self, tmp_path, name):
+        matrix = load_system(DATA / name)
+        path = tmp_path / name
+        save_system(matrix, path)
+        assert path.read_bytes() == (json.dumps(system_to_dict(matrix), indent=2) + "\n").encode("utf-8")

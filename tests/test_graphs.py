@@ -1,4 +1,4 @@
-"""Depth-robustness of the graph helpers on long chains and rings.
+"""Graph helpers on small random graphs and on chains and rings thousands deep.
 
 Every helper keeps its own stack, so chains and rings thousands of vertices
 deep must work like short ones.  The recursive depth-first search in
@@ -10,7 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from causalstruct import Bbn, BbnNode, CycleError, validate
-from causalstruct.graphs import find_cycle, topological_order, topological_prefix
+from causalstruct.graphs import (
+    find_cycle,
+    strongly_connected_components,
+    topological_order,
+    topological_prefix,
+)
 
 from oracles import recursive_find_cycle
 
@@ -47,8 +52,8 @@ def rotated_to_min(path):
 
 
 @st.composite
-def digraphs(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
+def digraphs(draw, max_n=10, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     return [draw(st.lists(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
 
 
@@ -118,3 +123,51 @@ def test_validate_names_a_deep_ring(path):
     assert report.cycle == expected
     assert [issue.kind for issue in report.issues] == ["cycle"]
     assert report.issues[0].detail == "cycle through " + " -> ".join(f"v{v}" for v in expected)
+
+
+def assert_components_ancestors_first(adjacency, components):
+    """A sorted partition of the vertices in which no edge leads to a later component."""
+    assert sorted(v for comp in components for v in comp) == list(range(len(adjacency)))
+    assert all(comp == sorted(comp) for comp in components)
+    position = {v: c for c, comp in enumerate(components) for v in comp}
+    for v, successors in enumerate(adjacency):
+        assert all(position[w] <= position[v] for w in successors)
+
+
+# Lists may repeat a vertex or name the vertex itself: repeated edges and self-loops.
+@given(digraphs(min_n=0))
+@example([])
+@example([[0, 0], [1, 0, 1]])
+def test_components_partition_the_vertices_ancestors_first(adjacency):
+    components = strongly_connected_components(len(adjacency), adjacency)
+    assert_components_ancestors_first(adjacency, components)
+
+
+@given(digraphs(min_n=0))
+def test_components_equal_networkx(adjacency):
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(adjacency)))
+    graph.add_edges_from((v, w) for v, successors in enumerate(adjacency) for w in successors)
+    components = strongly_connected_components(len(adjacency), adjacency)
+    assert {frozenset(comp) for comp in components} == set(
+        map(frozenset, nx.strongly_connected_components(graph))
+    )
+
+
+@given(paths())
+@example(DEEPEST)
+@settings(max_examples=30, deadline=None)
+def test_chain_components_are_single_vertices_in_path_order(path):
+    # Each vertex points at its predecessor on the path, so that one comes first.
+    adjacency = chain_parents(path)
+    components = strongly_connected_components(len(path), adjacency)
+    assert components == [[v] for v in path]
+
+
+@given(paths())
+@example(DEEPEST)
+@settings(max_examples=30, deadline=None)
+def test_ring_is_one_component(path):
+    adjacency = ring_parents(path)
+    assert strongly_connected_components(len(path), adjacency) == [sorted(path)]

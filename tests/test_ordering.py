@@ -6,7 +6,6 @@ from causalstruct import (
     NotSelfContainedError,
     StructureMatrix,
     causal_ordering,
-    minimal_self_contained_subsets,
     ordering_to_dot,
 )
 
@@ -72,19 +71,25 @@ class TestPaperModels:
 
 
 class TestMinimalSubsets:
+    """The minimal self-contained subsets are the order-0 clusters."""
+
+    @staticmethod
+    def order_zero(matrix):
+        return [c for c in causal_ordering(matrix).clusters if c.order == 0]
+
     def test_extended_model(self, model5):
-        subsets = minimal_self_contained_subsets(model5)
+        subsets = self.order_zero(model5)
         labelled = [
             frozenset(model5.equation_labels[e] for e in s.equations) for s in subsets
         ]
         assert labelled == [frozenset({"e1"}), frozenset({"e4"})]
 
     def test_chain_model(self, model3):
-        subsets = minimal_self_contained_subsets(model3)
+        subsets = self.order_zero(model3)
         assert [s.equations for s in subsets] == [frozenset({0})]
 
     def test_feedback_pair(self, feedback2):
-        subsets = minimal_self_contained_subsets(feedback2)
+        subsets = self.order_zero(feedback2)
         assert [s.equations for s in subsets] == [frozenset({0, 1})]
         assert subsets[0].variables == frozenset({0, 1})
 

@@ -18,10 +18,10 @@ from causalstruct import (
     bbn_to_sem,
     causal_ordering,
     check_equivalence,
+    check_system,
     compare_marginals,
     evaluate,
     intervene_bbn,
-    is_self_contained,
     is_triangularizable,
     joint_probability,
     marginals,
@@ -33,6 +33,7 @@ from causalstruct import (
 )
 from causalstruct.sem import CHUNK
 
+from generators import subsystem
 from oracles import (
     brute_self_contained_subsets,
     pivot_scan_triangularize,
@@ -148,7 +149,11 @@ def test_self_containment_invariant_under_permutation(matrix, data):
         st.sets(st.integers(0, matrix.n - 1), min_size=1, max_size=matrix.n)
     )
     mapped = {i for i, old in enumerate(row_perm) if old in subset}
-    assert is_self_contained(matrix, subset) == is_self_contained(permuted, mapped)
+    verdicts = [
+        sub is not None and check_system(sub).self_contained
+        for sub in (subsystem(matrix, subset), subsystem(permuted, mapped))
+    ]
+    assert verdicts[0] == verdicts[1]
 
 
 @given(self_contained_matrices())

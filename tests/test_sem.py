@@ -337,3 +337,20 @@ class TestFileFormat:
         }
         with pytest.raises(FormatError, match="needs 2 threshold rows"):
             sem_from_dict(doc)
+
+    def test_repeated_parent_rejected(self):
+        # A network with the same arcs fails validation as duplicate-parent.
+        doc = {
+            "equations": [
+                {"target": "x", "parents": [], "thresholds": [[0.5, 1.0]]},
+                {"target": "y", "parents": ["x", "x"], "thresholds": [[0.5, 1.0]] * 4},
+            ]
+        }
+        with pytest.raises(FormatError, match="'y' repeats a parent"):
+            sem_from_dict(doc)
+
+    def test_empty_target_rejected(self):
+        doc = {"equations": [{"target": "", "parents": [], "thresholds": [[0.5, 1.0]]}]}
+        with pytest.raises(FormatError, match="non-empty"):
+            sem_from_dict(doc)
+

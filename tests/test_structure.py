@@ -7,7 +7,6 @@ from causalstruct import (
     FormatError,
     StructureMatrix,
     check_system,
-    is_self_contained,
     load_system,
     save_system,
     system_from_dict,
@@ -16,7 +15,7 @@ from causalstruct import (
 )
 
 from conftest import DATA
-from generators import random_self_contained_system, random_square_matrix
+from generators import random_self_contained_system, random_square_matrix, subsystem
 from oracles import brute_is_self_contained, brute_self_contained_subsets
 
 
@@ -39,25 +38,29 @@ class TestVariablesOf:
             variables_of(model3, {7})
 
 
+def subset_is_self_contained(matrix, subset):
+    """``check_system``'s verdict on the subset's own system."""
+    sub = subsystem(matrix, subset)
+    return sub is not None and check_system(sub).self_contained
+
+
 class TestIsSelfContained:
+    """Subset self-containment, decided by ``check_system`` on the subset's own system."""
+
     def test_full_chain_system(self, model3):
-        assert is_self_contained(model3, {0, 1, 2})
+        assert subset_is_self_contained(model3, {0, 1, 2})
 
     def test_single_equation_with_two_variables(self, model3):
-        assert not is_self_contained(model3, {1})
+        assert not subset_is_self_contained(model3, {1})
 
     def test_single_exogenous_equation(self, model3):
-        assert is_self_contained(model3, {0})
-
-    def test_empty_subset_rejected(self, model3):
-        with pytest.raises(ValueError):
-            is_self_contained(model3, set())
+        assert subset_is_self_contained(model3, {0})
 
     def test_matches_brute_force_on_paper_models(self, model3, model4, model5, feedback2):
         for matrix in (model3, model4, model5, feedback2):
             for mask in range(1, 1 << matrix.n):
                 subset = {e for e in range(matrix.n) if mask >> e & 1}
-                assert is_self_contained(matrix, subset) == brute_is_self_contained(
+                assert subset_is_self_contained(matrix, subset) == brute_is_self_contained(
                     matrix, subset
                 ), (matrix.variable_names, subset)
 
@@ -67,7 +70,7 @@ class TestIsSelfContained:
             matrix = random_square_matrix(rng, max_n=8)
             for mask in range(1, 1 << matrix.n):
                 subset = {e for e in range(matrix.n) if mask >> e & 1}
-                assert is_self_contained(matrix, subset) == brute_is_self_contained(
+                assert subset_is_self_contained(matrix, subset) == brute_is_self_contained(
                     matrix, subset
                 )
 
@@ -75,7 +78,7 @@ class TestIsSelfContained:
         matrix = random_self_contained_system(random.Random(77), max_n=12, min_n=12)
         for mask in range(1, 1 << 12):
             subset = {e for e in range(12) if mask >> e & 1}
-            assert is_self_contained(matrix, subset) == brute_is_self_contained(
+            assert subset_is_self_contained(matrix, subset) == brute_is_self_contained(
                 matrix, subset
             )
 
@@ -92,7 +95,7 @@ class TestIsSelfContained:
                 subset = {e for e in range(matrix.n) if mask >> e & 1}
                 # new row i holds old row row_perm[i]
                 mapped = {i for i, old in enumerate(row_perm) if old in subset}
-                assert is_self_contained(matrix, subset) == is_self_contained(
+                assert subset_is_self_contained(matrix, subset) == subset_is_self_contained(
                     permuted, mapped
                 )
 
