@@ -5,7 +5,7 @@ Rows are indexed in mixed-radix order with the first parent as the most
 significant digit, a convention that also fixes the on-disk row order.
 Construction accepts semantically broken networks (cycles, bad row sums,
 wrong row counts) so that ``validate`` can report every violation; the
-probability operations assume a network that validates cleanly.
+probability operations refuse an invalid network with ``InvalidBbnError``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from .dotutil import dot_id
-from .errors import CycleError, FormatError
+from .errors import CycleError, FormatError, InvalidBbnError
 from .graphs import topological_order as _topo
 from .structure import _load_json, _save_json
 
@@ -42,8 +42,6 @@ class _Factor(NamedTuple):
 def _compile(index, parents, counts, factors) -> _Factor:
     """Compile one node; ``factors`` holds its joint factor per row and outcome."""
     radices = [counts[p] for p in parents]
-    if len(factors) != math.prod(radices) or any(len(f) != counts[index] for f in factors):
-        raise ValueError(f"the table of variable {index} does not fit its outcome counts")
     strides = tuple(math.prod(radices[j + 1:]) for j in range(len(radices)))
     return _Factor(index, parents, strides, tuple(chain.from_iterable(factors)))
 
@@ -75,6 +73,7 @@ def _joint(model) -> list[float]:
     value is still formed in node-index order, starting from 1.0.  Raises
     ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` assignments.
     """
+    plan = model._plan
     counts = model.outcome_counts()
     total = math.prod(counts)
     if total > MAX_ENUMERABLE_CONFIGURATIONS:
@@ -82,7 +81,6 @@ def _joint(model) -> list[float]:
             f"{total} joint configurations exceed the enumeration bound "
             f"{MAX_ENUMERABLE_CONFIGURATIONS}"
         )
-    plan = model._plan
     values = [1.0]
     m = 0
     for depth, k in enumerate(counts):
@@ -169,7 +167,8 @@ class Bbn:
 
     @cached_property
     def _plan(self) -> tuple[_Factor, ...]:
-        """Per node, its table entries as joint factors."""
+        """Per node, its table entries as joint factors; only for a valid network."""
+        _require_valid(self)
         counts = self.outcome_counts()
         return tuple(
             _compile(i, node.parents, counts, node.cpt)
@@ -223,6 +222,13 @@ def validate(bbn: Bbn) -> BbnReport:
     The report is computed on the first call for a network and kept on it.
     """
     return bbn._report
+
+
+def _require_valid(bbn: Bbn) -> None:
+    """Raise ``InvalidBbnError`` with the report if ``validate`` refuses ``bbn``."""
+    report = bbn._report
+    if not report.valid:
+        raise InvalidBbnError(report.describe(), report)
 
 
 def _validate(bbn: Bbn) -> BbnReport:

@@ -8,7 +8,6 @@ line ``error:<category>: ...`` on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from operator import getitem
 from pathlib import Path
@@ -30,10 +29,9 @@ from .sem import (
     load_sem,
     roundtrip_check,
     sample,
-    save_sem,
     sem_to_dict,
 )
-from .structure import _load_json, load_system, system_from_dict
+from .structure import _json_text, _load_json, load_system, system_from_dict
 from .triangular import is_triangularizable, triangularize
 
 VERIFY_TOLERANCE = 1e-9
@@ -166,12 +164,11 @@ def _cmd_triangularize(args) -> int:
 
 def _cmd_to_sem(args) -> int:
     bbn = _require_valid(load_bbn(args.bbn))
-    sem = bbn_to_sem(bbn)
+    text = _json_text(sem_to_dict(bbn_to_sem(bbn)))
     if args.out:
-        save_sem(sem, args.out)
+        args.out.write_text(text, encoding="utf-8")
     else:
-        json.dump(sem_to_dict(sem), sys.stdout, indent=2)
-        print()
+        sys.stdout.write(text)
     return 0
 
 

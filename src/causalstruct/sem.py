@@ -9,11 +9,11 @@ probabilities, making the equation system and the source network agree on
 the full joint distribution, which ``check_equivalence`` verifies by
 enumeration.
 
-Thresholds are cumulative sums of the conditional rows.  The final
-threshold is clamped to exactly 1.0 (after checking it lands within 1e-9 of
-1) so that a latent drawn at 1.0 always selects the last outcome with a
-non-empty interval.  Zero-probability entries yield empty intervals, which
-no latent can hit.
+Thresholds are cumulative sums of the conditional rows, clamped to at most
+1 and ending at exactly 1.0 (a file's row must end within 1e-9 of 1), so a
+latent drawn at 1.0 always selects the last outcome with a non-empty
+interval.  Zero-probability entries yield empty intervals, which no latent
+can hit.
 
 ``evaluate`` and ``sample`` share one forward pass, run by columns: for a
 block of draws, each variable in evaluation order selects all its values at
@@ -33,16 +33,13 @@ from operator import getitem, sub
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .bbn import Assignment, Bbn, validate
-from .bbn import MAX_ENUMERABLE_CONFIGURATIONS, joint_probability  # noqa: F401  (still sem.*)
-from .bbn import _compile, _Factor, _joint, _json_floats, _named_items
-from .bbn import _probability
-from .errors import FormatError, InvalidBbnError
+from .bbn import ROW_SUM_TOLERANCE, Assignment, Bbn
+from .bbn import joint_probability  # noqa: F401  (bench/test_bench.py::test_tracer_restores_every_binding)
+from .bbn import _compile, _Factor, _joint, _json_floats, _named_items, _probability, _require_valid
+from .errors import FormatError
 from .ordering import causal_ordering
 from .structure import StructureMatrix, _load_json, _save_json
 from .graphs import topological_order as _topo
-
-FINAL_THRESHOLD_TOLERANCE = 1e-9
 
 # Draws evaluated per columnar pass of ``sample``: enough to spread each
 # variable's per-pass cost thin, few enough to keep memory flat in the count.
@@ -78,7 +75,7 @@ class ThresholdEquation:
                 raise ValueError(f"threshold row {r} is not non-decreasing")
             if row[0] < 0.0:
                 raise ValueError(f"threshold row {r} has a negative entry")
-            if abs(row[-1] - 1.0) > FINAL_THRESHOLD_TOLERANCE:
+            if abs(row[-1] - 1.0) > ROW_SUM_TOLERANCE:
                 raise ValueError(
                     f"threshold row {r} ends at {row[-1]!r}, not 1"
                 )
@@ -179,14 +176,14 @@ def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
     """Rewrite a valid network as a threshold-equation system.
 
     Parentless nodes get a single row built from their prior; every row is
-    the cumulative sum of the corresponding conditional row.
+    the cumulative sum of its conditional row, clamped to 1, ending at 1.0.
     """
-    report = validate(bbn)
-    if not report.valid:
-        raise InvalidBbnError(report.describe(), report)
+    _require_valid(bbn)
     equations = []
     for i, node in enumerate(bbn.nodes):
-        rows = tuple(tuple(accumulate(row, initial=0.0))[1:] for row in node.cpt)
+        rows = tuple(
+            (*(min(c, 1.0) for c in accumulate(row[:-1], initial=0.0)), 1.0)[1:] for row in node.cpt
+        )
         equations.append(ThresholdEquation(target=i, parents=node.parents, thresholds=rows))
     return ThresholdEquationSystem(
         variable_names=tuple(node.name for node in bbn.nodes),
@@ -240,9 +237,7 @@ def sem_joint(sem: ThresholdEquationSystem, assignment: Sequence[int]) -> float:
 
 def check_equivalence(bbn: Bbn, sem: ThresholdEquationSystem) -> float:
     """Max absolute joint-probability gap between network and equation system."""
-    report = validate(bbn)
-    if not report.valid:
-        raise InvalidBbnError(report.describe(), report)
+    bbn._plan  # compiling the plan refuses an invalid network before anything else
     if tuple(node.name for node in bbn.nodes) != sem.variable_names:
         raise ValueError("network and equation system name different variables")
     counts = bbn.outcome_counts()

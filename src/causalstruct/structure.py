@@ -292,11 +292,13 @@ def _load_json(path: str | Path) -> object:
         raise FormatError("JSON nested too deeply") from None
 
 
+def _json_text(doc: object) -> str:
+    """A document as two-space-indented JSON ending in a newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _save_json(doc: object, path: str | Path) -> None:
-    """Write a document as two-space-indented JSON ending in a newline."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    Path(path).write_text(_json_text(doc), encoding="utf-8")
 
 
 def load_system(path: str | Path) -> StructureMatrix:

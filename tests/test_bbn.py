@@ -9,9 +9,13 @@ from causalstruct import (
     BbnNode,
     CycleError,
     FormatError,
+    InvalidBbnError,
     bbn_from_dict,
     bbn_to_dict,
     bbn_to_dot,
+    bbn_to_sem,
+    check_equivalence,
+    compare_marginals,
     joint_probability,
     marginals,
     topological_order,
@@ -126,9 +130,9 @@ class TestJointProbability:
 
     def test_table_that_does_not_fit_is_refused(self):
         bbn = Bbn((binary("x", (), ((0.4, 0.6),)), binary("y", (0,), ((0.7, 0.3),))))
-        with pytest.raises(ValueError, match="does not fit"):
+        with pytest.raises(InvalidBbnError, match="row-count"):
             joint_probability(bbn, (0, 0))
-        with pytest.raises(ValueError, match="does not fit"):
+        with pytest.raises(InvalidBbnError, match="row-count"):
             marginals(bbn)
 
     def test_invariant_under_outcome_relabeling(self, xy_bbn):
@@ -151,6 +155,59 @@ class TestJointProbability:
         bbn = random_bbn(random.Random(seed))
         total = math.fsum(joint_probability(bbn, a) for a in bbn.assignments())
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _valid_twin(bbn):
+    """A valid network over the same names and outcomes: no arcs, uniform rows."""
+    return Bbn(
+        tuple(
+            BbnNode(node.name, node.outcomes, (), ((1 / node.outcome_count,) * node.outcome_count,))
+            for node in bbn.nodes
+        )
+    )
+
+
+# Every probability operation on a network, given the network.
+PROBABILITY_OPERATIONS = {
+    "joint_probability": lambda bbn: joint_probability(bbn, (0,) * bbn.n),
+    "marginals": marginals,
+    "check_equivalence": lambda bbn: check_equivalence(bbn, bbn_to_sem(_valid_twin(bbn))),
+    "compare_marginals before": lambda bbn: compare_marginals(bbn, _valid_twin(bbn)),
+    "compare_marginals after": lambda bbn: compare_marginals(_valid_twin(bbn), bbn),
+    "row_index": lambda bbn: bbn.row_index(bbn.n - 1, (0,) * bbn.n),
+}
+
+INVALID_NETWORKS = {
+    "cycle": Bbn(
+        (
+            binary("x", (1,), ((0.5, 0.5), (0.5, 0.5))),
+            binary("y", (0,), ((0.5, 0.5), (0.5, 0.5))),
+        )
+    ),
+    "row-sum": Bbn((binary("x", (), ((0.9, 0.9),)),)),
+}
+
+
+class TestValidityGate:
+    """Each probability operation refuses exactly the networks ``validate`` refuses."""
+
+    @pytest.mark.parametrize("operation", sorted(PROBABILITY_OPERATIONS))
+    @pytest.mark.parametrize("kind", sorted(INVALID_NETWORKS))
+    def test_invalid_network_is_refused_with_its_report(self, operation, kind):
+        bbn = INVALID_NETWORKS[kind]
+        with pytest.raises(InvalidBbnError, match=kind) as caught:
+            PROBABILITY_OPERATIONS[operation](bbn)
+        assert caught.value.report == validate(bbn)
+        assert kind in {issue.kind for issue in caught.value.report.issues}
+
+    @pytest.mark.parametrize("operation", sorted(PROBABILITY_OPERATIONS))
+    def test_valid_network_passes(self, operation, xy_bbn):
+        PROBABILITY_OPERATIONS[operation](xy_bbn)
+
+    def test_check_equivalence_refuses_before_comparing_names(self):
+        other = bbn_to_sem(Bbn((binary("z", (), ((0.5, 0.5),)),)))
+        with pytest.raises(InvalidBbnError, match="row-sum"):
+            check_equivalence(INVALID_NETWORKS["row-sum"], other)
 
 
 class TestTopologicalOrder:

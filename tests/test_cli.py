@@ -204,6 +204,33 @@ class TestToSem:
         assert err.startswith("error:invalid-bbn:")
 
 
+# Five entries whose exact sum is within 1e-9 of 1, as ``validate`` requires,
+# but whose plain left-to-right sum, 1.000000001, is not.
+BOUNDARY_ROW = [0.236061891794, 0.284752633168, 0.272273496625, 0.007390649651, 0.199521329762]
+
+
+@pytest.fixture
+def boundary_bbn(tmp_path):
+    path = tmp_path / "boundary.json"
+    node = {"name": "x", "outcomes": list("abcde"), "parents": [], "cpt": [BOUNDARY_ROW]}
+    path.write_text(json.dumps({"nodes": [node]}))
+    return path
+
+
+class TestBoundaryRow:
+    """A network that ``validate`` accepts is never refused by a later step."""
+
+    def test_to_sem_ends_the_row_at_one(self, capsys, boundary_bbn):
+        code, out, err = run(["to-sem", boundary_bbn], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["equations"][0]["thresholds"][0][-1] == 1.0
+
+    def test_verify_accepts(self, capsys, boundary_bbn):
+        code, out, err = run(["verify", boundary_bbn], capsys)
+        assert (code, err) == (0, "")
+        assert out.rstrip().endswith("roundtrip: ok")
+
+
 class TestVerify:
     def test_paper_network(self, capsys):
         code, out, err = run(["verify", DATA / "xy.json"], capsys)

@@ -3,10 +3,12 @@
 Generated system, network and threshold files, each possibly mutated
 (a key or list item dropped, a value swapped for one of the wrong type or
 range, a name copied onto another, a parent added that may close a cycle),
-are run through every subcommand with in-process ``main``.  The inputs stay
-small, at most 12 equations, so the recursive matching stays far below its
-recursion limit of about 1000 nested augmenting steps; deep inputs are
-covered by the graph and CLI tests of their own.
+are run through every subcommand with in-process ``main``.  Generated
+networks are valid, some with row sums at the edge of the tolerance, so
+``to-sem`` and ``verify`` must not call one left unmutated unusable.  The
+inputs stay small, at most 12 equations, so the recursive matching stays far
+below its recursion limit of about 1000 nested augmenting steps; deep inputs
+are covered by the graph and CLI tests of their own.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from causalstruct import Bbn, BbnNode, bbn_to_dict, bbn_to_sem, sem_to_dict
+from causalstruct.bbn import ROW_SUM_TOLERANCE
 from causalstruct.cli import main
 
 CATEGORIES = ("usage", "io", "parse", "not-self-contained", "cyclic", "invalid-bbn", "verify")
@@ -54,7 +57,16 @@ def networks(draw, max_n=5):
         for _ in range(math.prod(counts[p] for p in parents)):
             weights = [draw(st.integers(0, 4)) for _ in range(counts[i])]
             weights[-1] += not any(weights)
-            rows.append(tuple(w / sum(weights) for w in weights))
+            row = [w / sum(weights) for w in weights]
+            if not draw(st.integers(0, 3)):  # a sum at the edge of the tolerance, or inside it
+                j = row.index(max(row))
+                edge = draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0])) * ROW_SUM_TOLERANCE
+                shifted = row[:j] + [row[j] + 1.0 + edge - math.fsum(row)] + row[j + 1:]
+                while abs(math.fsum(shifted) - 1.0) > ROW_SUM_TOLERANCE:
+                    shifted[j] = math.nextafter(shifted[j], math.copysign(2.0, -edge))
+                if shifted[j] <= 1.0:
+                    row = shifted
+            rows.append(tuple(row))
         nodes.append(BbnNode(f"v{i}", tuple(f"o{j}" for j in range(counts[i])), parents, tuple(rows)))
     return Bbn(tuple(nodes))
 
@@ -100,13 +112,18 @@ def _close_cycle(doc, kind):
 
 @st.composite
 def mutated(draw):
-    """A generated file, possibly damaged, and the subcommand to run on it."""
+    """A generated file, possibly damaged, the subcommand to run on it, and its kind.
+
+    The kind is ``None`` once the file may have been damaged.
+    """
     kind = draw(st.sampled_from(sorted(KINDS)))
     docs, commands = KINDS[kind]
     doc = draw(docs)
-    if kind != "system" and draw(st.booleans()):
+    damaged = kind != "system" and draw(st.booleans())
+    if damaged:
         _close_cycle(doc, kind)
-    for _ in range(draw(st.integers(0, 2))):
+    mutations = draw(st.integers(0, 2))
+    for _ in range(mutations):
         places = list(_places(doc))
         if not places:
             break
@@ -124,7 +141,7 @@ def mutated(draw):
         elif isinstance(container[key], list):
             container[key].append(draw(st.sampled_from(sorted(set(_names(doc))) or [0])))
     command = draw(st.sampled_from(commands if draw(st.integers(0, 4)) else COMMANDS))
-    return doc, command
+    return doc, command, None if damaged or mutations else kind
 
 
 def arguments(draw, command, path, workdir):
@@ -144,7 +161,7 @@ def arguments(draw, command, path, workdir):
 @given(mutated(), st.data())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_failure_is_one_error_line(case, data):
-    doc, command = case
+    doc, command, intact = case
     with tempfile.TemporaryDirectory() as name:
         workdir = Path(name)
         path = workdir / "input.json"
@@ -161,3 +178,7 @@ def test_every_failure_is_one_error_line(case, data):
         lines = err.getvalue().splitlines()
         assert lines and ERROR_LINE.match(lines[-1]), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+    if intact == "network" and command in ("to-sem", "verify"):
+        # A valid network is never refused as unusable; an unwritable --out
+        # or a failed comparison may still end the command.
+        assert not err.getvalue().startswith(("error:usage:", "error:invalid-bbn:")), (argv, err.getvalue())

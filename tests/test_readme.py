@@ -25,3 +25,10 @@ def test_command_block_lists_exactly_the_cli_subcommands():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert documented == list(commands)
+
+
+def test_library_example_runs_from_the_repo_root(monkeypatch, capsys):
+    (block,) = re.findall(r"## Library\n\n```python\n(.*?)```", README.read_text(), re.S)
+    monkeypatch.chdir(README.parent)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out == "0 ['d']\n1 ['a']\n2 ['m']\n"

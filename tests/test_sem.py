@@ -3,8 +3,10 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from itertools import accumulate
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from causalstruct import (
     Bbn,
@@ -24,8 +26,10 @@ from causalstruct import (
     sem_joint,
     sem_structure,
     sem_to_dict,
+    validate,
 )
 
+from causalstruct.bbn import ROW_SUM_TOLERANCE
 from causalstruct.sem import CHUNK
 
 from generators import random_bbn
@@ -34,6 +38,26 @@ from generators import random_bbn
 @pytest.fixture
 def xy_sem(xy_bbn):
     return bbn_to_sem(xy_bbn)
+
+
+@st.composite
+def near_tolerance_rows(draw):
+    """A probability row whose exact sum lies within ``ROW_SUM_TOLERANCE`` of 1.
+
+    One entry is shifted so the sum lands anywhere in the tolerance band,
+    often at its very edge, where a plain left-to-right sum can fall outside.
+    """
+    weights = draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=2, max_size=6))
+    assume(any(weights))
+    row = [w / math.fsum(weights) for w in weights]
+    if draw(st.booleans()):  # few decimals, as in a hand-written file
+        row = [round(p, draw(st.integers(2, 12))) for p in row]
+    edge = draw(st.sampled_from([1.0, 1 - 1e-7]) | st.floats(0.0, 1.0))
+    j = row.index(max(row))
+    row[j] += 1.0 + draw(st.sampled_from([-1, 1])) * edge * ROW_SUM_TOLERANCE - math.fsum(row)
+    assume(all(0.0 <= p <= 1.0 for p in row))
+    assume(abs(math.fsum(row) - 1.0) <= ROW_SUM_TOLERANCE)
+    return tuple(row)
 
 
 class TestConstruction:
@@ -73,6 +97,20 @@ class TestConstruction:
         bbn = Bbn((BbnNode("x", ("t", "f"), (), ((0.7, 0.2),)),))
         with pytest.raises(InvalidBbnError):
             bbn_to_sem(bbn)
+
+    @given(near_tolerance_rows())
+    @example((0.236061891794, 0.284752633168, 0.272273496625, 0.007390649651, 0.199521329762))
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_validate_accepts_converts(self, row):
+        # The example's plain left-to-right sum is 1.000000001, past the
+        # tolerance, although its exact sum is within it.
+        bbn = Bbn((BbnNode("x", tuple(f"o{j}" for j in range(len(row))), (), (row,)),))
+        assert validate(bbn).valid
+        (thresholds,) = bbn_to_sem(bbn).equations[0].thresholds
+        assert thresholds[-1] == 1.0
+        sums = tuple(accumulate(row, initial=0.0))[1:]
+        clamped = tuple(min(c, 1.0) for c in sums[:-1]) + (1.0,)
+        assert repr(thresholds) == repr(clamped)
 
     def test_bad_final_threshold_rejected(self):
         with pytest.raises(ValueError, match="ends at"):
