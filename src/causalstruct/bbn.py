@@ -180,10 +180,6 @@ class Bbn:
         """The verdict of ``validate``; a network is immutable, so it is computed once."""
         return _validate(self)
 
-    def row_index(self, child: int, assignment: Sequence[int]) -> int:
-        factor = self._plan[child]
-        return sum(assignment[p] * s for p, s in zip(factor.parents, factor.strides))
-
 
 @dataclass(frozen=True)
 class BbnIssue:

@@ -127,42 +127,24 @@ def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
     names = [node.name for node in before.nodes]
     if set(names) != {node.name for node in after.nodes}:
         raise ValueError("networks name different variable sets")
-    for name in names:
-        a = before.nodes[before.index_of(name)]
-        b = after.nodes[after.index_of(name)]
+    at = [after.index_of(name) for name in names]  # index in after, by index in before
+    twins = [after.nodes[j] for j in at]
+    for name, a, b in zip(names, before.nodes, twins):
         if a.outcomes != b.outcomes:
             raise ValueError(f"outcome space of {name!r} differs between networks")
     before_marg = marginals(before)
     after_marg = marginals(after)
-    affected = _affected(before, after)
-    result = {}
-    for i, name in enumerate(names):
-        if i not in affected:
-            result[name] = 0.0
-            continue
-        rows_a = before_marg[i]
-        rows_b = after_marg[after.index_of(name)]
-        result[name] = max(abs(x - y) for x, y in zip(rows_a, rows_b))
-    return result
-
-
-def _affected(before: Bbn, after: Bbn) -> set[int]:
-    """Indices in ``before`` of the changed mechanisms and their descendants.
-
-    Outside this set every variable keeps its parents and table, and so do
-    all its ancestors, which are then the same in both networks.
-    """
-
-    def mechanism(bbn: Bbn, name: str):
-        node = bbn.nodes[bbn.index_of(name)]
-        return [bbn.nodes[p].name for p in node.parents], node.cpt
-
+    # A mechanism changed when its table or its parents, mapped into after, differ.
     changed = [
-        i for i, node in enumerate(before.nodes)
-        if mechanism(before, node.name) != mechanism(after, node.name)
+        i for i, (a, b) in enumerate(zip(before.nodes, twins))
+        if a.cpt != b.cpt or tuple(at[p] for p in a.parents) != b.parents
     ]
     edges = before.edges
     affected = set(changed)
     for i in changed:
         affected |= reachable_from(i, edges)
-    return affected
+    return {
+        name: max(abs(x - y) for x, y in zip(before_marg[i], after_marg[at[i]]))
+        if i in affected else 0.0
+        for i, name in enumerate(names)
+    }

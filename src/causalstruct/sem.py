@@ -10,10 +10,10 @@ the full joint distribution, which ``check_equivalence`` verifies by
 enumeration.
 
 Thresholds are cumulative sums of the conditional rows, clamped to at most
-1 and ending at exactly 1.0 (a file's row must end within 1e-9 of 1), so a
-latent drawn at 1.0 always selects the last outcome with a non-empty
-interval.  Zero-probability entries yield empty intervals, which no latent
-can hit.
+1 and ending at exactly 1.0 (a file's entries may pass 1 by at most 1e-9,
+and its rows must end within 1e-9 of 1), so a latent drawn at 1.0 always
+selects the last outcome with a non-empty interval.  Zero-probability
+entries yield empty intervals, which no latent can hit.
 
 ``evaluate`` and ``sample`` share one forward pass, run by columns: for a
 block of draws, each variable in evaluation order selects all its values at
@@ -71,17 +71,20 @@ class ThresholdEquation:
                 raise ValueError(f"threshold row {r} has inconsistent length")
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"threshold row {r} has a non-finite entry")
+            top = max(row)
+            if top > 1.0 + ROW_SUM_TOLERANCE:
+                raise ValueError(f"threshold row {r} has an entry {top!r} above 1")
+            # Entries that overshoot 1 within the tolerance are clamped first,
+            # so the order check sees the row as it will be used.
+            row = tuple(min(c, 1.0) for c in row)
             if any(b < a for a, b in zip(row, row[1:])):
                 raise ValueError(f"threshold row {r} is not non-decreasing")
             if row[0] < 0.0:
                 raise ValueError(f"threshold row {r} has a negative entry")
-            if abs(row[-1] - 1.0) > ROW_SUM_TOLERANCE:
-                raise ValueError(
-                    f"threshold row {r} ends at {row[-1]!r}, not 1"
-                )
-            # Clamping keeps a latent of exactly 1.0 inside the last interval;
-            # min() guards entries that overshoot 1 within the tolerance.
-            clamped.append(tuple(min(c, 1.0) for c in row[:-1]) + (1.0,))
+            if 1.0 - row[-1] > ROW_SUM_TOLERANCE:
+                raise ValueError(f"threshold row {r} ends at {row[-1]!r}, not 1")
+            # Ending at exactly 1.0 keeps a latent of 1.0 inside the last interval.
+            clamped.append(row[:-1] + (1.0,))
         object.__setattr__(self, "thresholds", tuple(clamped))
 
     @property
@@ -271,28 +274,35 @@ def sample(
     return tally
 
 
+def _structure(names: tuple[str, ...], parent_lists) -> StructureMatrix:
+    """Equation ``f_<name>`` involves variable i and the parents in its list i."""
+    return StructureMatrix(
+        variable_names=names,
+        equation_labels=tuple(f"f_{name}" for name in names),
+        rows=tuple(frozenset((i, *parents)) for i, parents in enumerate(parent_lists)),
+    )
+
+
 def sem_structure(sem: ThresholdEquationSystem) -> StructureMatrix:
     """Participation matrix: each equation involves its target and parents.
 
     Latent variables stay implicit; they are never columns.
     """
-    return StructureMatrix(
-        variable_names=sem.variable_names,
-        equation_labels=tuple(f"f_{name}" for name in sem.variable_names),
-        rows=tuple(
-            frozenset((eq.target, *eq.parents)) for eq in sem.equations
-        ),
-    )
+    return _structure(sem.variable_names, [eq.parents for eq in sem.equations])
 
 
 def roundtrip_check(bbn: Bbn) -> bool:
-    """Whether the ordering of the derived equation system restores the DAG.
+    """Whether the causal ordering of the network's equations restores its DAG.
 
+    The equations are those of ``bbn_to_sem(bbn)``, whose structure depends
+    only on the parent lists, so it is read off them without converting.
     True iff every cluster has degree one and the variable-level precedence
-    edges equal the network's arcs exactly.
+    edges equal the network's arcs exactly.  Raises ``InvalidBbnError`` if
+    ``validate`` refuses the network.
     """
-    sem = bbn_to_sem(bbn)
-    ordering = causal_ordering(sem_structure(sem))
+    _require_valid(bbn)
+    names = tuple(node.name for node in bbn.nodes)
+    ordering = causal_ordering(_structure(names, [node.parents for node in bbn.nodes]))
     if any(cluster.degree != 1 for cluster in ordering.clusters):
         return False
     return ordering.variable_edges == bbn.edges

@@ -18,6 +18,7 @@ from causalstruct import (
     compare_marginals,
     joint_probability,
     marginals,
+    roundtrip_check,
     topological_order,
     validate,
 )
@@ -174,7 +175,8 @@ PROBABILITY_OPERATIONS = {
     "check_equivalence": lambda bbn: check_equivalence(bbn, bbn_to_sem(_valid_twin(bbn))),
     "compare_marginals before": lambda bbn: compare_marginals(bbn, _valid_twin(bbn)),
     "compare_marginals after": lambda bbn: compare_marginals(_valid_twin(bbn), bbn),
-    "row_index": lambda bbn: bbn.row_index(bbn.n - 1, (0,) * bbn.n),
+    "bbn_to_sem": bbn_to_sem,
+    "roundtrip_check": roundtrip_check,
 }
 
 INVALID_NETWORKS = {
@@ -224,15 +226,17 @@ class TestTopologicalOrder:
 
 class TestRowIndexing:
     def test_first_parent_most_significant(self):
-        # d has parents (b, c) with 2 and 3 outcomes: row = 3*b + c
+        # d has parents (b, c) with 2 and 3 outcomes: row = 3*b + c, and
+        # d's second outcome has probability r / 8 in row r.
         b = BbnNode("b", ("0", "1"), (), ((0.5, 0.5),))
-        c = BbnNode("c", ("0", "1", "2"), (), ((0.2, 0.3, 0.5),))
-        rows = tuple((1.0 - 0.01 * r, 0.01 * r) for r in range(6))
+        c = BbnNode("c", ("0", "1", "2"), (), ((0.25, 0.25, 0.5),))
+        rows = tuple((1.0 - r / 8, r / 8) for r in range(6))
         d = BbnNode("d", ("0", "1"), (0, 1), rows)
         bbn = Bbn((b, c, d))
         for bi in range(2):
             for ci in range(3):
-                assert bbn.row_index(2, (bi, ci, 0)) == 3 * bi + ci
+                prior = 0.5 * c.cpt[0][ci]
+                assert joint_probability(bbn, (bi, ci, 1)) == prior * (3 * bi + ci) / 8
 
 
 class TestFileFormat:

@@ -8,6 +8,8 @@ import pytest
 import causalstruct
 from causalstruct import (
     FormatError,
+    ThresholdEquation,
+    ThresholdEquationSystem,
     bbn_from_dict,
     bbn_to_dict,
     bbn_to_sem,
@@ -230,6 +232,20 @@ class TestBoundaryRow:
         assert (code, err) == (0, "")
         assert out.rstrip().endswith("roundtrip: ok")
 
+    def test_verify_accepts_two_nodes_short_of_one(self, capsys, tmp_path):
+        # Each row sums to 1 - 9.9e-10, which validate accepts; the joint gap
+        # is 1.98e-9, twice the row-sum tolerance.
+        short = 1.0 - 9.9e-10
+        nodes = [
+            {"name": "x", "outcomes": ["a", "b"], "parents": [], "cpt": [[0.0, short]]},
+            {"name": "y", "outcomes": ["a", "b"], "parents": ["x"], "cpt": [[0.0, short]] * 2},
+        ]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"nodes": nodes}))
+        code, out, err = run(["verify", path], capsys)
+        assert (code, err) == (0, "")
+        assert out == "max deviation 1.980e-09; roundtrip: ok\n"
+
 
 class TestVerify:
     def test_paper_network(self, capsys):
@@ -251,6 +267,40 @@ class TestVerify:
         assert code == 1
         assert out == "cycle: cycle through " + " -> ".join(v for v, _ in ring_names()) + "\n"
         assert err.startswith("error:invalid-bbn:")
+
+    def test_converts_once(self, capsys, monkeypatch):
+        calls = []
+        original = causalstruct.bbn_to_sem
+
+        def counted(bbn):
+            calls.append(bbn)
+            return original(bbn)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("causalstruct") and (
+                getattr(module, "bbn_to_sem", None) is original
+            ):
+                monkeypatch.setattr(module, "bbn_to_sem", counted)
+        code, out, err = run(["verify", DATA / "xy.json"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_a_shifted_threshold_fails(self, capsys, monkeypatch):
+        original = causalstruct.bbn_to_sem
+
+        def shifted(bbn):
+            sem = original(bbn)
+            first, *rest = sem.equations
+            row, *rows = first.thresholds
+            moved = ThresholdEquation(0, first.parents, ((row[0] + 1e-6, *row[1:]), *rows))
+            return ThresholdEquationSystem(sem.variable_names, (moved, *rest))
+
+        monkeypatch.setattr(causalstruct.cli, "bbn_to_sem", shifted)
+        code, out, err = run(["verify", DATA / "xy.json"], capsys)
+        assert code == 1
+        # x's intervals move by 1e-6, and y's largest conditional probability is 0.8.
+        assert out == "max deviation 8.000e-07; roundtrip: ok\n"
+        assert err.startswith("error:verify:")
 
 
 class TestSample:

@@ -5,7 +5,8 @@ Generated system, network and threshold files, each possibly mutated
 range, a name copied onto another, a parent added that may close a cycle),
 are run through every subcommand with in-process ``main``.  Generated
 networks are valid, some with row sums at the edge of the tolerance, so
-``to-sem`` and ``verify`` must not call one left unmutated unusable.  The
+``to-sem`` and ``verify`` must not call one left unmutated unusable, and
+``verify`` must not fail one on its joint gap or round trip.  The
 inputs stay small, at most 12 equations, so the recursive matching stays far
 below its recursion limit of about 1000 nested augmenting steps; deep inputs
 are covered by the graph and CLI tests of their own.
@@ -179,6 +180,7 @@ def test_every_failure_is_one_error_line(case, data):
         assert lines and ERROR_LINE.match(lines[-1]), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
     if intact == "network" and command in ("to-sem", "verify"):
-        # A valid network is never refused as unusable; an unwritable --out
-        # or a failed comparison may still end the command.
-        assert not err.getvalue().startswith(("error:usage:", "error:invalid-bbn:")), (argv, err.getvalue())
+        # A valid network is never refused as unusable, nor failed by
+        # verify; only an unwritable --out may still end the command.
+        refused = ("error:usage:", "error:invalid-bbn:", "error:verify:")
+        assert not err.getvalue().startswith(refused), (argv, err.getvalue())

@@ -120,6 +120,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-decreasing"):
             ThresholdEquation(target=0, parents=(), thresholds=((0.5, 0.4, 1.0),))
 
+    @pytest.mark.parametrize("row", [(0.5, 1.0000000005, 1.0), (0.5, 1.0000000005, 1.0000000008)])
+    def test_overshoot_within_tolerance_is_clamped_wherever_it_sits(self, row):
+        equation = ThresholdEquation(target=0, parents=(), thresholds=(row,))
+        assert equation.thresholds == ((0.5, 1.0, 1.0),)
+
+    def test_entry_past_the_tolerance_is_named(self):
+        with pytest.raises(ValueError, match="entry 1.5 above 1"):
+            ThresholdEquation(target=0, parents=(), thresholds=((0.5, 1.5, 1.0),))
+
 
 class TestEvaluate:
     def test_both_latents_low(self, xy_sem):
