@@ -240,8 +240,7 @@ def _validate(bbn: Bbn) -> BbnReport:
                 kind="cycle",
                 node=None,
                 row=None,
-                detail="cycle through "
-                + " -> ".join(bbn.nodes[v].name for v in cycle),
+                detail=exc.describe([node.name for node in bbn.nodes]),
             )
         )
 

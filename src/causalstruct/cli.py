@@ -178,7 +178,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     sem = load_sem(args.sem)
-    counts = sample(sem, args.seed, args.count)
+    try:
+        counts = sample(sem, args.seed, args.count)
+    except CycleError as exc:
+        print(f"error:cyclic: {exc.describe(sem.variable_names)}", file=sys.stderr)
+        return 1
     total = args.count
     labels = [
         [f"{name}={j}" for j in range(k)]
@@ -249,9 +253,6 @@ def main(argv=None) -> int:
         return 2
     except NotSelfContainedError as exc:
         print(f"error:not-self-contained: {exc}", file=sys.stderr)
-        return 1
-    except (CyclicStructureError, CycleError) as exc:
-        print(f"error:cyclic: {exc}", file=sys.stderr)
         return 1
     except InvalidBbnError as exc:
         print(exc.report.describe())

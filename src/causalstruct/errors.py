@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 
 class FormatError(ValueError):
     """A document does not conform to one of the JSON file formats."""
@@ -40,6 +42,10 @@ class CycleError(Exception):
     def __init__(self, members: tuple[int, ...]):
         self.members = tuple(members)
         super().__init__(f"cycle through nodes {list(self.members)}")
+
+    def describe(self, names: Sequence[str]) -> str:
+        """The cycle in arrow order, by the names its members index."""
+        return "cycle through " + " -> ".join(names[v] for v in self.members)
 
 
 class InvalidBbnError(ValueError):

@@ -1,9 +1,15 @@
-"""Small directed-graph helpers: SCCs, topological order, cycles, reachability."""
+"""Small directed-graph helpers: SCCs, topological order, cycles, reachability.
+
+One Kahn pass gives the order or, where it stalls, a cycle: every vertex it
+leaves has a parent it also left, so a walk up those parents always closes,
+on the cycle a depth-first search would meet first.  Tarjan's algorithm
+serves the clusters of the causal ordering only.
+"""
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CycleError
 
@@ -15,7 +21,7 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
     sorted; the component list itself is in reverse topological order
     (every edge leaves a later component toward an earlier one or stays
     inside its own).  The walk keeps one adjacency iterator per vertex on
-    it, as ``find_cycle`` does.
+    it.
     """
     index = [-1] * n
     low = [0] * n
@@ -91,56 +97,37 @@ def topological_prefix(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
 def topological_order(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
     """Kahn's algorithm with ascending-index tie-breaking.
 
-    ``parents[v]`` lists the vertices that must precede ``v``.  Raises
-    ``CycleError`` carrying one directed cycle if no order exists.
+    ``parents[v]`` lists the vertices that must precede ``v``.  If no order
+    exists, raises ``CycleError`` with a cycle read off what the pass left:
+    from the smallest unplaced vertex, step to the first unplaced parent in
+    list order until a vertex repeats.  Every unplaced vertex has an unplaced
+    parent, so the walk closes; no placed vertex reaches a cycle, so this is
+    the cycle a depth-first search up the parent lists, roots ascending,
+    meets first.  It is given in arrow order (each vertex a parent of the
+    next, the last of the first), rotated to start at its smallest vertex.
     """
     order = topological_prefix(n, parents)
-    if len(order) != n:
-        raise CycleError(find_cycle(n, parents))
-    return order
+    if len(order) == n:
+        return order
+    placed = set(order)
+    at: dict[int, int] = {}  # vertex -> position on the walk
+    v = next(v for v in range(n) if v not in placed)
+    while v not in at:
+        at[v] = len(at)
+        v = next(p for p in parents[v] if p not in placed)
+    cycle = list(at)[at[v]:]
+    cycle.reverse()  # walk was child-to-parent; arrows run the other way
+    first = cycle.index(min(cycle))
+    raise CycleError(tuple(cycle[first:] + cycle[:first]))
 
 
-def find_cycle(n: int, parents: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Return the vertices of one directed cycle of the parent relation.
-
-    An iterative depth-first walk up the parent links, roots in ascending
-    order.  The cycle is reported in arrow order (each listed vertex is a
-    parent of the next, the last wrapping to the first), rotated to start
-    at its smallest vertex.
-    """
-    color = [0] * n  # 0 unvisited, 1 on the walk, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = 1
-        trail = [root]
-        pending = [iter(parents[root])]
-        while pending:
-            for p in pending[-1]:
-                if color[p] == 1:
-                    cycle = trail[trail.index(p):]
-                    cycle.reverse()  # walk was child-to-parent; arrows run the other way
-                    at = cycle.index(min(cycle))
-                    return tuple(cycle[at:] + cycle[:at])
-                if color[p] == 0:
-                    color[p] = 1
-                    trail.append(p)
-                    pending.append(iter(parents[p]))
-                    break
-            else:
-                color[trail.pop()] = 2
-                pending.pop()
-    raise ValueError("graph is acyclic; no cycle to report")
-
-
-def reachable_from(start: int, edges: set[tuple[int, int]]) -> set[int]:
-    """All nodes reachable from ``start`` along directed edges (excluding it
-    unless it lies on a cycle)."""
+def reachable_from(starts: Iterable[int], edges: Iterable[tuple[int, int]]) -> set[int]:
+    """``starts`` and every node reachable from them along directed edges."""
     succs: dict[int, list[int]] = {}
     for u, v in edges:
         succs.setdefault(u, []).append(v)
-    seen: set[int] = set()
-    frontier = [start]
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
         v = frontier.pop()
         for w in succs.get(v, ()):

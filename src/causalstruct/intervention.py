@@ -90,7 +90,7 @@ def affected_variables(ordering: CausalOrdering, changed_equation: int) -> froze
     mechanisms.
     """
     start = ordering.cluster_of_equation(changed_equation)
-    hit = {start} | reachable_from(start, set(ordering.cluster_edges))
+    hit = reachable_from((start,), ordering.cluster_edges)
     result: set[int] = set()
     for ci in hit:
         result |= ordering.clusters[ci].variables
@@ -139,10 +139,7 @@ def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
         i for i, (a, b) in enumerate(zip(before.nodes, twins))
         if a.cpt != b.cpt or tuple(at[p] for p in a.parents) != b.parents
     ]
-    edges = before.edges
-    affected = set(changed)
-    for i in changed:
-        affected |= reachable_from(i, edges)
+    affected = reachable_from(changed, before.edges)
     return {
         name: max(abs(x - y) for x, y in zip(before_marg[i], after_marg[at[i]]))
         if i in affected else 0.0

@@ -395,7 +395,17 @@ class TestSample:
         code, out, err = run(["sample", path, "--count", "10"], capsys)
         assert code == 1
         assert out == ""
-        assert err == f"error:cyclic: cycle through nodes {list(range(RING))}\n"
+        assert err == "error:cyclic: cycle through " + " -> ".join(v for v, _ in ring_names()) + "\n"
+
+    def test_names_a_two_variable_cycle(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        equations = [
+            {"target": "rain", "parents": ["wet"], "thresholds": [[0.5, 1.0]] * 2},
+            {"target": "wet", "parents": ["rain"], "thresholds": [[0.5, 1.0]] * 2},
+        ]
+        path.write_text(json.dumps({"equations": equations}))
+        code, out, err = run(["sample", path, "--count", "10"], capsys)
+        assert (code, out, err) == (1, "", "error:cyclic: cycle through rain -> wet\n")
 
 
 class TestIntervene:

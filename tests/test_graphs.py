@@ -2,16 +2,17 @@
 
 Every helper keeps its own stack, so chains and rings thousands of vertices
 deep must work like short ones.  The recursive depth-first search in
-``oracles`` is the reference for which cycle ``find_cycle`` reports; it is
-only run on small graphs, where its recursion stays shallow.
+``oracles`` is the reference for which cycle ``topological_order`` reports;
+it is only run on graphs of at most 300 vertices, where its recursion stays
+shallow.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from causalstruct import Bbn, BbnNode, CycleError, validate
+from causalstruct import graphs
 from causalstruct.graphs import (
-    find_cycle,
     strongly_connected_components,
     topological_order,
     topological_prefix,
@@ -66,15 +67,55 @@ def ring_network(path):
     )
 
 
-@given(digraphs())
-def test_find_cycle_equals_the_recursive_reference(parents):
+def smallest_order(parents):
+    """The smallest-index-first topological order, by repeated scans."""
+    order: list[int] = []
+    while len(order) < len(parents):
+        placed = set(order)
+        order.append(
+            min(v for v, ps in enumerate(parents) if v not in placed and placed.issuperset(ps))
+        )
+    return order
+
+
+def assert_cycle_is_the_reference(parents):
     try:
         expected = recursive_find_cycle(len(parents), parents)
     except ValueError:
-        with pytest.raises(ValueError):
-            find_cycle(len(parents), parents)
+        assert topological_order(len(parents), parents) == smallest_order(parents)
         return
-    assert find_cycle(len(parents), parents) == expected
+    with pytest.raises(CycleError) as info:
+        topological_order(len(parents), parents)
+    assert info.value.members == expected
+
+
+# Lists may repeat a vertex or name the vertex itself: repeated edges and self-loops.
+@given(digraphs())
+@example([[0]])
+@example([[1, 1], [0]])
+def test_reported_cycle_equals_the_recursive_reference(parents):
+    assert_cycle_is_the_reference(parents)
+
+
+@given(digraphs(max_n=300))
+@settings(max_examples=60, deadline=None)
+def test_reported_cycle_equals_the_recursive_reference_up_to_300_vertices(parents):
+    assert_cycle_is_the_reference(parents)
+
+
+def test_a_cyclic_order_runs_one_kahn_pass(monkeypatch):
+    calls = []
+    original = graphs.topological_prefix
+
+    def counted(n, parents):
+        calls.append(n)
+        return original(n, parents)
+
+    monkeypatch.setattr(graphs, "topological_prefix", counted)
+    with pytest.raises(CycleError) as info:
+        topological_order(4, [[], [0, 3], [1], [2]])
+    assert info.value.members == (1, 2, 3)
+    assert calls == [4]
 
 
 @given(paths())
@@ -84,8 +125,6 @@ def test_chains_sort_in_path_order_and_have_no_cycle(path):
     parents = chain_parents(path)
     assert topological_order(len(path), parents) == path
     assert topological_prefix(len(path), parents) == path
-    with pytest.raises(ValueError):
-        find_cycle(len(path), parents)
 
 
 @given(paths())
@@ -93,12 +132,10 @@ def test_chains_sort_in_path_order_and_have_no_cycle(path):
 @settings(max_examples=30, deadline=None)
 def test_rings_report_the_whole_ring_in_arrow_order(path):
     parents = ring_parents(path)
-    expected = rotated_to_min(path)
-    assert find_cycle(len(path), parents) == expected
     assert topological_prefix(len(path), parents) == []
     with pytest.raises(CycleError) as info:
         topological_order(len(path), parents)
-    assert info.value.members == expected
+    assert info.value.members == rotated_to_min(path)
 
 
 @given(paths(), st.integers(1, 50))
@@ -111,7 +148,9 @@ def test_prefix_stops_at_a_ring_and_everything_below_it(path, ring_size):
     cut = len(path) // 2
     parents[path[cut]].append(ring[0])
     assert topological_prefix(len(parents), parents) == path[:cut]
-    assert find_cycle(len(parents), parents) == tuple(ring)
+    with pytest.raises(CycleError) as info:
+        topological_order(len(parents), parents)
+    assert info.value.members == tuple(ring)
 
 
 @given(paths())

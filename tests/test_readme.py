@@ -6,6 +6,7 @@ import causalstruct
 from causalstruct.cli import build_parser
 
 README = Path(__file__).parent.parent / "README.md"
+CLI = Path(causalstruct.__file__).parent / "cli.py"
 
 
 def test_every_name_the_readme_imports_is_exported():
@@ -32,3 +33,11 @@ def test_library_example_runs_from_the_repo_root(monkeypatch, capsys):
     monkeypatch.chdir(README.parent)
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == "0 ['d']\n1 ['a']\n2 ['m']\n"
+
+
+def test_error_categories_are_exactly_those_the_cli_prints():
+    (listed,) = re.findall(r"\(categories: (.*?)\)", README.read_text(), re.S)
+    documented = set(re.findall(r"`([^`]+)`", listed))
+    printed = set(re.findall(r"error:([a-z-]+)", CLI.read_text()))
+    assert documented
+    assert documented == printed
