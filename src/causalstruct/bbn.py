@@ -64,38 +64,58 @@ def _probability(model, assignment: Sequence[int]) -> float:
     return p
 
 
-def _joint(model) -> list[float]:
-    """``_probability`` of every assignment, in ``assignments()`` order.
-
-    The table grows one variable at a time.  A factor is multiplied in once
-    it and every earlier factor can be read off the variables placed so far,
-    so assignments that share a prefix share its partial product while each
-    value is still formed in node-index order, starting from 1.0.  Raises
-    ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` assignments.
-    """
-    plan = model._plan
-    counts = model.outcome_counts()
-    total = math.prod(counts)
+def _require_enumerable(total: int) -> None:
+    """Raise ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` assignments."""
     if total > MAX_ENUMERABLE_CONFIGURATIONS:
         raise ValueError(
             f"{total} joint configurations exceed the enumeration bound "
             f"{MAX_ENUMERABLE_CONFIGURATIONS}"
         )
-    values = [1.0]
+
+
+def _joint(plans, counts, nodes=None) -> list[list[float]]:
+    """Per plan, the product of its factors for every assignment of ``nodes``.
+
+    ``nodes`` (default: every variable) lists an ancestrally closed set of
+    variables in ascending order, so their factors read only variables in
+    it.  Each joint is in ``product`` order over ``nodes``; over every
+    variable it holds ``_probability`` of each assignment, in
+    ``assignments()`` order.  All ``plans`` must have the same parent lists:
+    each factor's table offsets are generated once and read from every
+    plan's table.
+
+    Each joint grows one variable at a time.  A factor is multiplied in once
+    it and every earlier factor can be read off the variables placed so far,
+    so assignments that share a prefix share its partial product while each
+    value is still formed in node-index order, starting from 1.0.  Raises
+    ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` assignments.
+    """
+    nodes = range(len(counts)) if nodes is None else nodes
+    radices = [counts[v] for v in nodes]
+    _require_enumerable(math.prod(radices))
+    at = {v: j for j, v in enumerate(nodes)}
+    factors = [[plan[v] for v in nodes] for plan in plans]
+    parents = [[at[p] for p in factor.parents] for factor in factors[0]]
+    joints = [[1.0] for _ in plans]
     m = 0
-    for depth, k in enumerate(counts):
-        values = list(chain.from_iterable(map(repeat, values, repeat(k))))
-        while m < len(plan) and max((m, *plan[m].parents)) <= depth:
+    # Each joint is replaced in place, so at most one old list outlives its successor.
+    for depth, k in enumerate(radices):
+        for i in range(len(joints)):
+            joints[i] = list(chain.from_iterable(map(repeat, joints[i], repeat(k))))
+        while m < len(nodes) and max((m, *parents[m])) <= depth:
             # The table offset of each placed assignment, summed from per-variable parts.
             weights = [0] * (depth + 1)
             weights[m] = 1
-            for p, s in zip(plan[m].parents, plan[m].strides):
-                weights[p] += s * counts[m]
-            parts = (range(0, c * w, w) if w else (0,) * c for c, w in zip(counts, weights))
-            entries = map(plan[m].table.__getitem__, map(sum, product(*parts)))
-            values = list(map(mul, values, entries))
+            for p, s in zip(parents[m], factors[0][m].strides):
+                weights[p] += s * radices[m]
+            parts = (range(0, c * w, w) if w else (0,) * c for c, w in zip(radices, weights))
+            offsets = map(sum, product(*parts))
+            if len(plans) > 1:
+                offsets = list(offsets)  # read once per plan
+            for i, plan in enumerate(factors):
+                joints[i] = list(map(mul, joints[i], map(plan[m].table.__getitem__, offsets)))
             m += 1
-    return values
+    return joints
 
 
 @dataclass(frozen=True)
@@ -308,12 +328,24 @@ def marginals(bbn: Bbn) -> list[list[float]]:
     assignments giving that variable that outcome.  Raises ``ValueError``
     beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` joint configurations.
     """
-    joint = _joint(bbn)
+    return _marginals(bbn, range(bbn.n), range(bbn.n))
+
+
+def _marginals(bbn: Bbn, variables, nodes: Sequence[int]) -> list[list[float]]:
+    """``marginals`` of ``variables``, enumerating only ``nodes``.
+
+    ``nodes`` is ascending, holds ``variables`` and is ancestrally closed.
+    """
+    counts = bbn.outcome_counts()
+    (joint,) = _joint((bbn._plan,), counts, nodes)
+    radices = [counts[v] for v in nodes]
+    position = {v: j for j, v in enumerate(nodes)}
     total = len(joint)
     result = []
-    block = total  # assignments per run of this variable's outcomes
-    for k in bbn.outcome_counts():
-        stride = block // k
+    for v in variables:
+        j = position[v]
+        block = math.prod(radices[j:])  # assignments per run of this variable's outcomes
+        stride = block // radices[j]
         cells = []
         for start in range(0, block, stride):
             if stride <= total // block:
@@ -322,7 +354,6 @@ def marginals(bbn: Bbn) -> list[list[float]]:
                 parts = (joint[s:s + stride] for s in range(start, total, block))
             cells.append(math.fsum(chain.from_iterable(parts)))
         result.append(cells)
-        block = stride
     return result
 
 

@@ -9,10 +9,11 @@ degenerate one-hot case covering value-fixing interventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bbn import Bbn, BbnNode, marginals, validate
+from .bbn import Bbn, BbnNode, _marginals, _require_enumerable, validate
 from .errors import NotSelfContainedError
 from .graphs import reachable_from
 from .ordering import CausalOrdering
@@ -114,15 +115,24 @@ def intervene_bbn(bbn: Bbn, node: int, dist: Sequence[float]) -> Bbn:
     return Bbn(tuple(nodes))
 
 
+def _ancestral(bbn: Bbn, variables) -> set[int]:
+    """``variables`` and every ancestor of one of them."""
+    arcs_up = ((child, p) for child, node in enumerate(bbn.nodes) for p in node.parents)
+    return reachable_from(variables, arcs_up)
+
+
 def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
     """Per-variable max absolute marginal gap.
 
     A variable is unaffected when neither it nor any ancestor has a changed
     mechanism (parents by name, or table); its marginal is the same in both
-    networks and its gap is exactly 0.0.  The other gaps come from exact
-    enumeration.  Raises ``ValueError`` beyond
-    ``MAX_ENUMERABLE_CONFIGURATIONS`` joint configurations, before
-    enumerating either network.
+    networks and its gap is exactly 0.0.  Each affected marginal is fixed by
+    the mechanisms of its ancestors alone, so each network is enumerated
+    only over the ancestors of its affected variables (barren-node removal,
+    Shachter 1986); a gap agrees with full enumeration within 1e-12.  Raises
+    ``ValueError`` when either pruned enumeration passes
+    ``MAX_ENUMERABLE_CONFIGURATIONS`` configurations, before enumerating
+    either network.
     """
     names = [node.name for node in before.nodes]
     if set(names) != {node.name for node in after.nodes}:
@@ -132,16 +142,20 @@ def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
     for name, a, b in zip(names, before.nodes, twins):
         if a.outcomes != b.outcomes:
             raise ValueError(f"outcome space of {name!r} differs between networks")
-    before_marg = marginals(before)
-    after_marg = marginals(after)
+    before._plan, after._plan  # refuse an invalid network before bounding its enumeration
     # A mechanism changed when its table or its parents, mapped into after, differ.
     changed = [
         i for i, (a, b) in enumerate(zip(before.nodes, twins))
         if a.cpt != b.cpt or tuple(at[p] for p in a.parents) != b.parents
     ]
-    affected = reachable_from(changed, before.edges)
-    return {
-        name: max(abs(x - y) for x, y in zip(before_marg[i], after_marg[at[i]]))
-        if i in affected else 0.0
-        for i, name in enumerate(names)
-    }
+    affected = sorted(reachable_from(changed, before.edges))
+    sides = []
+    for bbn, moved in ((before, affected), (after, [at[i] for i in affected])):
+        nodes = sorted(_ancestral(bbn, moved))
+        _require_enumerable(math.prod(bbn.nodes[v].outcome_count for v in nodes))
+        sides.append((bbn, moved, nodes))
+    before_marg, after_marg = (_marginals(*side) for side in sides)
+    gaps = {name: 0.0 for name in names}
+    for i, a, b in zip(affected, before_marg, after_marg):
+        gaps[names[i]] = max(abs(x - y) for x, y in zip(a, b))
+    return gaps

@@ -28,7 +28,7 @@ from .matching import maximum_matching
 from .structure import StructureMatrix, check_system, precedence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cluster:
     """A minimal self-contained subset: equations, their variables, order."""
 
@@ -89,32 +89,34 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
 
     # Tarjan finishes a component only after every component it reaches, so
     # over parent lists each cluster's predecessors are already numbered.
-    raw: list[Cluster] = []
-    comp_edges = set()
+    comps = strongly_connected_components(matrix.n, parents)
     cluster_of = [0] * matrix.n
-    for ci, comp in enumerate(strongly_connected_components(matrix.n, parents)):
+    orders: list[int] = []
+    cross = []  # (parent, equation) pairs in different clusters
+    for ci, comp in enumerate(comps):
         for e in comp:
             cluster_of[e] = ci
-        preds = {cluster_of[p] for e in comp for p in parents[e]} - {ci}
-        comp_edges.update((p, ci) for p in preds)
-        order = max((raw[p].order + 1 for p in preds), default=0)
-        raw.append(Cluster(frozenset(comp), frozenset(match[e] for e in comp), order))
+        order = 0
+        for e in comp:
+            for p in parents[e]:
+                if cluster_of[p] != ci:
+                    cross.append((p, e))
+                    order = max(order, orders[cluster_of[p]] + 1)
+        orders.append(order)
+    variables = [frozenset(match[e] for e in comp) for comp in comps]
 
-    by_canonical = sorted(range(len(raw)), key=lambda ci: (raw[ci].order, min(raw[ci].variables)))
-    clusters = tuple(raw[ci] for ci in by_canonical)
-    new_index = {old: new for new, old in enumerate(by_canonical)}
-    cluster_edges = frozenset((new_index[a], new_index[b]) for a, b in comp_edges)
-
-    variable_edges = set()
-    for cluster in clusters:
-        for e in cluster.equations:
-            for u in matrix.rows[e] - cluster.variables:
-                variable_edges.update((u, w) for w in cluster.variables)
+    canonical = sorted(range(len(comps)), key=lambda ci: (orders[ci], min(variables[ci])))
+    position = [0] * len(comps)
+    for new, ci in enumerate(canonical):
+        position[ci] = new
+    clusters = tuple(Cluster(frozenset(comps[ci]), variables[ci], orders[ci]) for ci in canonical)
+    cluster_edges = {(position[cluster_of[p]], position[cluster_of[e]]) for p, e in cross}
+    variable_edges = {(match[p], w) for p, e in cross for w in variables[cluster_of[e]]}
 
     return CausalOrdering(
         matrix=matrix,
         clusters=clusters,
-        cluster_edges=cluster_edges,
+        cluster_edges=frozenset(cluster_edges),
         variable_edges=frozenset(variable_edges),
     )
 

@@ -239,16 +239,28 @@ def sem_joint(sem: ThresholdEquationSystem, assignment: Sequence[int]) -> float:
 
 
 def check_equivalence(bbn: Bbn, sem: ThresholdEquationSystem) -> float:
-    """Max absolute joint-probability gap between network and equation system."""
+    """Max absolute joint-probability gap between network and equation system.
+
+    Both joints are enumerated in full, each value formed exactly as
+    ``joint_probability`` and ``sem_joint`` form it.  When every equation
+    has its node's parents, as in ``bbn_to_sem`` output, one pass builds
+    both joints; otherwise the same pass runs once per model.  Raises
+    ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` configurations.
+    """
     bbn._plan  # compiling the plan refuses an invalid network before anything else
     if tuple(node.name for node in bbn.nodes) != sem.variable_names:
         raise ValueError("network and equation system name different variables")
     counts = bbn.outcome_counts()
     if counts != sem.outcome_counts():
         raise ValueError("network and equation system disagree on outcome counts")
+    plans = (bbn._plan, sem._plan)
+    if all(node.parents == eq.parents for node, eq in zip(bbn.nodes, sem.equations)):
+        joints = _joint(plans, counts)
+    else:
+        joints = [joint for plan in plans for joint in _joint((plan,), counts)]
     # Both joints are finite: validate and ThresholdEquation refuse
     # non-finite entries, so no NaN gap can hide from max.
-    return max(map(abs, map(sub, _joint(bbn), _joint(sem))))
+    return max(map(abs, map(sub, *joints)))
 
 
 def sample(

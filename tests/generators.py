@@ -125,3 +125,10 @@ def independent_binary_network(n: int) -> Bbn:
     return Bbn(
         tuple(BbnNode(f"c{i}", ("h", "t"), (), ((0.5, 0.5),)) for i in range(n))
     )
+
+
+def binary_chain_network(n: int) -> Bbn:
+    """``n`` binary nodes in a chain: the last one's ancestors span 2**n configurations."""
+    first = BbnNode("c0", ("h", "t"), (), ((0.5, 0.5),))
+    rest = (BbnNode(f"c{i}", ("h", "t"), (i - 1,), ((0.9, 0.1), (0.2, 0.8))) for i in range(1, n))
+    return Bbn((first, *rest))

@@ -23,7 +23,7 @@ from causalstruct import (
     validate,
 )
 
-from generators import independent_binary_network, random_bbn
+from generators import binary_chain_network, independent_binary_network, random_bbn
 
 
 def binary(name, parents, rows):
@@ -175,6 +175,7 @@ PROBABILITY_OPERATIONS = {
     "check_equivalence": lambda bbn: check_equivalence(bbn, bbn_to_sem(_valid_twin(bbn))),
     "compare_marginals before": lambda bbn: compare_marginals(bbn, _valid_twin(bbn)),
     "compare_marginals after": lambda bbn: compare_marginals(_valid_twin(bbn), bbn),
+    "compare_marginals unchanged": lambda bbn: compare_marginals(bbn, bbn),
     "bbn_to_sem": bbn_to_sem,
     "roundtrip_check": roundtrip_check,
 }
@@ -210,6 +211,15 @@ class TestValidityGate:
         other = bbn_to_sem(Bbn((binary("z", (), ((0.5, 0.5),)),)))
         with pytest.raises(InvalidBbnError, match="row-sum"):
             check_equivalence(INVALID_NETWORKS["row-sum"], other)
+
+    def test_compare_marginals_refuses_before_the_enumeration_bound(self):
+        # The last node's ancestors span 2**21 configurations, past the bound.
+        chain = binary_chain_network(21)
+        last = chain.nodes[20]
+        broken_last = BbnNode(last.name, last.outcomes, last.parents, ((0.9, 0.9),) * 2)
+        broken = Bbn((*chain.nodes[:20], broken_last))
+        with pytest.raises(InvalidBbnError, match="row-sum"):
+            compare_marginals(broken, chain)
 
 
 class TestTopologicalOrder:

@@ -27,7 +27,7 @@ from causalstruct import (
 from causalstruct.cli import main
 
 from conftest import DATA
-from generators import independent_binary_network, random_bbn
+from generators import binary_chain_network, independent_binary_network, random_bbn
 
 
 RING = 3000
@@ -453,15 +453,27 @@ class TestIntervene:
         assert err.startswith("error:usage:")
 
     def test_network_past_the_enumeration_bound(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        save_bbn(binary_chain_network(21), path)
+        out_path = tmp_path / "after.json"
+        code, out, err = run(
+            ["intervene", path, "--node", "c20", "--dist", "1,0", "--out", out_path], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:usage:") and "enumeration bound" in err
+        assert not out_path.exists()
+
+    def test_only_the_cut_node_is_enumerated(self, capsys, tmp_path):
+        # 2**40 joint configurations, of which the cut coin's ancestors span 2.
         path = tmp_path / "coins.json"
         save_bbn(independent_binary_network(40), path)
         out_path = tmp_path / "after.json"
         code, out, err = run(
             ["intervene", path, "--node", "c0", "--dist", "1,0", "--out", out_path], capsys
         )
-        assert code == 2
-        assert err.startswith("error:usage:") and "enumeration bound" in err
-        assert not out_path.exists()
+        assert code == 0
+        assert out.splitlines()[1:3] == ["c0        5.000e-01", "c1        0.000e+00"]
+        assert load_bbn(out_path) == intervene_bbn(independent_binary_network(40), 0, (1.0, 0.0))
 
     def test_missing_dist_flag(self, capsys, tmp_path):
         code, out, err = run(

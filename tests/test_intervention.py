@@ -22,6 +22,7 @@ from causalstruct import (
 )
 
 from generators import (
+    binary_chain_network,
     independent_binary_network,
     random_bbn,
     random_distribution,
@@ -204,9 +205,21 @@ class TestCompareMarginals:
         assert deltas["y"] == pytest.approx(0.3, abs=1e-12)
 
     def test_refused_past_the_enumeration_bound(self):
-        before = independent_binary_network(40)
+        # The last node's ancestors span 2**21 configurations before the cut.
+        before = binary_chain_network(21)
         with pytest.raises(ValueError, match="enumeration bound"):
-            compare_marginals(before, intervene_bbn(before, 0, (1.0, 0.0)))
+            compare_marginals(before, intervene_bbn(before, 20, (1.0, 0.0)))
+
+    def test_only_the_cut_coin_moves(self):
+        before = independent_binary_network(18)
+        deltas = compare_marginals(before, intervene_bbn(before, 17, (1.0, 0.0)))
+        assert deltas == {**{f"c{i}": 0.0 for i in range(17)}, "c17": 0.5}
+
+    def test_the_bound_applies_to_the_pruned_enumeration(self):
+        # 2**40 joint configurations, of which the cut coin's ancestors span 2.
+        before = independent_binary_network(40)
+        deltas = compare_marginals(before, intervene_bbn(before, 0, (1.0, 0.0)))
+        assert deltas == {"c0": 0.5, **{f"c{i}": 0.0 for i in range(1, 40)}}
 
     def test_mismatched_variable_sets(self, xy_bbn):
         smaller = intervene_bbn(xy_bbn, 0, (1.0, 0.0))
