@@ -387,8 +387,8 @@ def bbn_from_dict(doc: object) -> Bbn:
         )
         try:
             nodes.append(BbnNode(name, tuple(outcomes), parents, rows))
-        except ValueError as exc:
-            raise FormatError(f"node {name!r}: {exc}") from None
+        except ValueError as exc:  # its message names the node
+            raise FormatError(str(exc)) from None
     return Bbn(tuple(nodes))
 
 

@@ -2,7 +2,18 @@
 
 Augmenting-path (Kuhn) matching is ample for desk-scale systems; rows and
 adjacency lists are visited in ascending index order so results, and the
-Hall violators derived from them, are deterministic.
+Hall violators derived from them, are deterministic.  The search recurses
+one Python frame per augmenting-path step, so a path longer than the
+interpreter's recursion limit (about 1000) raises ``RecursionError``; that
+is why the benchmark's chain-1500 and dag-8000 systems fail (ROADMAP item 2
+replaces the search).
+
+A failed search visits every column reachable from its row along
+alternating paths, and each of those columns is matched, so no later
+augmenting path can enter that reach and leave it at a free column.  The
+reach of the first failed search is therefore final: its columns are the
+union of its rows, and it has one more row than columns.  It is the Hall
+violator the matching returns.
 """
 
 from __future__ import annotations
@@ -10,15 +21,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def maximum_matching(n_right: int, adjacency: Sequence[Sequence[int]]) -> list[int]:
+def maximum_matching(
+    n_right: int, adjacency: Sequence[Sequence[int]]
+) -> tuple[list[int], tuple[frozenset[int], frozenset[int]] | None]:
     """Match each left vertex to a distinct right vertex where possible.
 
     ``adjacency[i]`` lists the right vertices reachable from left vertex
-    ``i``.  Returns ``match`` with ``match[i]`` the right vertex assigned to
-    left vertex ``i``, or -1 if ``i`` is unmatched.
+    ``i``.  Returns ``(match, reach)``: ``match[i]`` is the right vertex
+    assigned to left vertex ``i``, or -1 if ``i`` is unmatched; ``reach`` is
+    None when every left vertex is matched, and otherwise the left and right
+    vertices that the lowest unmatched left vertex's failed search visited.
     """
     match_left = [-1] * len(adjacency)
     match_right = [-1] * n_right
+    reach = None
 
     def try_augment(i: int, seen: set[int]) -> bool:
         for j in adjacency[i]:
@@ -32,36 +48,7 @@ def maximum_matching(n_right: int, adjacency: Sequence[Sequence[int]]) -> list[i
         return False
 
     for i in range(len(adjacency)):
-        try_augment(i, set())
-    return match_left
-
-
-def hall_violator(adjacency: Sequence[Sequence[int]], match_left: Sequence[int]) -> frozenset[int]:
-    """Extract a set of left vertices with fewer neighbours than members.
-
-    Requires an unmatched left vertex under a maximum matching.  Starting
-    from the lowest such vertex, alternating reachability (left -> neighbour
-    -> neighbour's match) closes over a set whose joint neighbourhood is one
-    smaller than the set itself.
-    """
-    unmatched = [i for i, j in enumerate(match_left) if j == -1]
-    if not unmatched:
-        raise ValueError("matching saturates the left side; no violator exists")
-    match_right: dict[int, int] = {j: i for i, j in enumerate(match_left) if j != -1}
-
-    lefts = {unmatched[0]}
-    frontier = [unmatched[0]]
-    seen_right: set[int] = set()
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in adjacency[i]:
-                if j in seen_right:
-                    continue
-                seen_right.add(j)
-                owner = match_right.get(j)
-                if owner is not None and owner not in lefts:
-                    lefts.add(owner)
-                    nxt.append(owner)
-        frontier = nxt
-    return frozenset(lefts)
+        seen: set[int] = set()
+        if not try_augment(i, seen) and reach is None:
+            reach = (frozenset([i, *(match_right[j] for j in seen)]), frozenset(seen))
+    return match_left, reach

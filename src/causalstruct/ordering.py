@@ -84,7 +84,7 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
     if not report.self_contained:
         raise NotSelfContainedError(report.describe(), report)
 
-    match = maximum_matching(matrix.n, [sorted(row) for row in matrix.rows])
+    match, _ = maximum_matching(matrix.n, [sorted(row) for row in matrix.rows])
     parents = precedence(matrix, match)
 
     # Tarjan finishes a component only after every component it reaches, so

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .matching import hall_violator, maximum_matching
+from .matching import maximum_matching
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,6 @@ class EquationSubset:
     equations: frozenset[int]
     variables: frozenset[int]
 
-    @staticmethod
-    def of(matrix: StructureMatrix, equations: Iterable[int]) -> EquationSubset:
-        eqs = frozenset(equations)
-        return EquationSubset(eqs, variables_of(matrix, eqs))
-
     def describe(self, matrix: StructureMatrix) -> str:
         eqs = ", ".join(matrix.equation_labels[e] for e in sorted(self.equations))
         vs = ", ".join(matrix.variable_names[v] for v in sorted(self.variables))
@@ -148,11 +143,15 @@ class EquationSubset:
 
 @dataclass(frozen=True)
 class SystemReport:
-    """Outcome of ``check_system`` with a witness when the check fails.
+    """Outcome of ``check_system`` with witnesses when the check fails.
 
-    At most one failure is needed to reject a system, but both witness kinds
-    are reported when both can be derived.  ``matching[e]`` is the variable
-    a maximum matching gives equation e, or -1 if none.
+    A system that is not self-contained always has a ``violation``: the
+    first equation, in file order, that a maximum matching leaves unmatched,
+    with every equation reachable from it along alternating paths.  It has
+    exactly one more equation than variables.  ``unused_variables`` lists
+    the variables in no equation, which only such a system can have.
+    ``matching[e]`` is the variable the matching gives equation e, or -1 if
+    none.
     """
 
     matrix: StructureMatrix
@@ -191,24 +190,22 @@ def variables_of(matrix: StructureMatrix, subset: Iterable[int]) -> frozenset[in
 def check_system(matrix: StructureMatrix) -> SystemReport:
     """Diagnose whether the full system is self-contained.
 
-    On failure the report carries a variable that occurs in no equation
-    and/or an equation subset with fewer variables than equations (a Hall
-    violator recovered from the failed matching).
+    The system is self-contained exactly when the maximum matching is
+    perfect.  Otherwise the violation is the reach of the matching's first
+    failed augmenting search: the lowest unmatched equation and every
+    equation reachable from it along alternating paths.  Only then can a
+    variable occur in no equation, so only then are the rows scanned for one.
     """
-    used = variables_of(matrix, range(matrix.n))
-    unused = tuple(v for v in range(matrix.n) if v not in used)
-
-    adjacency = [sorted(row) for row in matrix.rows]
-    match = maximum_matching(matrix.n, adjacency)
+    match, reach = maximum_matching(matrix.n, [sorted(row) for row in matrix.rows])
+    unused: tuple[int, ...] = ()
     violation = None
-    if any(j == -1 for j in match):
-        violating = hall_violator(adjacency, match)
-        violation = EquationSubset.of(matrix, violating)
-
-    ok = not unused and violation is None
+    if reach is not None:
+        used = variables_of(matrix, range(matrix.n))
+        unused = tuple(v for v in range(matrix.n) if v not in used)
+        violation = EquationSubset(*reach)
     return SystemReport(
         matrix=matrix,
-        self_contained=ok,
+        self_contained=reach is None,
         unused_variables=unused,
         violation=violation,
         matching=tuple(match),

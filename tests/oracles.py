@@ -160,6 +160,27 @@ def brute_self_contained_subsets(matrix: StructureMatrix) -> set[frozenset[int]]
     return result
 
 
+def surplus_core(matrix: StructureMatrix) -> frozenset[int]:
+    """Intersection of the equation subsets of largest surplus, by enumeration.
+
+    A subset's surplus is its number of equations minus the number of
+    variables it mentions; the empty subset has surplus 0.
+    """
+    n = matrix.n
+    masks = row_masks(matrix)
+    union = [0] * (1 << n)
+    best, core = 0, 0
+    for s in range(1, 1 << n):
+        low = (s & -s).bit_length() - 1
+        union[s] = union[s & (s - 1)] | masks[low]
+        surplus = s.bit_count() - union[s].bit_count()
+        if surplus > best:
+            best, core = surplus, s
+        elif surplus == best:
+            core &= s
+    return frozenset(i for i in range(n) if core >> i & 1)
+
+
 def naive_causal_ordering(matrix: StructureMatrix):
     """Step-by-step identification of minimal self-contained subsets.
 

@@ -16,7 +16,7 @@ from causalstruct import (
 
 from conftest import DATA
 from generators import random_self_contained_system, random_square_matrix, subsystem
-from oracles import brute_is_self_contained, brute_self_contained_subsets
+from oracles import brute_is_self_contained, brute_self_contained_subsets, surplus_core
 
 
 def names(matrix, variables):
@@ -100,6 +100,13 @@ class TestIsSelfContained:
                 )
 
 
+def random_reports(rng, count=600):
+    """``check_system`` reports of random square systems, n <= 8, of varied fill."""
+    for _ in range(count):
+        matrix = random_square_matrix(rng, max_n=8, fill=rng.uniform(0.1, 0.5))
+        yield matrix, check_system(matrix)
+
+
 class TestCheckSystem:
     def test_extended_model_is_self_contained(self, model5):
         report = check_system(model5)
@@ -132,6 +139,39 @@ class TestCheckSystem:
             seen += 1
             assert len(report.violation.variables) < len(report.violation.equations)
             assert not brute_is_self_contained(matrix, report.violation.equations)
+
+    def test_violator_grows_from_the_first_unmatched_equation(self):
+        for matrix, report in random_reports(random.Random(12)):
+            if report.self_contained:
+                continue
+            violation = report.violation
+            assert report.matching.index(-1) in violation.equations
+            assert violation.variables == variables_of(matrix, violation.equations)
+            assert len(violation.equations) == len(violation.variables) + 1
+
+    def test_violator_is_the_surplus_core(self):
+        rng = random.Random(13)
+        seen = {0: 0, 1: 0, 2: 0}
+        for matrix, report in random_reports(rng):
+            core = surplus_core(matrix)
+            surplus = len(core) - len(variables_of(matrix, core))
+            seen[min(surplus, 2)] += 1
+            if report.self_contained:
+                assert core == frozenset()
+                continue
+            violation = report.violation
+            if surplus > 1:
+                assert violation.equations <= core
+                continue
+            assert violation.equations == core
+            # With one equation left over the violator does not depend on
+            # the matching, so renumbering rows and columns only renames it.
+            rows = rng.sample(range(matrix.n), matrix.n)
+            cols = rng.sample(range(matrix.n), matrix.n)
+            moved = check_system(matrix.permuted(rows, cols)).violation
+            assert {rows[e] for e in moved.equations} == violation.equations
+            assert {cols[v] for v in moved.variables} == violation.variables
+        assert min(seen.values()) >= 50
 
     def test_intersection_closure_on_self_contained_systems(self):
         rng = random.Random(99)
