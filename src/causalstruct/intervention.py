@@ -10,26 +10,28 @@ degenerate one-hot case covering value-fixing interventions.
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 from .bbn import Bbn, BbnNode, _marginals, _require_enumerable, validate
-from .errors import NotSelfContainedError
 from .graphs import reachable_from
 from .ordering import CausalOrdering
-from .structure import StructureMatrix, check_system
+from .structure import StructureMatrix, _require_self_contained
 
 CHANGE_KINDS = ("replace_equation", "add_exogenous_variable")
 
 
 @dataclass(frozen=True)
 class StructuralChange:
-    """One edit to a system's equations.
+    """One edit to a system's equations: a new row for one equation.
 
-    ``replace_equation``: ``target`` is an equation label, ``vars`` the new
+    ``replace_equation``: ``target`` is an equation label, ``vars`` its new
     participation row.  ``add_exogenous_variable``: ``target`` is the new
     variable's name, ``vars`` the row of its defining equation (it may
-    mention the new variable itself).
+    mention the new variable itself); that equation is labelled ``e{k}``
+    for the least k above the old number of equations whose label is free.
     """
 
     kind: str
@@ -42,44 +44,32 @@ class StructuralChange:
 
 
 def apply_change(matrix: StructureMatrix, change: StructuralChange) -> StructureMatrix:
-    """Apply an equation-side change and re-check self-containment.
+    """Replace row e by the change's row and re-check self-containment.
 
-    Raises ``NotSelfContainedError`` with the witness report when the edit
-    breaks the system.
+    For ``replace_equation`` e is the target equation; for
+    ``add_exogenous_variable`` e = n, a new row whose variable and label are
+    appended.  Raises ``KeyError`` for an unknown target equation,
+    ``ValueError`` for an added variable that already exists, an unknown
+    variable in the row, or an empty row, and ``NotSelfContainedError``, with
+    ``check_system``'s report, when the edited system is not self-contained.
     """
+    names, labels, added = matrix.variable_names, matrix.equation_labels, {}
     if change.kind == "replace_equation":
         e = matrix.equation_index(change.target)
-        row = frozenset(matrix.variable_index(name) for name in change.vars)
-        if not row:
-            raise ValueError("replacement row must mention at least one variable")
-        rows = list(matrix.rows)
-        rows[e] = row
-        edited = StructureMatrix(matrix.variable_names, matrix.equation_labels, tuple(rows))
     else:
-        if change.target in matrix.variable_names:
+        if change.target in matrix._name_to_var:
             raise ValueError(f"variable {change.target!r} already exists")
-        names = matrix.variable_names + (change.target,)
-        label = f"e{matrix.n + 1}"
-        if label in matrix.equation_labels:
-            raise ValueError(f"generated equation label {label!r} already exists")
-        index = {name: i for i, name in enumerate(names)}
-        try:
-            row = frozenset(index[name] for name in change.vars)
-        except KeyError as exc:
-            raise ValueError(f"unknown variable {exc.args[0]!r} in new row") from None
-        if not row:
-            raise ValueError("defining row must mention at least one variable")
-        edited = StructureMatrix(
-            variable_names=names,
-            equation_labels=matrix.equation_labels + (label,),
-            rows=matrix.rows + (row,),
-        )
-
-    report = check_system(edited)
-    if not report.self_contained:
-        raise NotSelfContainedError(
-            f"change leaves the system {report.describe()}", report
-        )
+        e = matrix.n
+        added = {change.target: e}
+        names += (change.target,)
+        labels += (next(f"e{k}" for k in count(e + 1) if f"e{k}" not in matrix._label_to_eq),)
+    index = ChainMap(added, matrix._name_to_var)
+    try:
+        row = frozenset(index[name] for name in change.vars)
+    except KeyError as exc:
+        raise ValueError(f"unknown variable {exc.args[0]!r} in new row") from None
+    edited = StructureMatrix(names, labels, matrix.rows[:e] + (row,) + matrix.rows[e + 1:])
+    _require_self_contained(edited, "change leaves the system ")
     return edited
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import FormatError
+from .errors import FormatError, NotSelfContainedError
 from .matching import maximum_matching
 
 
@@ -210,6 +210,18 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
         violation=violation,
         matching=tuple(match),
     )
+
+
+def _require_self_contained(matrix: StructureMatrix, context: str = "") -> tuple[int, ...]:
+    """The perfect matching of a self-contained system; the structure side's one gate.
+
+    Raises ``NotSelfContainedError`` whose ``report`` is ``check_system``'s
+    and whose message is ``context`` followed by that report's description.
+    """
+    report = check_system(matrix)
+    if not report.self_contained:
+        raise NotSelfContainedError(context + report.describe(), report)
+    return report.matching
 
 
 def precedence(matrix: StructureMatrix, match: Sequence[int]) -> list[list[int]]:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CyclicStructureError, NotSelfContainedError
+from .errors import CyclicStructureError
 from .graphs import topological_prefix
-from .structure import StructureMatrix, check_system, precedence
+from .structure import StructureMatrix, _require_self_contained, precedence
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,7 @@ def triangularize(matrix: StructureMatrix) -> Triangularization:
     downstream of them), and ``NotSelfContainedError`` if the system fails
     the entry precondition.
     """
-    report = check_system(matrix)
-    if not report.self_contained:
-        raise NotSelfContainedError(report.describe(), report)
-
-    match = report.matching
+    match = _require_self_contained(matrix)
     row_perm = topological_prefix(matrix.n, precedence(matrix, match))
     if len(row_perm) != matrix.n:
         raise CyclicStructureError(frozenset(range(matrix.n)).difference(row_perm))

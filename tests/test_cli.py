@@ -86,6 +86,16 @@ class TestCheck:
         assert len(calls) == 1
 
 
+class TestSelfContainmentGate:
+    @pytest.mark.parametrize("command", ["order", "triangularize", "graph"])
+    def test_refuses_a_system_that_is_not_self_contained(self, capsys, command):
+        path = DATA / "unused_variable.json"
+        code, out, err = run([command, path], capsys)
+        report = causalstruct.check_system(load_system(path))
+        assert (code, out) == (1, "")
+        assert err == f"error:not-self-contained: {report.describe()}\n"
+
+
 class TestOrder:
     def test_chain_table(self, capsys):
         code, out, err = run(["order", DATA / "drunk_driving.json"], capsys)

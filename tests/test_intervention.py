@@ -8,6 +8,7 @@ from causalstruct import (
     BbnNode,
     NotSelfContainedError,
     StructuralChange,
+    StructureMatrix,
     affected_variables,
     apply_change,
     bbn_to_sem,
@@ -32,6 +33,9 @@ from generators import (
 
 def names(matrix, variables):
     return {matrix.variable_names[v] for v in variables}
+
+
+EDITS = [("replace_equation", "e2"), ("add_exogenous_variable", "b")]
 
 
 class TestApplyChange:
@@ -86,6 +90,61 @@ class TestApplyChange:
                 model3,
                 StructuralChange(kind="add_exogenous_variable", target="m", vars=("m",)),
             )
+
+    @pytest.mark.parametrize("kind, target", EDITS)
+    def test_unknown_variable_in_the_row(self, model3, kind, target):
+        with pytest.raises(ValueError, match="unknown variable 'q' in new row"):
+            apply_change(model3, StructuralChange(kind, target, ("d", "q")))
+
+    @pytest.mark.parametrize("kind, target", EDITS)
+    def test_empty_row(self, model3, kind, target):
+        with pytest.raises(ValueError, match="mentions no variables"):
+            apply_change(model3, StructuralChange(kind, target, ()))
+
+    def test_unknown_equation(self, model3):
+        with pytest.raises(KeyError, match="unknown equation 'e9'"):
+            apply_change(model3, StructuralChange("replace_equation", "e9", ("d",)))
+
+    def test_added_equation_takes_the_first_free_label(self):
+        # e3 is taken, so the first addition is labelled e4 and the next e5.
+        matrix = StructureMatrix.from_names(["x", "y"], [("e3", ["x"]), ("e2", ["y"])])
+        for name, label in (("z", "e4"), ("w", "e5")):
+            matrix = apply_change(matrix, StructuralChange("add_exogenous_variable", name, (name,)))
+            assert matrix.equation_labels[-1] == label
+        assert matrix.equation_labels == ("e3", "e2", "e4", "e5")
+
+    def test_edits_equal_the_system_built_by_hand(self):
+        rng = random.Random(1301)
+        refused = 0
+        for _ in range(600):
+            matrix = random_self_contained_system(rng, max_n=8)
+            variables = list(matrix.variable_names)
+            equations = [
+                (label, [variables[v] for v in row])
+                for label, row in zip(matrix.equation_labels, matrix.rows)
+            ]
+            if rng.random() < 0.5:
+                e = rng.randrange(matrix.n)
+                kind, target = "replace_equation", matrix.equation_labels[e]
+            else:
+                e = matrix.n
+                kind, target = "add_exogenous_variable", "new"
+                variables.append("new")
+                equations.append((f"e{e + 1}", []))
+            row = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+            equations[e] = (equations[e][0], row)
+            expected = StructureMatrix.from_names(variables, equations)
+            change = StructuralChange(kind, target, tuple(row))
+            report = check_system(expected)
+            if report.self_contained:
+                assert apply_change(matrix, change) == expected
+                continue
+            refused += 1
+            with pytest.raises(NotSelfContainedError) as caught:
+                apply_change(matrix, change)
+            assert caught.value.report == report
+            assert str(caught.value) == "change leaves the system " + report.describe()
+        assert 150 < refused < 450
 
 
 class TestAffectedVariables:

@@ -5,12 +5,18 @@ import pytest
 
 from causalstruct import (
     FormatError,
+    NotSelfContainedError,
+    StructuralChange,
     StructureMatrix,
+    apply_change,
+    causal_ordering,
     check_system,
+    is_triangularizable,
     load_system,
     save_system,
     system_from_dict,
     system_to_dict,
+    triangularize,
     variables_of,
 )
 
@@ -183,6 +189,52 @@ class TestCheckSystem:
                     meet = s1 & s2
                     if meet:
                         assert meet in family
+
+
+def _keep_first_row(matrix):
+    """A no-op edit: the first equation replaced by its own row."""
+    row = tuple(matrix.variable_names[v] for v in sorted(matrix.rows[0]))
+    return apply_change(matrix, StructuralChange("replace_equation", matrix.equation_labels[0], row))
+
+
+STRUCTURE_OPERATIONS = {
+    "causal_ordering": causal_ordering,
+    "triangularize": triangularize,
+    "is_triangularizable": is_triangularizable,
+    "apply_change": _keep_first_row,
+}
+
+NOT_SELF_CONTAINED = {
+    "unused-variable": load_system(DATA / "unused_variable.json"),
+    # Every variable is used, but e1 and e2 share their one variable x.
+    "hall-violator": StructureMatrix.from_names(
+        ["x", "y", "z"], [("e1", ["x"]), ("e2", ["x"]), ("e3", ["x", "y", "z"])]
+    ),
+}
+
+
+class TestSelfContainmentGate:
+    """Each structure operation refuses exactly the systems ``check_system`` refuses."""
+
+    def test_the_refused_systems_differ_in_kind(self):
+        unused = check_system(NOT_SELF_CONTAINED["unused-variable"])
+        hall = check_system(NOT_SELF_CONTAINED["hall-violator"])
+        assert unused.unused_variables and unused.violation is not None
+        assert not hall.unused_variables and hall.violation.equations == frozenset({0, 1})
+
+    @pytest.mark.parametrize("operation", sorted(STRUCTURE_OPERATIONS))
+    @pytest.mark.parametrize("kind", sorted(NOT_SELF_CONTAINED))
+    def test_refused_with_the_check_system_report(self, operation, kind):
+        matrix = NOT_SELF_CONTAINED[kind]
+        with pytest.raises(NotSelfContainedError) as caught:
+            STRUCTURE_OPERATIONS[operation](matrix)
+        report = check_system(matrix)
+        assert caught.value.report == report
+        assert str(caught.value).endswith(report.describe())
+
+    @pytest.mark.parametrize("operation", sorted(STRUCTURE_OPERATIONS))
+    def test_self_contained_system_passes(self, operation, model5):
+        STRUCTURE_OPERATIONS[operation](model5)
 
 
 class TestConstruction:
