@@ -32,7 +32,7 @@ from .sem import (
     sample,
     sem_to_dict,
 )
-from .structure import _json_text, _load_json, load_system, system_from_dict
+from .structure import _json_text, _load_json, _write_text, load_system, system_from_dict
 from .triangular import is_triangularizable, triangularize
 
 
@@ -114,7 +114,7 @@ def _cmd_order(args) -> int:
     matrix = load_system(args.system)
     ordering = causal_ordering(matrix)
     if args.dot:
-        args.dot.write_text(ordering_to_dot(ordering), encoding="utf-8")
+        _write_text(args.dot, ordering_to_dot(ordering))
     print("order  degree  variables")
     for cluster in ordering.clusters:
         names = ", ".join(matrix.variable_names[v] for v in sorted(cluster.variables))
@@ -156,7 +156,7 @@ def _cmd_triangularize(args) -> int:
 def _cmd_to_sem(args) -> int:
     text = _json_text(sem_to_dict(bbn_to_sem(load_bbn(args.bbn))))
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -223,7 +223,7 @@ def _cmd_graph(args) -> int:
     else:
         text = ordering_to_dot(causal_ordering(system_from_dict(doc)))
     if args.dot:
-        args.dot.write_text(text, encoding="utf-8")
+        _write_text(args.dot, text)
     else:
         sys.stdout.write(text)
     return 0

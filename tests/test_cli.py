@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import sys
 
@@ -12,12 +13,15 @@ from causalstruct import (
     ThresholdEquationSystem,
     bbn_from_dict,
     bbn_to_dict,
+    bbn_to_dot,
     bbn_to_sem,
+    causal_ordering,
     intervene_bbn,
     load_bbn,
     save_bbn,
     load_sem,
     load_system,
+    ordering_to_dot,
     save_system,
     sem_from_dict,
     sem_to_dict,
@@ -630,3 +634,123 @@ class TestWriters:
         path = tmp_path / name
         save_system(matrix, path)
         assert path.read_bytes() == (json.dumps(system_to_dict(matrix), indent=2) + "\n").encode("utf-8")
+
+
+def _json_file_text(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Each command that writes a file: its arguments up to the output path, and
+# the text it writes there, built through the library.
+FILE_COMMANDS = {
+    "order --dot": (
+        ["order", DATA / "seat_belts.json", "--dot"],
+        lambda: ordering_to_dot(causal_ordering(load_system(DATA / "seat_belts.json"))),
+    ),
+    "graph --dot": (
+        ["graph", DATA / "xy.json", "--dot"],
+        lambda: bbn_to_dot(load_bbn(DATA / "xy.json")),
+    ),
+    "to-sem --out": (
+        ["to-sem", DATA / "xy.json", "--out"],
+        lambda: _json_file_text(sem_to_dict(bbn_to_sem(load_bbn(DATA / "xy.json")))),
+    ),
+    "intervene --out": (
+        ["intervene", DATA / "xy.json", "--node", "x", "--dist", "1.0,0.0", "--out"],
+        lambda: _json_file_text(
+            bbn_to_dict(intervene_bbn(load_bbn(DATA / "xy.json"), 0, (1.0, 0.0)))
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+class TestOverwrite:
+    """``--out`` and ``--dot`` replace the target's contents in place."""
+
+    def write(self, command, target, capsys):
+        argv, _ = FILE_COMMANDS[command]
+        code, out, err = run([*argv, target], capsys)
+        assert (code, err) == (0, "")
+
+    def expected(self, command, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_text(FILE_COMMANDS[command][1](), encoding="utf-8")
+        return reference.read_bytes()
+
+    def test_new_file_has_the_bytes_write_text_gives(self, capsys, tmp_path, command):
+        target = tmp_path / "target"
+        self.write(command, target, capsys)
+        assert target.read_bytes() == self.expected(command, tmp_path)
+
+    def test_shorter_text_over_longer_leaves_only_the_new_bytes(self, capsys, tmp_path, command):
+        target = tmp_path / "target"
+        target.write_bytes(b"x" * 100_000 + b"\n")
+        self.write(command, target, capsys)
+        assert target.read_bytes() == self.expected(command, tmp_path)
+
+    def test_keeps_inode_mode_and_hard_links(self, capsys, tmp_path, command):
+        target, alias = tmp_path / "target", tmp_path / "alias"
+        target.write_bytes(b"old\n")
+        target.chmod(0o600)
+        os.link(target, alias)
+        before = target.stat()
+        self.write(command, target, capsys)
+        after = target.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert alias.read_bytes() == target.read_bytes() == self.expected(command, tmp_path)
+
+    def test_symlinked_target_stays_a_symlink(self, capsys, tmp_path, command):
+        real, link = tmp_path / "real", tmp_path / "link"
+        real.write_bytes(b"old\n" * 1000)
+        link.symlink_to(real)
+        self.write(command, link, capsys)
+        assert link.is_symlink()
+        assert real.read_bytes() == self.expected(command, tmp_path)
+
+    def test_device_target(self, capsys, command):
+        self.write(command, os.devnull, capsys)
+
+    def test_directory_target_is_an_io_error(self, capsys, tmp_path, command):
+        # Every command writes before it prints, so a failed write prints nothing.
+        argv, _ = FILE_COMMANDS[command]
+        code, out, err = run([*argv, tmp_path], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:io:")
+        assert err.count("\n") == 1
+
+
+class TestUnencodableName:
+    """A name UTF-8 cannot encode is a usage error that leaves the DOT target as it was."""
+
+    NAME = "\ud800x"  # a lone surrogate: valid in JSON, not in UTF-8
+
+    @pytest.fixture(
+        params=[
+            ("graph", {"nodes": [{"name": NAME, "outcomes": ["t", "f"], "parents": [], "cpt": [[0.4, 0.6]]}]}, 17),
+            ("order", {"variables": [NAME], "equations": [{"label": "e1", "vars": [NAME]}]}, 29),
+        ],
+        ids=["graph", "order"],
+    )
+    def case(self, request, tmp_path):
+        command, doc, position = request.param
+        source = tmp_path / "source.json"
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        message = (
+            f"error:usage: 'utf-8' codec can't encode character '\\ud800' in position {position}:"
+            " surrogates not allowed\n"
+        )
+        return [command, source, "--dot"], message
+
+    def test_new_target_is_not_created(self, capsys, tmp_path, case):
+        argv, message = case
+        target = tmp_path / "G.dot"
+        assert run([*argv, target], capsys) == (2, "", message)
+        assert not target.exists()
+
+    def test_existing_target_keeps_its_bytes(self, capsys, tmp_path, case):
+        argv, message = case
+        target = tmp_path / "G.dot"
+        target.write_bytes(b"digraph old {}\n")
+        assert run([*argv, target], capsys) == (2, "", message)
+        assert target.read_bytes() == b"digraph old {}\n"
