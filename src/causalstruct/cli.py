@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure (a report is printed), 2 IO,
 parse or usage errors.  Every failure also emits one machine-parseable
-line ``error:<category>: ...`` on stderr.
+line ``error:<category>: ...`` on stderr.  Each ``_cmd_*`` returns its exit
+code, stdout text and error line; ``main`` writes the text in one piece, so
+a report it cannot encode leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -91,35 +93,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     matrix = load_system(args.system)
     try:
         acyclic = is_triangularizable(matrix)
     except NotSelfContainedError as exc:
         report = exc.report
-        print("self-contained: no")
+        out = "self-contained: no\n"
         if report.unused_variables:
             names = ", ".join(matrix.variable_names[v] for v in report.unused_variables)
-            print(f"variables in no equation: {names}")
-        if report.violation is not None:
-            print(f"violating subset: {report.violation.describe(matrix)}")
-        print("error:not-self-contained: system check failed", file=sys.stderr)
-        return 1
-    print("self-contained: yes")
-    print(f"acyclic: {'yes' if acyclic else 'no'}")
-    return 0
+            out += f"variables in no equation: {names}\n"
+        out += f"violating subset: {report.violation.describe(matrix)}\n"
+        return 1, out, "error:not-self-contained: system check failed"
+    return 0, f"self-contained: yes\nacyclic: {'yes' if acyclic else 'no'}\n", None
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args):
     matrix = load_system(args.system)
     ordering = causal_ordering(matrix)
     if args.dot:
         _write_text(args.dot, ordering_to_dot(ordering))
-    print("order  degree  variables")
+    lines = ["order  degree  variables"]
     for cluster in ordering.clusters:
         names = ", ".join(matrix.variable_names[v] for v in sorted(cluster.variables))
-        print(f"{cluster.order:>5}  {cluster.degree:>6}  {names}")
-    print("edges:")
+        lines.append(f"{cluster.order:>5}  {cluster.degree:>6}  {names}")
+    lines.append("edges:")
 
     def flow(edge):  # read top-down through the ordering
         u, v = edge
@@ -131,11 +129,11 @@ def _cmd_order(args) -> int:
         )
 
     for u, v in sorted(ordering.variable_edges, key=flow):
-        print(f"  {matrix.variable_names[u]} -> {matrix.variable_names[v]}")
-    return 0
+        lines.append(f"  {matrix.variable_names[u]} -> {matrix.variable_names[v]}")
+    return 0, "\n".join(lines) + "\n", None
 
 
-def _cmd_triangularize(args) -> int:
+def _cmd_triangularize(args):
     matrix = load_system(args.system)
     try:
         result = triangularize(matrix)
@@ -143,46 +141,48 @@ def _cmd_triangularize(args) -> int:
         labels = ", ".join(
             matrix.equation_labels[e] for e in sorted(exc.remaining_equations)
         )
-        print(f"error:cyclic: witness {{{labels}}}", file=sys.stderr)
-        return 1
-    print("row order: " + ", ".join(matrix.equation_labels[e] for e in result.row_perm))
-    print("column order: " + ", ".join(matrix.variable_names[v] for v in result.col_perm))
-    print("determined by:")
+        return 1, "", f"error:cyclic: witness {{{labels}}}"
+    lines = [
+        "row order: " + ", ".join(matrix.equation_labels[e] for e in result.row_perm),
+        "column order: " + ", ".join(matrix.variable_names[v] for v in result.col_perm),
+        "determined by:",
+    ]
     for e, v in zip(result.row_perm, result.col_perm):
-        print(f"  {matrix.equation_labels[e]} -> {matrix.variable_names[v]}")
-    return 0
+        lines.append(f"  {matrix.equation_labels[e]} -> {matrix.variable_names[v]}")
+    return 0, "\n".join(lines) + "\n", None
 
 
-def _cmd_to_sem(args) -> int:
-    text = _json_text(sem_to_dict(bbn_to_sem(load_bbn(args.bbn))))
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+def _file_or_stdout(path, text):
+    """Write ``text`` to ``path`` and print nothing, or, with no path, print it."""
+    if path:
+        _write_text(path, text)
+        text = ""
+    return 0, text, None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_to_sem(args):
+    return _file_or_stdout(args.out, _json_text(sem_to_dict(bbn_to_sem(load_bbn(args.bbn)))))
+
+
+def _cmd_verify(args):
     bbn = load_bbn(args.bbn)
     deviation = check_equivalence(bbn, bbn_to_sem(bbn))
     ok = roundtrip_check(bbn)
-    print(f"max deviation {deviation:.3e}; roundtrip: {'ok' if ok else 'FAIL'}")
+    out = f"max deviation {deviation:.3e}; roundtrip: {'ok' if ok else 'FAIL'}\n"
     # bbn_to_sem moves each node's intervals by at most the row-sum slack, and
     # for factors in [0, 1] the joint gap is at most the sum of the factor
     # gaps; the extra slack is rounding.
     if deviation > (bbn.n + 1) * ROW_SUM_TOLERANCE or not ok:
-        print("error:verify: equivalence or round trip failed", file=sys.stderr)
-        return 1
-    return 0
+        return 1, out, "error:verify: equivalence or round trip failed"
+    return 0, out, None
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     sem = load_sem(args.sem)
     try:
         counts = sample(sem, args.seed, args.count)
     except CycleError as exc:
-        print(f"error:cyclic: {exc.describe(sem.variable_names)}", file=sys.stderr)
-        return 1
+        return 1, "", f"error:cyclic: {exc.describe(sem.variable_names)}"
     total = args.count
     labels = [
         [f"{name}={j}" for j in range(k)]
@@ -194,39 +194,28 @@ def _cmd_sample(args) -> int:
     row = f"%-{width}s  %10d  %.6f\n"
     report = [f"draws: {total}\nseed: {args.seed}\n{'assignment':<{width}}  {'count':>10}  frequency\n"]
     report += [row % (text, n, n / total) for text, n in zip(texts, map(counts.__getitem__, keys))]
-    sys.stdout.write("".join(report))
-    return 0
+    return 0, "".join(report), None
 
 
-def _cmd_intervene(args) -> int:
+def _cmd_intervene(args):
     before = load_bbn(args.bbn)
     _require_valid(before)
-    try:
-        node = before.index_of(args.node)
-    except KeyError:
-        print(f"error:usage: unknown node {args.node!r}", file=sys.stderr)
-        return 2
-    after = intervene_bbn(before, node, args.dist)
+    after = intervene_bbn(before, before.index_of(args.node), args.dist)
     deltas = compare_marginals(before, after)
     save_bbn(after, args.out)
     width = max(len("variable"), max(len(name) for name in deltas))
-    print(f"{'variable':<{width}}  max marginal deviation")
-    for name in (n.name for n in before.nodes):
-        print(f"{name:<{width}}  {deltas[name]:.3e}")
-    return 0
+    lines = [f"{'variable':<{width}}  max marginal deviation"]
+    lines += [f"{n.name:<{width}}  {deltas[n.name]:.3e}" for n in before.nodes]
+    return 0, "\n".join(lines) + "\n", None
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args):
     doc = _load_json(args.input)
     if isinstance(doc, dict) and "nodes" in doc:
         text = bbn_to_dot(bbn_from_dict(doc))
     else:
         text = ordering_to_dot(causal_ordering(system_from_dict(doc)))
-    if args.dot:
-        _write_text(args.dot, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _file_or_stdout(args.dot, text)
 
 
 _HANDLERS = {
@@ -244,23 +233,29 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code, out, error = _HANDLERS[args.command](args)
     except OSError as exc:
-        print(f"error:io: {exc}", file=sys.stderr)
-        return 2
+        code, out, error = 2, "", f"error:io: {exc}"
     except FormatError as exc:
-        print(f"error:parse: {exc}", file=sys.stderr)
-        return 2
+        code, out, error = 2, "", f"error:parse: {exc}"
     except NotSelfContainedError as exc:
-        print(f"error:not-self-contained: {exc}", file=sys.stderr)
-        return 1
+        code, out, error = 1, "", f"error:not-self-contained: {exc}"
     except InvalidBbnError as exc:
-        print(exc.report.describe())
-        print("error:invalid-bbn: network failed validation", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error:usage: {exc}", file=sys.stderr)
-        return 2
+        code, out = 1, exc.report.describe() + "\n"
+        error = "error:invalid-bbn: network failed validation"
+    except KeyError as exc:  # str() would quote the message
+        code, out, error = 2, "", f"error:usage: {exc.args[0]}"
+    except ValueError as exc:
+        code, out, error = 2, "", f"error:usage: {exc}"
+    try:
+        sys.stdout.write(out)
+    except UnicodeEncodeError as exc:  # encoded whole before any byte is written
+        code, error = 2, f"error:usage: {exc}"
+    except OSError as exc:  # such as a pipe whose reader has gone
+        code, error = 2, f"error:io: {exc}"
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

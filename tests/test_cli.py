@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -466,6 +468,12 @@ class TestIntervene:
         assert code == 2
         assert err.startswith("error:usage:")
 
+    def test_unknown_node_is_one_usage_line_and_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "after.json"
+        argv = ["intervene", DATA / "xy.json", "--node", "nope", "--dist", "1,0", "--out", out_path]
+        assert run(argv, capsys) == (2, "", "error:usage: unknown node 'nope'\n")
+        assert not out_path.exists()
+
     def test_network_past_the_enumeration_bound(self, capsys, tmp_path):
         path = tmp_path / "chain.json"
         save_bbn(binary_chain_network(21), path)
@@ -523,6 +531,15 @@ class TestErrorChannel:
         code, out, err = run(["check", "nope.json"], capsys)
         assert code == 2
         assert err.startswith("error:io:")
+
+    def test_stdout_whose_reader_has_gone_is_an_io_error(self, capsys, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)
+        with io.TextIOWrapper(io.FileIO(write, "w"), encoding="utf-8", write_through=True) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code, out, err = run(["check", DATA / "seat_belts.json"], capsys)
+        assert code == 2
+        assert err.startswith("error:io:") and err.count("\n") == 1
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -721,7 +738,8 @@ class TestOverwrite:
 
 
 class TestUnencodableName:
-    """A name UTF-8 cannot encode is a usage error that leaves the DOT target as it was."""
+    """A name UTF-8 cannot encode is a usage error that leaves the DOT target as it was
+    and prints nothing on stdout."""
 
     NAME = "\ud800x"  # a lone surrogate: valid in JSON, not in UTF-8
 
@@ -754,3 +772,42 @@ class TestUnencodableName:
         target.write_bytes(b"digraph old {}\n")
         assert run([*argv, target], capsys) == (2, "", message)
         assert target.read_bytes() == b"digraph old {}\n"
+
+    INVALID = {"nodes": [{"name": NAME, "outcomes": ["t", "f"], "parents": [], "cpt": [[0.5, 0.6]]}]}
+    SYSTEM = {"variables": [NAME], "equations": [{"label": "e1", "vars": [NAME]}]}
+    ENCODE_ERROR = re.compile(
+        r"error:usage: 'utf-8' codec can't encode character '\\ud800' in position \d+:"
+        r" surrogates not allowed\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("verify", INVALID),
+            ("to-sem", INVALID),
+            ("order", SYSTEM),
+            ("triangularize", SYSTEM),
+            (
+                "check",
+                {"variables": [NAME, "y"], "equations": [{"label": "e1", "vars": ["y"]}, {"label": "e2", "vars": ["y"]}]},
+            ),
+        ],
+    )
+    def test_report_is_not_printed(self, capsys, tmp_path, command, doc):
+        source = tmp_path / "source.json"
+        source.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run([command, source], capsys)
+        assert (code, out) == (2, "")
+        assert self.ENCODE_ERROR.fullmatch(err), err
+
+    def test_intervene_writes_out_but_prints_nothing(self, capsys, tmp_path):
+        node = {"outcomes": ["t", "f"], "parents": [], "cpt": [[0.5, 0.5]]}
+        source = tmp_path / "source.json"
+        source.write_text(json.dumps({"nodes": [{"name": "a", **node}, {"name": self.NAME, **node}]}))
+        target = tmp_path / "after.json"
+        code, out, err = run(["intervene", source, "--node", "a", "--dist", "1,0", "--out", target], capsys)
+        assert (code, out) == (2, "")
+        assert self.ENCODE_ERROR.fullmatch(err), err
+        # The JSON escapes the name as \ud800, so --out is written before stdout fails.
+        assert '"name": "\\ud800x"' in target.read_text(encoding="utf-8")
+        assert load_bbn(target).nodes[1].name == self.NAME

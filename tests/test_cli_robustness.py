@@ -2,7 +2,8 @@
 
 Generated system, network and threshold files, each possibly mutated
 (a key or list item dropped, a value swapped for one of the wrong type or
-range, a name copied onto another, a parent added that may close a cycle),
+range, a name copied onto another, a parent added that may close a cycle, one
+name replaced throughout by one UTF-8 cannot encode),
 are run through every subcommand with in-process ``main``.  Generated
 networks are valid, some with row sums at the edge of the tolerance, so
 ``to-sem`` and ``verify`` must not call one left unmutated unusable, and
@@ -29,6 +30,8 @@ from causalstruct.cli import main
 
 CATEGORIES = ("usage", "io", "parse", "not-self-contained", "cyclic", "invalid-bbn", "verify")
 ERROR_LINE = re.compile(r"error:(%s): " % "|".join(map(re.escape, CATEGORIES)))
+
+UNENCODABLE = "\ud800x"  # a lone surrogate: valid in JSON, not in UTF-8
 
 # Wrong types, out-of-range numbers and non-finite values.
 JUNK = st.sampled_from(
@@ -97,6 +100,15 @@ def _names(doc):
             yield from _names(value)
 
 
+def _renamed(doc, old, new):
+    """``doc`` with every string equal to ``old`` replaced by ``new``."""
+    if isinstance(doc, list):
+        return [_renamed(value, old, new) for value in doc]
+    if isinstance(doc, dict):
+        return {key: _renamed(value, old, new) for key, value in doc.items()}
+    return new if doc == old else doc
+
+
 def _close_cycle(doc, kind):
     """Make an item's first parent depend on the item, keeping row counts consistent."""
     key, name, rows, width = {
@@ -115,7 +127,8 @@ def _close_cycle(doc, kind):
 def mutated(draw):
     """A generated file, possibly damaged, the subcommand to run on it, and its kind.
 
-    The kind is ``None`` once the file may have been damaged.
+    The kind is ``None`` once the file may have been damaged, or holds a
+    name UTF-8 cannot encode.
     """
     kind = draw(st.sampled_from(sorted(KINDS)))
     docs, commands = KINDS[kind]
@@ -123,6 +136,9 @@ def mutated(draw):
     damaged = kind != "system" and draw(st.booleans())
     if damaged:
         _close_cycle(doc, kind)
+    renamed = not draw(st.integers(0, 4))
+    if renamed:  # still well formed, but its reports cannot be encoded
+        doc = _renamed(doc, draw(st.sampled_from(sorted(set(_names(doc))))), UNENCODABLE)
     mutations = draw(st.integers(0, 2))
     for _ in range(mutations):
         places = list(_places(doc))
@@ -137,12 +153,12 @@ def mutated(draw):
             del container[key]
         elif change == "junk":
             container[key] = copy.deepcopy(draw(JUNK))
-        elif change == "name":  # repeats a name, or adds an arc
-            container[key] = draw(st.sampled_from(sorted(set(_names(doc))) or [""]))
+        elif change == "name":  # repeats a name, adds an arc, or one UTF-8 cannot encode
+            container[key] = draw(st.sampled_from(sorted({*_names(doc), UNENCODABLE})))
         elif isinstance(container[key], list):
             container[key].append(draw(st.sampled_from(sorted(set(_names(doc))) or [0])))
     command = draw(st.sampled_from(commands if draw(st.integers(0, 4)) else COMMANDS))
-    return doc, command, None if damaged or mutations else kind
+    return doc, command, None if damaged or renamed or mutations else kind
 
 
 def arguments(draw, command, path, workdir):
@@ -168,13 +184,17 @@ def test_every_failure_is_one_error_line(case, data):
         path = workdir / "input.json"
         path.write_text(json.dumps(doc))
         argv = arguments(data.draw, command, path, workdir)
-        out, err = io.StringIO(), io.StringIO()
+        # Strict UTF-8, like a real stdout; a StringIO would take a lone surrogate.
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as stop:  # argparse exits on bad flags
                 code = stop.code
     assert code in (0, 1, 2), (argv, err.getvalue())
+    out.flush()
+    if code == 2:
+        assert out.buffer.getvalue() == b"", (argv, err.getvalue())
     if code:
         lines = err.getvalue().splitlines()
         assert lines and ERROR_LINE.match(lines[-1]), (argv, err.getvalue())

@@ -1,4 +1,5 @@
-"""Each refusal error has one raise site, and files are written at one site."""
+"""Each refusal error has one raise site, files are written at one site, and
+the CLI prints at two."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,7 @@ GATES = {
     "InvalidBbnError": "bbn._require_valid",
 }
 WRITER = "structure._write_text"
+PRINTERS = {"cli.main", "cli._Parser.error"}
 # Flags that leave a file as it is; os.open with any other flag writes.
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
 
@@ -28,6 +30,8 @@ class _Scoped(ast.NodeVisitor):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
 
 
 class _RaiseSites(_Scoped):
@@ -72,23 +76,42 @@ class _WriteSites(_Scoped):
         self.generic_visit(node)
 
 
-def test_each_gate_error_is_raised_only_by_its_gate():
+class _OutputSites(_Scoped):
+    """``module.function`` for each ``print`` call and each use of ``sys.stdout`` or ``sys.stderr``."""
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "print":
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr in ("stdout", "stderr") and getattr(node.value, "id", None) == "sys":
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def _sites(visitor_class) -> list:
     sites = []
     for path in SOURCES:
-        visitor = _RaiseSites(path.stem)
+        visitor = visitor_class(path.stem)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         sites += visitor.sites
+    return sites
+
+
+def test_each_gate_error_is_raised_only_by_its_gate():
+    sites = _sites(_RaiseSites)
     for error, gate in GATES.items():
         assert [where for name, where in sites if name == error] == [gate]
 
 
 def test_only_the_writer_writes_a_file():
-    sites = []
-    for path in SOURCES:
-        visitor = _WriteSites(path.stem)
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        sites += visitor.sites
+    sites = _sites(_WriteSites)
     assert sites and set(sites) == {WRITER}
+
+
+def test_only_main_and_the_parser_print():
+    assert set(_sites(_OutputSites)) == PRINTERS
 
 
 @pytest.mark.parametrize(
