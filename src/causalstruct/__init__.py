@@ -63,7 +63,6 @@ from .structure import (
     save_system,
     system_from_dict,
     system_to_dict,
-    variables_of,
 )
 from .triangular import Triangularization, is_triangularizable, triangularize
 
@@ -119,5 +118,4 @@ __all__ = [
     "topological_order",
     "triangularize",
     "validate",
-    "variables_of",
 ]

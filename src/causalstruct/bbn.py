@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, product, repeat
 from operator import mul
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .dotutil import dot_id
 from .errors import CycleError, FormatError, InvalidBbnError
@@ -79,8 +79,8 @@ def _joint(plans, counts, nodes=None) -> list[list[float]]:
     ``nodes`` (default: every variable) lists an ancestrally closed set of
     variables in ascending order, so their factors read only variables in
     it.  Each joint is in ``product`` order over ``nodes``; over every
-    variable it holds ``_probability`` of each assignment, in
-    ``assignments()`` order.  All ``plans`` must have the same parent lists:
+    variable it holds ``_probability`` of each assignment, in row-major
+    index order.  All ``plans`` must have the same parent lists:
     each factor's table offsets are generated once and read from every
     plan's table.
 
@@ -180,10 +180,6 @@ class Bbn:
 
     def outcome_counts(self) -> tuple[int, ...]:
         return tuple(node.outcome_count for node in self.nodes)
-
-    def assignments(self) -> Iterator[Assignment]:
-        """All joint outcome assignments, in row-major index order."""
-        return product(*(range(k) for k in self.outcome_counts()))
 
     @cached_property
     def _plan(self) -> tuple[_Factor, ...]:

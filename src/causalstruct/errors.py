@@ -12,11 +12,10 @@ class FormatError(ValueError):
 class NotSelfContainedError(ValueError):
     """An operation required a self-contained system but got something else.
 
-    ``report`` carries the diagnostic produced by ``check_system`` when
-    available.
+    ``report`` carries the diagnostic produced by ``check_system``.
     """
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 
@@ -49,8 +48,8 @@ class CycleError(Exception):
 
 
 class InvalidBbnError(ValueError):
-    """An operation required a valid belief network but validation failed."""
+    """An operation required a valid belief network; ``report`` is ``validate``'s."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report

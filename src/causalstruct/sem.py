@@ -146,7 +146,11 @@ class ThresholdEquationSystem:
 
     @cached_property
     def _plan(self) -> tuple[_Factor, ...]:
-        """Per equation, the interval lengths of its rows as joint factors."""
+        """Per equation, the interval lengths of its rows as joint factors.
+
+        Raises ``CycleError`` on feedback, since cyclic equations define no joint.
+        """
+        self.evaluation_order  # refuses a cycle before any factor is built
         counts = self.outcome_counts()
         plan = []
         for i, eq in enumerate(self.equations):
@@ -234,7 +238,10 @@ def _forward(steps, flat, k: int) -> Iterator[Assignment]:
 
 
 def sem_joint(sem: ThresholdEquationSystem, assignment: Sequence[int]) -> float:
-    """Probability of a total assignment: product of selected interval lengths."""
+    """Probability of a total assignment: product of selected interval lengths.
+
+    Raises ``CycleError`` on a cyclic system.
+    """
     return _probability(sem, assignment)
 
 
@@ -245,7 +252,8 @@ def check_equivalence(bbn: Bbn, sem: ThresholdEquationSystem) -> float:
     ``joint_probability`` and ``sem_joint`` form it.  When every equation
     has its node's parents, as in ``bbn_to_sem`` output, one pass builds
     both joints; otherwise the same pass runs once per model.  Raises
-    ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` configurations.
+    ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` configurations
+    and ``CycleError`` when the equations form a cycle.
     """
     bbn._plan  # compiling the plan refuses an invalid network before anything else
     if tuple(node.name for node in bbn.nodes) != sem.variable_names:

@@ -66,10 +66,6 @@ class StructureMatrix:
     def n(self) -> int:
         return len(self.variable_names)
 
-    def entry(self, i: int, j: int) -> bool:
-        """Whether variable j participates in equation i."""
-        return j in self.rows[i]
-
     @cached_property
     def _name_to_var(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.variable_names)}
@@ -78,36 +74,11 @@ class StructureMatrix:
     def _label_to_eq(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.equation_labels)}
 
-    def variable_index(self, name: str) -> int:
-        try:
-            return self._name_to_var[name]
-        except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
-
     def equation_index(self, label: str) -> int:
         try:
             return self._label_to_eq[label]
         except KeyError:
             raise KeyError(f"unknown equation {label!r}") from None
-
-    def permuted(self, row_perm: Iterable[int], col_perm: Iterable[int]) -> StructureMatrix:
-        """Reorder equations by ``row_perm`` and variables by ``col_perm``.
-
-        ``row_perm[k]`` names the old equation placed at new position k, and
-        likewise for columns.
-        """
-        row_perm = tuple(row_perm)
-        col_perm = tuple(col_perm)
-        if sorted(row_perm) != list(range(self.n)) or sorted(col_perm) != list(range(self.n)):
-            raise ValueError("permutations must cover all indices exactly once")
-        new_col = {old: new for new, old in enumerate(col_perm)}
-        return StructureMatrix(
-            variable_names=tuple(self.variable_names[j] for j in col_perm),
-            equation_labels=tuple(self.equation_labels[i] for i in row_perm),
-            rows=tuple(
-                frozenset(new_col[v] for v in self.rows[i]) for i in row_perm
-            ),
-        )
 
     @staticmethod
     def from_names(
@@ -179,16 +150,6 @@ class SystemReport:
         return "not self-contained; " + "; ".join(parts)
 
 
-def variables_of(matrix: StructureMatrix, subset: Iterable[int]) -> frozenset[int]:
-    """Union of the variables participating in the given equations."""
-    result: set[int] = set()
-    for e in subset:
-        if e < 0 or e >= matrix.n:
-            raise IndexError(f"equation index {e} out of range for n={matrix.n}")
-        result |= matrix.rows[e]
-    return frozenset(result)
-
-
 def check_system(matrix: StructureMatrix) -> SystemReport:
     """Diagnose whether the full system is self-contained.
 
@@ -202,7 +163,7 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
     unused: tuple[int, ...] = ()
     violation = None
     if reach is not None:
-        used = variables_of(matrix, range(matrix.n))
+        used = frozenset().union(*matrix.rows)
         unused = tuple(v for v in range(matrix.n) if v not in used)
         violation = EquationSubset(*reach)
     return SystemReport(

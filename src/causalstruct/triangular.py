@@ -30,11 +30,6 @@ class Triangularization:
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
 
-    @property
-    def determined_by(self) -> dict[int, int]:
-        """Equation index -> the variable its diagonal position determines."""
-        return dict(zip(self.row_perm, self.col_perm))
-
 
 def triangularize(matrix: StructureMatrix) -> Triangularization:
     """Order equations so each determines its matched variable from earlier ones.

@@ -5,9 +5,10 @@ builds deterministically: every subcommand on each bundled data file, seeded
 systems from ``generators`` (planted cycles included), seeded networks from
 ``random_bbn`` through ``verify``, ``to-sem``, ``intervene``, ``graph`` and
 ``sample`` at two counts, and at least one case for each ``error:`` category
-an input can reach.  ``error:verify`` has none: a network that ``validate``
-accepts has threshold equations within the gate of its joint, and one it
-refuses stops at ``error:invalid-bbn`` first, so no input reaches it.
+an input can reach.  ``error:verify`` has none, because no input reaches
+it: a network that ``validate`` accepts passes ``verify`` (its joint gap
+stays within the gate and its round trip cannot fail), and one that
+``validate`` refuses stops at ``error:invalid-bbn`` first.
 
 ``data/cli_golden.json`` stores, per case, the argv, exit code, stderr and
 stdout (the text when it is short, else its SHA-256) and the SHA-256 of each
@@ -279,14 +280,16 @@ def _run(case: Case, tmp: Path) -> dict:
 
     stdout = _stdout(case.closed_stdout)
     stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace", write_through=True)
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main([fill(arg) for arg in case.argv])
-        except SystemExit as stop:  # argparse's own exits
-            code = stop.code
-    out = "" if case.closed_stdout else blank(stdout.buffer.getvalue().decode("utf-8"))
-    with contextlib.suppress(OSError):
-        stdout.close()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([fill(arg) for arg in case.argv])
+            except SystemExit as stop:  # argparse's own exits
+                code = stop.code
+        out = "" if case.closed_stdout else blank(stdout.buffer.getvalue().decode("utf-8"))
+    finally:
+        with contextlib.suppress(OSError):
+            stdout.close()
     record = {"name": case.name, "argv": list(case.argv), "exit": code,
               "stderr": blank(stderr.buffer.getvalue().decode("utf-8"))}
     if len(out) <= SHORT:

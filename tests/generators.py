@@ -57,6 +57,20 @@ def random_square_matrix(rng: random.Random, max_n: int = 8, fill: float = 0.35)
     )
 
 
+def permute(matrix: StructureMatrix, rows, cols) -> StructureMatrix:
+    """Reorder equations by ``rows`` and variables by ``cols``.
+
+    ``rows[k]`` is the old equation placed at position k, and likewise for
+    ``cols``.
+    """
+    column = {old: new for new, old in enumerate(cols)}
+    return StructureMatrix(
+        variable_names=tuple(matrix.variable_names[v] for v in cols),
+        equation_labels=tuple(matrix.equation_labels[e] for e in rows),
+        rows=tuple(frozenset(column[v] for v in matrix.rows[e]) for e in rows),
+    )
+
+
 def subsystem(matrix: StructureMatrix, equations) -> StructureMatrix | None:
     """The given equations as a system over the variables they mention.
 

@@ -90,7 +90,7 @@ def reference_sample(sem, seed, count):
 
 def reference_marginals(bbn) -> list[list[float]]:
     buckets = [[[] for _ in node.outcomes] for node in bbn.nodes]
-    for assignment in bbn.assignments():
+    for assignment in product(*map(range, bbn.outcome_counts())):
         p = reference_joint(bbn, assignment)
         for i, outcome in enumerate(assignment):
             buckets[i][outcome].append(p)
@@ -100,7 +100,7 @@ def reference_marginals(bbn) -> list[list[float]]:
 def reference_gap(bbn, sem) -> float:
     """Largest joint gap between a network and an equation system over the same variables."""
     worst = 0.0
-    for assignment in bbn.assignments():
+    for assignment in product(*map(range, bbn.outcome_counts())):
         gap = abs(reference_joint(bbn, assignment) - reference_sem_joint(sem, assignment))
         if gap > worst:
             worst = gap

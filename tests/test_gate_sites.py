@@ -12,6 +12,7 @@ SOURCES = sorted(Path(causalstruct.__file__).parent.glob("*.py"))
 GATES = {
     "NotSelfContainedError": "structure._require_self_contained",
     "InvalidBbnError": "bbn._require_valid",
+    "CycleError": "graphs.topological_order",
 }
 WRITER = "structure._write_text"
 PRINTERS = {"cli.main", "cli._Parser.error"}

@@ -9,7 +9,7 @@ from causalstruct import (
     ordering_to_dot,
 )
 
-from generators import random_self_contained_system
+from generators import permute, random_self_contained_system
 from oracles import naive_causal_ordering
 
 
@@ -170,7 +170,7 @@ class TestInvariants:
         col_perm = list(range(matrix.n))
         rng.shuffle(row_perm)
         rng.shuffle(col_perm)
-        permuted = matrix.permuted(row_perm, col_perm)
+        permuted = permute(matrix, row_perm, col_perm)
 
         original = causal_ordering(matrix)
         shuffled = causal_ordering(permuted)
@@ -244,7 +244,7 @@ def planted_feedback_system(rng, n, parents, cycles):
     row_perm, col_perm = list(range(n)), list(range(n))
     rng.shuffle(row_perm)
     rng.shuffle(col_perm)
-    return matrix.permuted(row_perm, col_perm)
+    return permute(matrix, row_perm, col_perm)
 
 
 def networkx_ordering(matrix, nx):

@@ -247,6 +247,45 @@ class TestCheckEquivalence:
             check_equivalence(xy_bbn, bbn_to_sem(other))
 
 
+def binary_ring(rows):
+    """Variable i's one parent is variable i - 1, and variable 0's is the last."""
+    n = len(rows)
+    return ThresholdEquationSystem(
+        tuple(f"x{i}" for i in range(n)),
+        tuple(ThresholdEquation(i, ((i - 1) % n,), table) for i, table in enumerate(rows)),
+    )
+
+
+class TestCyclicSystemHasNoJoint:
+    """Cyclic equations define no joint, so both joint operations refuse them.
+
+    The product of a cyclic system's interval lengths is the chance that an
+    assignment solves the equations, not a probability: the loop's four
+    products sum to 0.75.
+    """
+
+    LOOP = binary_ring([((0.3, 1.0), (0.8, 1.0)), ((0.6, 1.0), (0.1, 1.0))])
+    RING = binary_ring([((0.3, 1.0), (0.8, 1.0)), ((0.6, 1.0), (0.1, 1.0)), ((0.5, 1.0), (0.2, 1.0))])
+
+    @pytest.mark.parametrize("sem, members", [(LOOP, (0, 1)), (RING, (0, 1, 2))], ids=["loop", "ring"])
+    def test_sem_joint_refuses(self, sem, members):
+        with pytest.raises(CycleError) as info:
+            sem_joint(sem, (0,) * sem.n)
+        assert info.value.members == members
+
+    @pytest.mark.parametrize("sem, members", [(LOOP, (0, 1)), (RING, (0, 1, 2))], ids=["loop", "ring"])
+    def test_check_equivalence_refuses(self, sem, members):
+        chain = Bbn(
+            tuple(
+                BbnNode(f"x{i}", ("t", "f"), (i - 1,) if i else (), ((0.5, 0.5),) * (2 if i else 1))
+                for i in range(sem.n)
+            )
+        )
+        with pytest.raises(CycleError) as info:
+            check_equivalence(chain, sem)
+        assert info.value.members == members
+
+
 class TestSample:
     def test_same_seed_same_tallies(self, xy_sem):
         a = sample(xy_sem, seed=7, count=2000)

@@ -17,31 +17,15 @@ from causalstruct import (
     system_from_dict,
     system_to_dict,
     triangularize,
-    variables_of,
 )
 
 from conftest import DATA
-from generators import random_self_contained_system, random_square_matrix, subsystem
+from generators import permute, random_self_contained_system, random_square_matrix, subsystem
 from oracles import brute_is_self_contained, brute_self_contained_subsets, surplus_core
 
 
 def names(matrix, variables):
     return {matrix.variable_names[v] for v in variables}
-
-
-class TestVariablesOf:
-    def test_single_equation(self, model3):
-        assert names(model3, variables_of(model3, {1})) == {"a", "d"}
-
-    def test_empty_subset(self, model3):
-        assert variables_of(model3, set()) == frozenset()
-
-    def test_three_variable_row(self, model5):
-        assert names(model5, variables_of(model5, {2})) == {"m", "a", "b"}
-
-    def test_out_of_range(self, model3):
-        with pytest.raises(IndexError):
-            variables_of(model3, {7})
 
 
 def subset_is_self_contained(matrix, subset):
@@ -96,7 +80,7 @@ class TestIsSelfContained:
             col_perm = list(range(matrix.n))
             rng.shuffle(row_perm)
             rng.shuffle(col_perm)
-            permuted = matrix.permuted(row_perm, col_perm)
+            permuted = permute(matrix, row_perm, col_perm)
             for mask in range(1, 1 << matrix.n):
                 subset = {e for e in range(matrix.n) if mask >> e & 1}
                 # new row i holds old row row_perm[i]
@@ -152,7 +136,7 @@ class TestCheckSystem:
                 continue
             violation = report.violation
             assert report.matching.index(-1) in violation.equations
-            assert violation.variables == variables_of(matrix, violation.equations)
+            assert violation.variables == frozenset().union(*(matrix.rows[e] for e in violation.equations))
             assert len(violation.equations) == len(violation.variables) + 1
 
     def test_violator_is_the_surplus_core(self):
@@ -160,7 +144,7 @@ class TestCheckSystem:
         seen = {0: 0, 1: 0, 2: 0}
         for matrix, report in random_reports(rng):
             core = surplus_core(matrix)
-            surplus = len(core) - len(variables_of(matrix, core))
+            surplus = len(core) - len(frozenset().union(*(matrix.rows[e] for e in core)))
             seen[min(surplus, 2)] += 1
             if report.self_contained:
                 assert core == frozenset()
@@ -174,7 +158,7 @@ class TestCheckSystem:
             # the matching, so renumbering rows and columns only renames it.
             rows = rng.sample(range(matrix.n), matrix.n)
             cols = rng.sample(range(matrix.n), matrix.n)
-            moved = check_system(matrix.permuted(rows, cols)).violation
+            moved = check_system(permute(matrix, rows, cols)).violation
             assert {rows[e] for e in moved.equations} == violation.equations
             assert {cols[v] for v in moved.variables} == violation.variables
         assert min(seen.values()) >= 50
