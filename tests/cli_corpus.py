@@ -239,7 +239,6 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
     }
     for stem, data in raw.items():
         inputs[f"parse-{stem}.json"] = data
-    for stem in raw:
         for command in ("check", "verify", "sample"):
             case(f"parse/{stem}/{command}", command, f"{{tmp}}/parse-{stem}.json")
 
