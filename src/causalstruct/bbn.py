@@ -33,17 +33,16 @@ Assignment = tuple[int, ...]
 class _Factor(NamedTuple):
     """One node compiled against its parents' outcome counts."""
 
-    index: int
     parents: tuple[int, ...]
     strides: tuple[int, ...]  # parent values -> row index, first parent most significant
     table: tuple  # the joint factor for row r and own value x, at r * outcomes + x
 
 
-def _compile(index, parents, counts, factors) -> _Factor:
+def _compile(parents, counts, factors) -> _Factor:
     """Compile one node; ``factors`` holds its joint factor per row and outcome."""
     radices = [counts[p] for p in parents]
     strides = tuple(math.prod(radices[j + 1:]) for j in range(len(radices)))
-    return _Factor(index, parents, strides, tuple(chain.from_iterable(factors)))
+    return _Factor(parents, strides, tuple(chain.from_iterable(factors)))
 
 
 def _probability(model, assignment: Sequence[int]) -> float:
@@ -56,7 +55,7 @@ def _probability(model, assignment: Sequence[int]) -> float:
     if not all(0 <= x < k for x, k in zip(assignment, counts)):
         raise ValueError(f"assignment {tuple(assignment)} has an outcome out of range")
     p = 1.0
-    for i, parents, strides, table in model._plan:
+    for i, (parents, strides, table) in enumerate(model._plan):
         r = 0
         for q, s in zip(parents, strides):
             r += assignment[q] * s
@@ -186,10 +185,7 @@ class Bbn:
         """Per node, its table entries as joint factors; only for a valid network."""
         _require_valid(self)
         counts = self.outcome_counts()
-        return tuple(
-            _compile(i, node.parents, counts, node.cpt)
-            for i, node in enumerate(self.nodes)
-        )
+        return tuple(_compile(node.parents, counts, node.cpt) for node in self.nodes)
 
     @cached_property
     def _report(self) -> BbnReport:
@@ -199,11 +195,11 @@ class Bbn:
 
 @dataclass(frozen=True)
 class BbnIssue:
-    """One invariant violation found by ``validate``."""
+    """One invariant violation found by ``validate``; ``node`` is None for a
+    cycle, and ``detail`` names the row of a row-level issue."""
 
     kind: str  # "cycle" | "row-count" | "row-length" | "row-sum" | "entry-range" | "duplicate-parent"
     node: int | None
-    row: int | None
     detail: str
     amount: float | None = None
 
@@ -255,7 +251,6 @@ def _validate(bbn: Bbn) -> BbnReport:
             BbnIssue(
                 kind="cycle",
                 node=None,
-                row=None,
                 detail=exc.describe([node.name for node in bbn.nodes]),
             )
         )
@@ -263,7 +258,7 @@ def _validate(bbn: Bbn) -> BbnReport:
     for i, node in enumerate(bbn.nodes):
         if len(set(node.parents)) != len(node.parents):
             issues.append(
-                BbnIssue("duplicate-parent", i, None, "parent list repeats a variable")
+                BbnIssue("duplicate-parent", i, "parent list repeats a variable")
             )
         expected_rows = math.prod(bbn.nodes[p].outcome_count for p in node.parents)
         if len(node.cpt) != expected_rows:
@@ -271,7 +266,6 @@ def _validate(bbn: Bbn) -> BbnReport:
                 BbnIssue(
                     "row-count",
                     i,
-                    None,
                     f"expected {expected_rows} rows, found {len(node.cpt)}",
                 )
             )
@@ -281,7 +275,6 @@ def _validate(bbn: Bbn) -> BbnReport:
                     BbnIssue(
                         "row-length",
                         i,
-                        r,
                         f"row {r} has {len(row)} entries for "
                         f"{node.outcome_count} outcomes",
                     )
@@ -289,7 +282,7 @@ def _validate(bbn: Bbn) -> BbnReport:
                 continue
             if not all(0.0 <= p <= 1.0 for p in row):
                 issues.append(
-                    BbnIssue("entry-range", i, r, f"row {r} has entries outside [0, 1]")
+                    BbnIssue("entry-range", i, f"row {r} has entries outside [0, 1]")
                 )
                 if not all(map(math.isfinite, row)):
                     continue
@@ -299,7 +292,6 @@ def _validate(bbn: Bbn) -> BbnReport:
                     BbnIssue(
                         "row-sum",
                         i,
-                        r,
                         f"row {r} sums to {math.fsum(row)!r}",
                         amount=deviation,
                     )

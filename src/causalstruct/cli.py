@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from operator import getitem
 from pathlib import Path
 
@@ -40,7 +41,9 @@ from .triangular import is_triangularizable, triangularize
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"error:usage: {message}", file=sys.stderr)
+        if sys.stderr is not None:  # None when fd 2 was closed at start-up
+            with suppress(OSError):  # a stderr that cannot be written loses the line
+                print(f"error:usage: {message}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -59,34 +62,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("check", help="report self-containment and acyclicity of a system")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("system", type=Path)
 
     p = sub.add_parser("order", help="print the causal ordering of a system")
+    p.set_defaults(run=_cmd_order)
     p.add_argument("system", type=Path)
     p.add_argument("--dot", type=Path, help="also write the causal graph as DOT")
 
     p = sub.add_parser("triangularize", help="permute a system to lower-triangular form")
+    p.set_defaults(run=_cmd_triangularize)
     p.add_argument("system", type=Path)
 
     p = sub.add_parser("to-sem", help="convert a network file to a threshold-equation file")
+    p.set_defaults(run=_cmd_to_sem)
     p.add_argument("bbn", type=Path)
     p.add_argument("--out", type=Path, help="output path (stdout if omitted)")
 
     p = sub.add_parser("verify", help="check joint equivalence and the structural round trip")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("bbn", type=Path)
 
     p = sub.add_parser("sample", help="tally seeded draws from a threshold-equation file")
+    p.set_defaults(run=_cmd_sample)
     p.add_argument("sem", type=Path)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10000)
 
     p = sub.add_parser("intervene", help="impose a distribution on a node, cutting its arcs")
+    p.set_defaults(run=_cmd_intervene)
     p.add_argument("bbn", type=Path)
     p.add_argument("--node", required=True)
     p.add_argument("--dist", required=True, type=_csv_floats)
     p.add_argument("--out", required=True, type=Path, help="where to write the edited network")
 
     p = sub.add_parser("graph", help="emit DOT for a network or a system's ordering")
+    p.set_defaults(run=_cmd_graph)
     p.add_argument("input", type=Path)
     p.add_argument("--dot", type=Path, help="output path (stdout if omitted)")
 
@@ -119,16 +130,9 @@ def _cmd_order(args):
         lines.append(f"{cluster.order:>5}  {cluster.degree:>6}  {names}")
     lines.append("edges:")
 
-    def flow(edge):  # read top-down through the ordering
-        u, v = edge
-        return (
-            ordering.clusters[ordering.cluster_of_variable(u)].order,
-            ordering.clusters[ordering.cluster_of_variable(v)].order,
-            u,
-            v,
-        )
-
-    for u, v in sorted(ordering.variable_edges, key=flow):
+    order = {v: cluster.order for cluster in ordering.clusters for v in cluster.variables}
+    # Edges read top-down through the ordering.
+    for u, v in sorted(ordering.variable_edges, key=lambda e: (order[e[0]], order[e[1]], *e)):
         lines.append(f"  {matrix.variable_names[u]} -> {matrix.variable_names[v]}")
     return 0, "\n".join(lines) + "\n", None
 
@@ -218,22 +222,10 @@ def _cmd_graph(args):
     return _file_or_stdout(args.dot, text)
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "order": _cmd_order,
-    "triangularize": _cmd_triangularize,
-    "to-sem": _cmd_to_sem,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "intervene": _cmd_intervene,
-    "graph": _cmd_graph,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, out, error = _HANDLERS[args.command](args)
+        code, out, error = args.run(args)
     except OSError as exc:
         code, out, error = 2, "", f"error:io: {exc}"
     except FormatError as exc:
@@ -248,13 +240,17 @@ def main(argv=None) -> int:
     except ValueError as exc:
         code, out, error = 2, "", f"error:usage: {exc}"
     try:
-        sys.stdout.write(out)
+        if out:
+            sys.stdout.write(out)
+    except AttributeError:  # sys.stdout is None when fd 1 was closed at start-up
+        code, error = 2, "error:io: stdout is closed"
     except UnicodeEncodeError as exc:  # encoded whole before any byte is written
         code, error = 2, f"error:usage: {exc}"
     except OSError as exc:  # such as a pipe whose reader has gone
         code, error = 2, f"error:io: {exc}"
-    if error:
-        print(error, file=sys.stderr)
+    if error and sys.stderr is not None:  # None when fd 2 was closed at start-up
+        with suppress(OSError):  # a stderr that cannot be written loses the line
+            print(error, file=sys.stderr)
     return code
 
 

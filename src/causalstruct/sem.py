@@ -153,9 +153,9 @@ class ThresholdEquationSystem:
         self.evaluation_order  # refuses a cycle before any factor is built
         counts = self.outcome_counts()
         plan = []
-        for i, eq in enumerate(self.equations):
+        for eq in self.equations:
             lengths = [tuple(map(sub, row, (0.0,) + row)) for row in eq.thresholds]
-            plan.append(_compile(i, eq.parents, counts, lengths))
+            plan.append(_compile(eq.parents, counts, lengths))
         return tuple(plan)
 
     @cached_property

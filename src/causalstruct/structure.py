@@ -118,20 +118,22 @@ class EquationSubset:
 class SystemReport:
     """Outcome of ``check_system`` with witnesses when the check fails.
 
-    A system that is not self-contained always has a ``violation``: the
+    A system is self-contained exactly when it has no ``violation``: the
     first equation, in file order, that a maximum matching leaves unmatched,
-    with every equation reachable from it along alternating paths.  It has
-    exactly one more equation than variables.  ``unused_variables`` lists
-    the variables in no equation, which only such a system can have.
-    ``matching[e]`` is the variable the matching gives equation e, or -1 if
-    none.
+    with every equation reachable from it along alternating paths, one more
+    equation than variables.  ``unused_variables`` lists the variables in no
+    equation, which only a system with a violation can have.
+    ``matching[e]`` is the variable the matching gives equation e, or -1 if none.
     """
 
     matrix: StructureMatrix
-    self_contained: bool
     unused_variables: tuple[int, ...]
     violation: EquationSubset | None
     matching: tuple[int, ...]
+
+    @property
+    def self_contained(self) -> bool:
+        return self.violation is None
 
     def describe(self) -> str:
         if self.self_contained:
@@ -142,11 +144,10 @@ class SystemReport:
                 self.matrix.variable_names[v] for v in self.unused_variables
             )
             parts.append(f"variables in no equation: {names}")
-        if self.violation is not None:
-            parts.append(
-                "equation subset with fewer variables than equations: "
-                + self.violation.describe(self.matrix)
-            )
+        parts.append(
+            "equation subset with fewer variables than equations: "
+            + self.violation.describe(self.matrix)
+        )
         return "not self-contained; " + "; ".join(parts)
 
 
@@ -168,7 +169,6 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
         violation = EquationSubset(*reach)
     return SystemReport(
         matrix=matrix,
-        self_contained=reach is None,
         unused_variables=unused,
         violation=violation,
         matching=tuple(match),

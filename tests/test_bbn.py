@@ -60,7 +60,9 @@ def diamond():
 
 class TestValidate:
     def test_paper_network_is_valid(self, xy_bbn):
-        assert validate(xy_bbn).valid
+        report = validate(xy_bbn)
+        assert report.valid
+        assert report.describe() == "valid"
 
     def test_cycle_witness(self, two_node_cycle):
         report = validate(two_node_cycle)
@@ -285,6 +287,10 @@ class TestFileFormat:
         }
         with pytest.raises(FormatError, match="'x'.*row 0"):
             bbn_from_dict(doc)
+
+    def test_duplicate_names_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="node names must be distinct"):
+            Bbn((binary("x", (), ((0.4, 0.6),)),) * 2)
 
     def test_unknown_parent_rejected_at_construction(self):
         with pytest.raises(ValueError, match="out of range"):

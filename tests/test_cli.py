@@ -4,7 +4,9 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from causalstruct import (
     load_bbn,
     save_bbn,
     load_sem,
+    save_sem,
     load_system,
     ordering_to_dot,
     save_system,
@@ -526,6 +529,18 @@ class TestGraph:
         assert "x -> y;" in target.read_text()
 
 
+# A failing command with no usable stderr: its argv, exit code and stdout.
+STDERR_CASES = [
+    (["check", "nope.json"], 2, ""),
+    (["frobnicate"], 2, ""),
+    (
+        ["check", DATA / "unused_variable.json"],
+        1,
+        "self-contained: no\nvariables in no equation: y\nviolating subset: {e1, e2} covering variables {x}\n",
+    ),
+]
+
+
 class TestErrorChannel:
     def test_missing_file(self, capsys):
         code, out, err = run(["check", "nope.json"], capsys)
@@ -540,6 +555,41 @@ class TestErrorChannel:
             code, out, err = run(["check", DATA / "seat_belts.json"], capsys)
         assert code == 2
         assert err.startswith("error:io:") and err.count("\n") == 1
+
+    def test_no_stdout_is_an_io_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)  # as Python starts with fd 1 closed
+        code, out, err = run(["check", DATA / "seat_belts.json"], capsys)
+        assert (code, err) == (2, "error:io: stdout is closed\n")
+
+    @pytest.mark.parametrize("argv, code, out", STDERR_CASES)
+    def test_no_stderr_loses_only_the_error_line(self, capsys, monkeypatch, argv, code, out):
+        monkeypatch.setattr(sys, "stderr", None)  # as Python starts with fd 2 closed
+        assert run(argv, capsys) == (code, out, "")
+
+    @pytest.mark.parametrize("argv, code, out", STDERR_CASES)
+    def test_unwritable_stderr_loses_only_the_error_line(self, capsys, monkeypatch, argv, code, out):
+        read, write = os.pipe()
+        os.close(read)
+        with io.TextIOWrapper(io.FileIO(write, "w"), encoding="utf-8", write_through=True) as stderr:
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert run(argv, capsys) == (code, out, "")
+
+    @pytest.mark.parametrize(
+        "argv, redirect, err",
+        [
+            (["check", DATA / "seat_belts.json"], ">&-", "error:io: stdout is closed\n"),
+            (["check", "nope.json"], "2>&-", ""),
+            (["frobnicate"], "2>&-", ""),
+        ],
+        ids=["stdout", "stderr", "stderr-usage"],
+    )
+    def test_closed_descriptor_in_a_shell(self, argv, redirect, err):
+        command = [sys.executable, "-m", "causalstruct.cli", *map(str, argv)]
+        env = {**os.environ, "PYTHONPATH": str(Path(causalstruct.__file__).parents[1])}
+        done = subprocess.run(
+            ["sh", "-c", f'"$@" {redirect}', "sh", *command], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -651,6 +701,17 @@ class TestWriters:
         path = tmp_path / name
         save_system(matrix, path)
         assert path.read_bytes() == (json.dumps(system_to_dict(matrix), indent=2) + "\n").encode("utf-8")
+
+    def test_equation_file(self, tmp_path, capsys):
+        bbn = random_bbn(random.Random(33), max_nodes=6, max_outcomes=3, max_parents=2)
+        save_bbn(bbn, tmp_path / "bbn.json")
+        sem = bbn_to_sem(bbn)
+        path = tmp_path / "sem.json"
+        save_sem(sem, path)
+        text = json.dumps(sem_to_dict(sem), indent=2) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
+        assert run(["to-sem", tmp_path / "bbn.json"], capsys) == (0, text, "")
+        assert load_sem(path) == sem
 
 
 def _json_file_text(doc):

@@ -41,6 +41,7 @@ REFUSALS = [
     (bbn_from_dict, network(node(color="red")), "node 'x': unknown keys ['color']"),
     (bbn_from_dict, network(node(), node()), "node names must be distinct"),
     (system_from_dict, [], "system document must be a JSON object"),
+    (system_from_dict, {"variables": ["x"], "equations": {"e": ["x"]}}, '"equations" must be a list'),
     (system_from_dict, {"variables": ["x"], "equations": [["x"]]}, "equation 0 must be an object"),
     (system_from_dict, system(["x", "y"], ("e", ["x"]), ("e", ["y"])), "equation labels must be distinct"),
     (system_from_dict, system([""], ("e", [""])), "variable names must be non-empty"),
@@ -48,6 +49,7 @@ REFUSALS = [
     (sem_from_dict, thresholds([]), "equation 'x': an equation needs at least one threshold row"),
     (sem_from_dict, thresholds([[1.0]]), "equation 'x': threshold rows need at least two outcomes"),
     (sem_from_dict, thresholds([[-0.1, 1.0]]), "equation 'x': threshold row 0 has a negative entry"),
+    (sem_from_dict, thresholds([[0.5, 1.0], [1.0]]), "equation 'x': threshold row 1 has inconsistent length"),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Each refusal error has one raise site, files are written at one site, and
-the CLI prints at two."""
+"""Each refusal error has one raise site, files are written at one site, the
+CLI prints at two, and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -16,6 +16,9 @@ GATES = {
 }
 WRITER = "structure._write_text"
 PRINTERS = {"cli.main", "cli._Parser.error"}
+# (module, name) imported and never used: bench/test_bench.py's
+# test_tracer_restores_every_binding patches sem.joint_probability.
+UNUSED_IMPORTS = {("sem", "joint_probability")}
 # Flags that leave a file as it is; os.open with any other flag writes.
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
 
@@ -91,6 +94,19 @@ class _OutputSites(_Scoped):
         self.generic_visit(node)
 
 
+def _unused_imports(source: str) -> set:
+    """Names bound by an import in ``source`` and never read; ``__future__`` aside."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def _sites(visitor_class) -> list:
     sites = []
     for path in SOURCES:
@@ -113,6 +129,31 @@ def test_only_the_writer_writes_a_file():
 
 def test_only_main_and_the_parser_print():
     assert set(_sites(_OutputSites)) == PRINTERS
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        (path.stem, name)
+        for path in SOURCES
+        if path.name != "__init__.py"  # it imports to re-export
+        for name in _unused_imports(path.read_text(encoding="utf-8"))
+    }
+    assert unused == UNUSED_IMPORTS
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("import os\nos.getcwd()", set()),
+        ("import os.path\nos.path.join()", set()),
+        ("from a import b as c\nc()", set()),
+        ("from a import b, c\nb()", {"c"}),
+        ("import a as b\na()", {"b"}),
+        ("from __future__ import annotations", set()),
+    ],
+)
+def test_unused_import_detection(source, unused):
+    assert _unused_imports(source) == unused
 
 
 @pytest.mark.parametrize(

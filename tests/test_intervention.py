@@ -193,6 +193,11 @@ class TestInterveneBbn:
         twice = intervene_bbn(once, 0, (0.9, 0.1))
         assert once == twice
 
+    @pytest.mark.parametrize("node", [-1, 2])
+    def test_node_out_of_range(self, xy_bbn, node):
+        with pytest.raises(IndexError, match=f"node index {node} out of range"):
+            intervene_bbn(xy_bbn, node, (1.0, 0.0))
+
     def test_dimension_mismatch(self, xy_bbn):
         with pytest.raises(ValueError, match="entries"):
             intervene_bbn(xy_bbn, 0, (0.5, 0.3, 0.2))
@@ -296,6 +301,12 @@ class TestCompareMarginals:
         )
         with pytest.raises(ValueError, match="different variable sets"):
             compare_marginals(xy_bbn, renamed)
+
+    def test_mismatched_outcome_labels(self, xy_bbn):
+        x, y = xy_bbn.nodes
+        relabeled = Bbn((BbnNode(x.name, ("yes", "no"), x.parents, x.cpt), y))
+        with pytest.raises(ValueError, match="outcome space of 'x' differs"):
+            compare_marginals(xy_bbn, relabeled)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_non_descendants_never_move(self, seed):

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import causalstruct
+from causalstruct import cli
 from causalstruct.cli import build_parser
 
 README = Path(__file__).parent.parent / "README.md"
@@ -17,15 +18,26 @@ def test_every_name_the_readme_imports_is_exported():
     assert all(hasattr(causalstruct, name) for name in causalstruct.__all__)
 
 
-def test_command_block_lists_exactly_the_cli_subcommands():
-    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S)
-    documented = [line.split()[1] for line in block.group(1).splitlines()]
+def subcommands() -> dict:
+    """Each subcommand's name and parser."""
     (commands,) = (
         action.choices
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    assert documented == list(commands)
+    return commands
+
+
+def test_command_block_lists_exactly_the_cli_subcommands():
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    documented = [line.split()[1] for line in block.group(1).splitlines()]
+    assert documented == list(subcommands())
+
+
+def test_every_subcommand_runs_a_cli_handler():
+    for parser in subcommands().values():
+        run = parser.get_default("run")
+        assert run.__name__.startswith("_cmd_") and getattr(cli, run.__name__) is run
 
 
 def test_library_example_runs_from_the_repo_root(monkeypatch, capsys):

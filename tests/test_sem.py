@@ -125,6 +125,19 @@ class TestConstruction:
         equation = ThresholdEquation(target=0, parents=(), thresholds=(row,))
         assert equation.thresholds == ((0.5, 1.0, 1.0),)
 
+    @pytest.mark.parametrize(
+        "names, targets, message",
+        [
+            (("x", "y"), (0,), "need exactly one equation per variable"),
+            (("x", "x"), (0, 1), "variable names must be distinct"),
+            (("x", "y"), (1, 0), "equation 0 targets variable 1"),
+        ],
+    )
+    def test_system_refusals(self, names, targets, message):
+        equations = tuple(ThresholdEquation(t, (), ((0.5, 1.0),)) for t in targets)
+        with pytest.raises(ValueError, match=message):
+            ThresholdEquationSystem(names, equations)
+
     def test_entry_past_the_tolerance_is_named(self):
         with pytest.raises(ValueError, match="entry 1.5 above 1"):
             ThresholdEquation(target=0, parents=(), thresholds=((0.5, 1.5, 1.0),))
@@ -244,6 +257,16 @@ class TestCheckEquivalence:
             )
         )
         with pytest.raises(ValueError, match="different variables"):
+            check_equivalence(xy_bbn, bbn_to_sem(other))
+
+    def test_mismatched_outcome_counts_rejected(self, xy_bbn):
+        other = Bbn(
+            (
+                BbnNode("x", ("a", "b", "c"), (), ((0.2, 0.3, 0.5),)),
+                BbnNode("y", ("t", "f"), (0,), ((0.7, 0.3),) * 3),
+            )
+        )
+        with pytest.raises(ValueError, match="disagree on outcome counts"):
             check_equivalence(xy_bbn, bbn_to_sem(other))
 
 

@@ -103,6 +103,7 @@ class TestCheckSystem:
         assert report.self_contained
         assert report.violation is None
         assert report.unused_variables == ()
+        assert report.describe() == "self-contained"
 
     def test_unused_variable_witness(self):
         matrix = load_system(DATA / "unused_variable.json")
@@ -233,6 +234,11 @@ class TestConstruction:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             StructureMatrix(("x", "x"), ("e1", "e2"), (frozenset({0}), frozenset({1})))
+
+    @pytest.mark.parametrize("v", [-1, 1])
+    def test_variable_index_out_of_range(self, v):
+        with pytest.raises(ValueError, match="index out of range"):
+            StructureMatrix(("x",), ("e1",), (frozenset({v}),))
 
     def test_duplicate_rows_allowed(self, feedback2):
         assert feedback2.rows[0] == feedback2.rows[1]
