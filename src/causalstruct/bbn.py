@@ -66,8 +66,12 @@ def _probability(model, assignment: Sequence[int]) -> float:
 def _require_enumerable(total: int) -> None:
     """Raise ``ValueError`` beyond ``MAX_ENUMERABLE_CONFIGURATIONS`` assignments."""
     if total > MAX_ENUMERABLE_CONFIGURATIONS:
+        try:
+            count = str(total)
+        except ValueError:  # more digits than the interpreter converts
+            count = f"at least 2**{total.bit_length() - 1}"
         raise ValueError(
-            f"{total} joint configurations exceed the enumeration bound "
+            f"{count} joint configurations exceed the enumeration bound "
             f"{MAX_ENUMERABLE_CONFIGURATIONS}"
         )
 
@@ -286,13 +290,17 @@ def _validate(bbn: Bbn) -> BbnReport:
                 )
                 if not all(map(math.isfinite, row)):
                     continue
-            deviation = abs(math.fsum(row) - 1.0)
+            try:
+                total = math.fsum(row)
+            except OverflowError:  # entries this large are already out of range
+                continue
+            deviation = abs(total - 1.0)
             if deviation > ROW_SUM_TOLERANCE:
                 issues.append(
                     BbnIssue(
                         "row-sum",
                         i,
-                        f"row {r} sums to {math.fsum(row)!r}",
+                        f"row {r} sums to {total!r}",
                         amount=deviation,
                     )
                 )

@@ -78,9 +78,13 @@ def affected_variables(ordering: CausalOrdering, changed_equation: int) -> froze
 
     The changed equation's cluster plus everything downstream of it along
     the cluster edges; all other variables are insulated by their own
-    mechanisms.
+    mechanisms.  Raises ``KeyError`` for an equation not in the system.
     """
-    start = ordering.cluster_of_equation(changed_equation)
+    for start, cluster in enumerate(ordering.clusters):
+        if changed_equation in cluster.equations:
+            break
+    else:
+        raise KeyError(f"equation index {changed_equation} not in this system")
     hit = reachable_from((start,), ordering.cluster_edges)
     result: set[int] = set()
     for ci in hit:

@@ -19,7 +19,6 @@ matching-independent and held against a brute-force oracle in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .dotutil import dot_id
 from .graphs import strongly_connected_components
@@ -47,34 +46,14 @@ class CausalOrdering:
     Clusters are sorted by (order, smallest variable index).  Cluster edges
     are pairs of positions in ``clusters``; variable edges are pairs of
     variable indices, each meaning the source is a direct causal predecessor
-    of the target.
+    of the target.  The cluster of a variable or an equation is the one
+    whose set holds it.
     """
 
     matrix: StructureMatrix
     clusters: tuple[Cluster, ...]
     cluster_edges: frozenset[tuple[int, int]]
     variable_edges: frozenset[tuple[int, int]]
-
-    @cached_property
-    def _cluster_of_variable(self) -> dict[int, int]:
-        return {
-            v: ci for ci, cluster in enumerate(self.clusters) for v in cluster.variables
-        }
-
-    @cached_property
-    def _cluster_of_equation(self) -> dict[int, int]:
-        return {
-            e: ci for ci, cluster in enumerate(self.clusters) for e in cluster.equations
-        }
-
-    def cluster_of_variable(self, v: int) -> int:
-        return self._cluster_of_variable[v]
-
-    def cluster_of_equation(self, e: int) -> int:
-        try:
-            return self._cluster_of_equation[e]
-        except KeyError:
-            raise KeyError(f"equation index {e} not in this system") from None
 
 
 def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:

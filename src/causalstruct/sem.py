@@ -48,14 +48,15 @@ CHUNK = 1024
 
 @dataclass(frozen=True)
 class ThresholdEquation:
-    """Deterministic equation for one variable.
+    """Deterministic equation for one variable: its parents and its rows.
 
+    The equation carries no variable index; its position in a
+    ``ThresholdEquationSystem`` says which variable it selects.
     ``thresholds[r]`` holds the cumulative outcome thresholds used when the
     parents take the configuration of mixed-radix rank r (first parent most
     significant, matching the conditional-table row order).
     """
 
-    target: int
     parents: tuple[int, ...]
     thresholds: tuple[tuple[float, ...], ...]
 
@@ -112,8 +113,6 @@ class ThresholdEquationSystem:
             raise ValueError("variable names must be distinct")
         n = len(self.equations)
         for i, eq in enumerate(self.equations):
-            if eq.target != i:
-                raise ValueError(f"equation {i} targets variable {eq.target}")
             if len(set(eq.parents)) != len(eq.parents):
                 raise ValueError(
                     f"equation for {self.variable_names[i]!r} repeats a parent"
@@ -187,11 +186,11 @@ def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
     """
     _require_valid(bbn)
     equations = []
-    for i, node in enumerate(bbn.nodes):
+    for node in bbn.nodes:
         rows = tuple(
             (*(min(c, 1.0) for c in accumulate(row[:-1], initial=0.0)), 1.0)[1:] for row in node.cpt
         )
-        equations.append(ThresholdEquation(target=i, parents=node.parents, thresholds=rows))
+        equations.append(ThresholdEquation(parents=node.parents, thresholds=rows))
     return ThresholdEquationSystem(
         variable_names=tuple(node.name for node in bbn.nodes),
         equations=tuple(equations),
@@ -337,7 +336,7 @@ def roundtrip_check(bbn: Bbn) -> bool:
 def sem_from_dict(doc: object) -> ThresholdEquationSystem:
     names, equations = [], []
     items = _named_items(doc, "equation-system", "equation", "target", ("thresholds",))
-    for i, (target, raw, parents) in enumerate(items):
+    for target, raw, parents in items:
         thresholds = raw.get("thresholds")
         if not isinstance(thresholds, list):
             raise FormatError(f'equation {target!r}: "thresholds" must be a list of rows')
@@ -346,7 +345,7 @@ def sem_from_dict(doc: object) -> ThresholdEquationSystem:
             for r, row in enumerate(thresholds)
         )
         try:
-            equations.append(ThresholdEquation(i, parents, rows))
+            equations.append(ThresholdEquation(parents, rows))
         except ValueError as exc:
             raise FormatError(f"equation {target!r}: {exc}") from None
         names.append(target)
@@ -360,11 +359,11 @@ def sem_to_dict(sem: ThresholdEquationSystem) -> dict:
     return {
         "equations": [
             {
-                "target": sem.variable_names[eq.target],
+                "target": name,
                 "parents": [sem.variable_names[p] for p in eq.parents],
                 "thresholds": [list(row) for row in eq.thresholds],
             }
-            for eq in sem.equations
+            for name, eq in zip(sem.variable_names, sem.equations)
         ]
     }
 

@@ -182,7 +182,8 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
     case("usage/missing-option", "intervene", "{data}/xy.json", "--node", "x")
     case("usage/count-not-an-int", "sample", sem, "--count", "many")
     case("usage/count-zero", "sample", sem, "--count", 0)
-    for stem, dist in [("words", "one,zero"), ("nan", "nan,1"), ("short", "1"), ("sum", "0.5,0.4")]:
+    for stem, dist in [("words", "one,zero"), ("nan", "nan,1"), ("short", "1"), ("sum", "0.5,0.4"),
+                       ("overflow", "1e308,1e308")]:
         case(f"usage/dist-{stem}", "intervene", "{data}/xy.json", "--node", "x", "--dist", dist,
              "--out", "{tmp}/usage.json")
     case("usage/unknown-node", "intervene", "{data}/xy.json", "--node", "z", "--dist", "1,0",
@@ -253,6 +254,10 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
         _node("a", ["b"], [[0.5, 0.5]] * 2), _node("b", ["a"], [[0.1, 0.9]] * 2)]})
     inputs["invalid-rows.json"] = _json({"nodes": [
         _node("a", cpt=[[0.5, 0.6]]), _node("b", ["a"], [[0.1, 0.9]]), _node("c", ["a", "a"], [[1.5, -0.5]] * 4)]})
+    # Finite entries whose sum overflows a float.
+    inputs["invalid-overflow.json"] = _json({"nodes": [_node("x", cpt=[[1e308, 1e308]])]})
+    for command in ("verify", "to-sem"):
+        case(f"invalid-bbn/overflow/{command}", command, "{tmp}/invalid-overflow.json")
     for stem in ("cycle", "rows"):
         for command in ("verify", "to-sem", "graph"):
             case(f"invalid-bbn/{stem}/{command}", command, f"{{tmp}}/invalid-{stem}.json")

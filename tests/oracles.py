@@ -39,10 +39,9 @@ def reference_joint(bbn, assignment) -> float:
 def reference_sem_joint(sem, assignment) -> float:
     """Product of the selected interval lengths in equation-index order, from 1.0."""
     p = 1.0
-    for eq in sem.equations:
+    for eq, j in zip(sem.equations, assignment):
         radices = [sem.equations[q].outcome_count for q in eq.parents]
         row = eq.thresholds[_rank(radices, [assignment[q] for q in eq.parents])]
-        j = assignment[eq.target]
         p *= row[j] - (row[j - 1] if j else 0.0)
     return p
 

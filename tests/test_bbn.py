@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -93,9 +94,11 @@ class TestValidate:
         assert any(issue.kind == "row-count" for issue in report.issues)
 
     def test_entry_out_of_range(self):
-        bbn = Bbn((binary("x", (), ((1.4, -0.4),)),))
-        kinds = {issue.kind for issue in validate(bbn).issues}
-        assert "entry-range" in kinds
+        # A row too large to sum as a float is reported by its entries alone.
+        big = sys.float_info.max
+        for row in ((1.4, -0.4), (1e308, 1e308), (-1e308, -1e308), (big, big)):
+            report = validate(Bbn((binary("x", (), (row,)),)))
+            assert report.describe() == "entry-range [x]: row 0 has entries outside [0, 1]"
 
     def test_duplicate_parent(self):
         bbn = Bbn(
@@ -324,3 +327,7 @@ def test_dot_quotes_a_name_ending_in_a_newline():
 def test_marginals_refuse_past_the_enumeration_bound():
     with pytest.raises(ValueError, match="enumeration bound"):
         marginals(independent_binary_network(40))
+    # 2**15000 has more digits than Python converts to a string by default.
+    refusal = r"^at least 2\*\*15000 joint configurations exceed the enumeration bound 1048576$"
+    with pytest.raises(ValueError, match=refusal):
+        marginals(independent_binary_network(15000))

@@ -287,6 +287,15 @@ class TestVerify:
         assert out == "cycle: cycle through " + " -> ".join(v for v, _ in ring_names()) + "\n"
         assert err.startswith("error:invalid-bbn:")
 
+    def test_a_count_too_long_to_print_names_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "coins.json"
+        save_bbn(independent_binary_network(15000), path)
+        assert run(["verify", path], capsys) == (
+            2,
+            "",
+            "error:usage: at least 2**15000 joint configurations exceed the enumeration bound 1048576\n",
+        )
+
     def test_converts_once(self, capsys, monkeypatch):
         calls = []
         original = causalstruct.bbn_to_sem
@@ -311,7 +320,7 @@ class TestVerify:
             sem = original(bbn)
             first, *rest = sem.equations
             row, *rows = first.thresholds
-            moved = ThresholdEquation(0, first.parents, ((row[0] + 1e-6, *row[1:]), *rows))
+            moved = ThresholdEquation(first.parents, ((row[0] + 1e-6, *row[1:]), *rows))
             return ThresholdEquationSystem(sem.variable_names, (moved, *rest))
 
         monkeypatch.setattr(causalstruct.cli, "bbn_to_sem", shifted)

@@ -3,7 +3,8 @@
 Generated system, network and threshold files, each possibly mutated
 (a key or list item dropped, a value swapped for one of the wrong type or
 range, a name copied onto another, a parent added that may close a cycle, one
-name replaced throughout by one UTF-8 cannot encode),
+name replaced throughout by one UTF-8 cannot encode, a whole row filled with
+one extreme finite value),
 are run through every subcommand with in-process ``main``.  Generated
 networks are valid, some with row sums at the edge of the tolerance, so
 ``to-sem`` and ``verify`` must not call one left unmutated unusable, and
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -37,6 +39,9 @@ UNENCODABLE = "\ud800x"  # a lone surrogate: valid in JSON, not in UTF-8
 JUNK = st.sampled_from(
     [None, True, 0, -1, 2, 1.5, -0.25, 10**400, 1e308, math.nan, "", "x", "v0", [], [[]], {}, {"k": 1}]
 )
+
+# Finite values at the ends of the float range; a row of the large ones has no float sum.
+EXTREME = st.sampled_from([1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324, 1e-308])
 
 
 @st.composite
@@ -100,6 +105,17 @@ def _names(doc):
             yield from _names(value)
 
 
+def _rows(doc):
+    """Every list of numbers inside the document: its table and threshold rows."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        if doc and all(type(value) in (int, float) for value in doc):
+            yield doc
+        for value in doc:
+            yield from _rows(value)
+
+
 def _renamed(doc, old, new):
     """``doc`` with every string equal to ``old`` replaced by ``new``."""
     if isinstance(doc, list):
@@ -139,6 +155,11 @@ def mutated(draw):
     renamed = not draw(st.integers(0, 4))
     if renamed:  # still well formed, but its reports cannot be encoded
         doc = _renamed(doc, draw(st.sampled_from(sorted(set(_names(doc))))), UNENCODABLE)
+    rows = list(_rows(doc))
+    extreme = bool(rows) and not draw(st.integers(0, 3))
+    if extreme:
+        row = draw(st.sampled_from(rows))
+        row[:] = [draw(EXTREME)] * len(row)
     mutations = draw(st.integers(0, 2))
     for _ in range(mutations):
         places = list(_places(doc))
@@ -158,7 +179,7 @@ def mutated(draw):
         elif isinstance(container[key], list):
             container[key].append(draw(st.sampled_from(sorted(set(_names(doc))) or [0])))
     command = draw(st.sampled_from(commands if draw(st.integers(0, 4)) else COMMANDS))
-    return doc, command, None if damaged or renamed or mutations else kind
+    return doc, command, None if damaged or renamed or extreme or mutations else kind
 
 
 def arguments(draw, command, path, workdir):
@@ -170,7 +191,9 @@ def arguments(draw, command, path, workdir):
         argv += ["--seed", str(draw(st.integers(-3, 3))), "--count", str(draw(st.integers(-1, 40)))]
     elif command == "intervene":
         node = draw(st.sampled_from(["v0", "v1", "v4", "nope", ""]))
-        dist = draw(st.sampled_from(["1,0", "0.5,0.5", "0.2,0.3,0.5", "1", "-1,2", "nan,1", "a,b", ""]))
+        dist = draw(st.sampled_from(["1,0", "0.5,0.5", "0.2,0.3,0.5", "1", "-1,2", "nan,1", "a,b", "", None]))
+        if dist is None:  # every value the same extreme finite one
+            dist = ",".join([repr(draw(EXTREME))] * draw(st.integers(1, 3)))
         argv += ["--node", node, "--dist", dist, "--out", str(workdir / "after.json")]
     return argv
 

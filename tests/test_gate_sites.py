@@ -1,7 +1,9 @@
 """Each refusal error has one raise site, files are written at one site, the
-CLI prints at two, and no module imports a name it never uses."""
+CLI prints at two, no module imports a name it never uses, and every public
+name has a user or a stated reason to be public."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import causalstruct
 
 SOURCES = sorted(Path(causalstruct.__file__).parent.glob("*.py"))
+REPO = Path(__file__).parent.parent
 GATES = {
     "NotSelfContainedError": "structure._require_self_contained",
     "InvalidBbnError": "bbn._require_valid",
@@ -19,6 +22,24 @@ PRINTERS = {"cli.main", "cli._Parser.error"}
 # (module, name) imported and never used: bench/test_bench.py's
 # test_tracer_restores_every_binding patches sem.joint_probability.
 UNUSED_IMPORTS = {("sem", "joint_probability")}
+# Public names that no other module, no benchmark script and no README
+# example reads, each with the reason it stays public.
+LIBRARY_ONLY = {
+    "EquationSubset": "type of check_system's violating subset",
+    "SystemReport": "type of check_system's result",
+    "ThresholdEquation": "type of a converted system's equations",
+    "ThresholdEquationSystem": "type of bbn_to_sem's result",
+    "Triangularization": "type of triangularize's result",
+    "evaluate": "the paper's equation-solving step, one latent draw to one assignment",
+    "sem_structure": "links an equation system to the structure its ordering reads",
+    "sem_joint": "the equation system's joint, the quantity the equivalence compares",
+    "marginals": "the network's exact marginals over the full joint",
+    "topological_order": "a network's parents-first node order",
+    "save_sem": "file-format symmetry with load_sem",
+    "save_system": "file-format symmetry with load_system",
+    "system_to_dict": "file-format symmetry with system_from_dict",
+    "bbn_to_dict": "file-format symmetry with bbn_from_dict",
+}
 # Flags that leave a file as it is; os.open with any other flag writes.
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
 
@@ -107,6 +128,17 @@ def _unused_imports(source: str) -> set:
     return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _read_names(source: str) -> set:
+    """Every name ``source`` reads as a ``Name`` or as an ``Attribute``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def _sites(visitor_class) -> list:
     sites = []
     for path in SOURCES:
@@ -139,6 +171,26 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in _unused_imports(path.read_text(encoding="utf-8"))
     }
     assert unused == UNUSED_IMPORTS
+
+
+def test_every_public_name_has_a_user_or_a_reason():
+    in_module = {path.stem: _read_names(path.read_text(encoding="utf-8")) for path in SOURCES}
+    outside = set()
+    for path in sorted((REPO / "bench").glob("*.py")):
+        outside |= _read_names(path.read_text(encoding="utf-8"))
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        outside |= _read_names(block)
+
+    def reached(name):
+        home = getattr(causalstruct, name).__module__.rpartition(".")[2]
+        return name in outside or any(
+            name in names for module, names in in_module.items() if module != home
+        )
+
+    unreached = {name for name in causalstruct.__all__ if not reached(name)}
+    assert unreached - LIBRARY_ONLY.keys() == set(), "public names with no user and no reason"
+    assert LIBRARY_ONLY.keys() - unreached == set(), "reasons kept for names that have a user"
 
 
 @pytest.mark.parametrize(

@@ -166,8 +166,9 @@ class TestAffectedVariables:
 
     def test_unknown_equation(self, model3):
         ordering = causal_ordering(model3)
-        with pytest.raises(KeyError):
-            affected_variables(ordering, 17)
+        for e in (-1, model3.n, 17):
+            with pytest.raises(KeyError, match=f"equation index {e} not in this system"):
+                affected_variables(ordering, e)
 
 
 class TestInterveneBbn:
@@ -221,6 +222,7 @@ class TestInterveneBbn:
             ((1.0,), False),
             ((0.5, 0.3, 0.2), False),
             ((), False),
+            ((1e308, 1e308), False),
         ],
     )
     def test_accepts_exactly_what_validate_passes(self, xy_bbn, dist, accepted):
@@ -384,7 +386,7 @@ class TestChangesAndOrderings:
             return
         after = causal_ordering(edited)
 
-        start = before.cluster_of_equation(e)
+        start = next(ci for ci, c in enumerate(before.clusters) if e in c.equations)
         reach = {start}
         frontier = [start]
         successors = {}

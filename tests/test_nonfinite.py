@@ -70,7 +70,7 @@ def test_check_equivalence_refuses_a_nan_row_instead_of_reporting_zero():
 @given(value=non_finite_floats, position=st.integers(0, 2))
 def test_threshold_equation_refuses_a_non_finite_entry(value, position):
     with pytest.raises(ValueError, match="non-finite"):
-        ThresholdEquation(0, (), (tuple(with_entry((0.2, 0.5, 1.0), position, value)),))
+        ThresholdEquation((), (tuple(with_entry((0.2, 0.5, 1.0), position, value)),))
 
 
 @given(value=non_finite_floats, position=st.integers(0, 1))

@@ -140,10 +140,8 @@ class TestInvariants:
                 assert c.order == 0
 
         # cluster edges coincide with variable edges lifted to clusters
-        lifted = {
-            (ordering.cluster_of_variable(u), ordering.cluster_of_variable(v))
-            for u, v in ordering.variable_edges
-        }
+        cluster_of = {v: ci for ci, c in enumerate(ordering.clusters) for v in c.variables}
+        lifted = {(cluster_of[u], cluster_of[v]) for u, v in ordering.variable_edges}
         assert lifted == set(ordering.cluster_edges)
 
     @pytest.mark.parametrize("seed", range(25))
@@ -154,11 +152,10 @@ class TestInvariants:
             random.Random(seed), max_n=8, plant_cycle=seed % 2 == 0
         )
         ordering = causal_ordering(matrix)
+        order = {v: c.order for c in ordering.clusters for v in c.variables}
         for u, v in ordering.variable_edges:
             assert u != v  # no self-loops, ever
-            cu = ordering.clusters[ordering.cluster_of_variable(u)]
-            cv = ordering.clusters[ordering.cluster_of_variable(v)]
-            assert cu.order < cv.order
+            assert order[u] < order[v]
         for a, b in ordering.cluster_edges:
             assert ordering.clusters[a].order < ordering.clusters[b].order
 

@@ -114,15 +114,15 @@ class TestConstruction:
 
     def test_bad_final_threshold_rejected(self):
         with pytest.raises(ValueError, match="ends at"):
-            ThresholdEquation(target=0, parents=(), thresholds=((0.4, 0.9),))
+            ThresholdEquation(parents=(), thresholds=((0.4, 0.9),))
 
     def test_decreasing_row_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
-            ThresholdEquation(target=0, parents=(), thresholds=((0.5, 0.4, 1.0),))
+            ThresholdEquation(parents=(), thresholds=((0.5, 0.4, 1.0),))
 
     @pytest.mark.parametrize("row", [(0.5, 1.0000000005, 1.0), (0.5, 1.0000000005, 1.0000000008)])
     def test_overshoot_within_tolerance_is_clamped_wherever_it_sits(self, row):
-        equation = ThresholdEquation(target=0, parents=(), thresholds=(row,))
+        equation = ThresholdEquation(parents=(), thresholds=(row,))
         assert equation.thresholds == ((0.5, 1.0, 1.0),)
 
     @pytest.mark.parametrize(
@@ -130,17 +130,17 @@ class TestConstruction:
         [
             (("x", "y"), (0,), "need exactly one equation per variable"),
             (("x", "x"), (0, 1), "variable names must be distinct"),
-            (("x", "y"), (1, 0), "equation 0 targets variable 1"),
         ],
     )
     def test_system_refusals(self, names, targets, message):
-        equations = tuple(ThresholdEquation(t, (), ((0.5, 1.0),)) for t in targets)
+        # ``targets`` only counts the equations: equation i targets variable i.
+        equations = tuple(ThresholdEquation((), ((0.5, 1.0),)) for _ in targets)
         with pytest.raises(ValueError, match=message):
             ThresholdEquationSystem(names, equations)
 
     def test_entry_past_the_tolerance_is_named(self):
         with pytest.raises(ValueError, match="entry 1.5 above 1"):
-            ThresholdEquation(target=0, parents=(), thresholds=((0.5, 1.5, 1.0),))
+            ThresholdEquation(parents=(), thresholds=((0.5, 1.5, 1.0),))
 
 
 class TestEvaluate:
@@ -179,8 +179,8 @@ class TestEvaluate:
         sem = ThresholdEquationSystem(
             ("x", "y"),
             (
-                ThresholdEquation(0, (1,), ((0.5, 1.0), (0.5, 1.0))),
-                ThresholdEquation(1, (0,), ((0.5, 1.0), (0.5, 1.0))),
+                ThresholdEquation((1,), ((0.5, 1.0), (0.5, 1.0))),
+                ThresholdEquation((0,), ((0.5, 1.0), (0.5, 1.0))),
             ),
         )
         with pytest.raises(CycleError):
@@ -229,7 +229,7 @@ class TestCheckEquivalence:
             xy_sem.variable_names,
             (
                 xy_sem.equations[0],
-                ThresholdEquation(1, (0,), ((0.71, 1.0), (0.2, 1.0))),
+                ThresholdEquation((0,), ((0.71, 1.0), (0.2, 1.0))),
             ),
         )
         deviation = check_equivalence(xy_bbn, perturbed)
@@ -275,7 +275,7 @@ def binary_ring(rows):
     n = len(rows)
     return ThresholdEquationSystem(
         tuple(f"x{i}" for i in range(n)),
-        tuple(ThresholdEquation(i, ((i - 1) % n,), table) for i, table in enumerate(rows)),
+        tuple(ThresholdEquation(((i - 1) % n,), table) for i, table in enumerate(rows)),
     )
 
 
