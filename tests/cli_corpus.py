@@ -176,6 +176,30 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
         inputs[f"{stem}.json"] = _json(_network_doc(bbn))
         network_commands(stem, f"{{tmp}}/{stem}.json", last.name, dist)
 
+    # Threshold files sampled directly: cut points on the edges of the 256
+    # buckets of a latent's leading byte, one variable of 300 outcomes, and
+    # one equation of 512 rows.
+    edges = [5e-324, 2.0**-53, 1 / 256, 0.3, 0.5, 255 / 256, 1 - 2.0**-53]
+    inputs["edges.sem.json"] = _json({"equations": [
+        {"target": "x", "parents": [], "thresholds": [edges + [1.0]]},
+        {"target": "y", "parents": ["x"], "thresholds": [[0.0, 1.0]] + [[c, 1.0] for c in edges]},
+        {"target": "z", "parents": ["x", "y"],
+         "thresholds": [[a, b, 1.0] for a in [0.0] + edges for b in (a, 1 - 2.0**-53)]},
+    ]})
+    inputs["wide.sem.json"] = _json({"equations": [
+        {"target": "w", "parents": [], "thresholds": [[(i + 1) / 300 for i in range(300)]]},
+        {"target": "coin", "parents": [], "thresholds": [[0.5, 1.0]]},
+    ]})
+    rng = random.Random(512)
+    parents = [f"p{i}" for i in range(9)]
+    inputs["deep.sem.json"] = _json({"equations": [
+        *({"target": p, "parents": [], "thresholds": [[rng.random(), 1.0]]} for p in parents),
+        {"target": "c", "parents": parents, "thresholds": [[rng.random(), 1.0] for _ in range(512)]},
+    ]})
+    for stem in ("edges", "wide", "deep"):
+        for count in (700, 4097):
+            case(f"sem-{stem}/sample-{count}", "sample", f"{{tmp}}/{stem}.sem.json", "--seed", 7, "--count", count)
+
     # error:usage
     case("usage/no-command")
     case("usage/version", "--version")

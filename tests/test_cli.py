@@ -364,6 +364,10 @@ class TestSample:
         ("net30", 1025): "ff60b9950a1ab43e02411612ebcb46789acfa9f54988f146fff7192f71d7cfd7",
         ("net30", 2051): "98f8a0ab5722cc902e9710e8bc21aff5b08664386c248b9fba2fba87937ab1b9",
         ("net30", 3000): "0a5bf3e3859fb9145ed6e6187fc216f182f21f7e48e9fb935705389cd63a2dce",
+        ("net30", 4095): "a82d48f095663ad2d7052a7486bd1ff36b84d42b0a3212d1de0e64d9a83bcc53",
+        ("net30", 4096): "f31cddc7d599ba4233e4b4329d91427219317e867524bdb8600521fddb7472b1",
+        ("net30", 4097): "63314dde27c33e1f18d5e0237f05a0e6b8e7df3483904d90dedb8cfe42449ece",
+        ("net30", 8195): "1c9b8969b2c39804e21680ab639394eeee817257d1758d714494453fe3050bca",
     }
 
     @pytest.mark.parametrize("name", ["xy", "net30"])
