@@ -15,9 +15,16 @@ and its rows must end within 1e-9 of 1), so a latent drawn at 1.0 always
 selects the last outcome with a non-empty interval.  Zero-probability
 entries yield empty intervals, which no latent can hit.
 
-``evaluate`` and ``sample`` share one forward pass, run by columns: for a
-block of draws, each variable in evaluation order selects all its values at
-once from its parents' value columns, so the per-draw work runs in C.
+Forward evaluation runs by columns: for a block of draws, each variable in
+evaluation order selects all its values at once from its parents' value
+columns, so the per-draw work runs in C.  ``evaluate`` bisects float
+latents in the rows.  ``sample`` reads each latent as the 53-bit integer m
+behind ``random() == m / 2**53`` and settles most draws from m's leading
+byte alone, through one 256-entry guide table per threshold row (Chen and
+Asau's guide table, indexed by the uniform's leading digits); a draw the
+byte cannot settle is bisected exactly, as ``evaluate`` would.  Systems
+whose values or row ranks do not fit a byte sample through ``evaluate``'s
+pass.
 """
 
 from __future__ import annotations
@@ -41,9 +48,16 @@ from .ordering import causal_ordering
 from .structure import StructureMatrix, _load_json, _save_json
 from .graphs import topological_order as _topo
 
-# Draws evaluated per columnar pass of ``sample``: enough to spread each
-# variable's per-pass cost thin, few enough to keep memory flat in the count.
-CHUNK = 1024
+# Draws per byte-lane pass of ``sample``: enough to spread each variable's
+# per-pass cost thin, few enough to keep memory flat in the count.  At 8
+# bytes of generator output per latent, 4096 draws take the memory that
+# 1024 float latents do.
+CHUNK = 4096
+
+# A latent's leading byte is m >> 45, so bucket h holds m in [h, h + 1) * 2**45.
+_BUCKET = 45
+# A guide-table entry for a bucket that holds more than one outcome.
+_UNSETTLED = 255
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,53 @@ class ThresholdEquationSystem:
             steps.append((v, eq.parents, rows[0]))
         return tuple(steps)
 
+    @cached_property
+    def _lanes(self) -> tuple | None:
+        """``sample``'s byte-lane plan, or None when values or row ranks outgrow a byte.
+
+        Per target in evaluation order: the target, its (parent, stride)
+        pairs, whose weighted sum of parent values is the row's mixed-radix
+        rank, and per row its pick table (255 for its own rank, else 0), its
+        guide table (see ``_guide``) and the row.  Every value must stay
+        below ``_UNSETTLED`` and every rank below 256, so systems with a
+        variable of 255 or more outcomes or an equation of more than 256
+        rows get None.  Raises ``CycleError`` on feedback.
+        """
+        counts = self.outcome_counts()
+        if max(counts, default=0) >= _UNSETTLED or any(len(eq.thresholds) > 256 for eq in self.equations):
+            return None
+        lanes = []
+        for v in self.evaluation_order:
+            eq = self.equations[v]
+            strides = [math.prod(counts[q] for q in eq.parents[i + 1:]) for i in range(len(eq.parents))]
+            rows = tuple(
+                (bytes(r) + b"\xff" + bytes(255 - r), _guide(row), row) for r, row in enumerate(eq.thresholds)
+            )
+            lanes.append((v, tuple(zip(eq.parents, strides)), rows))
+        return tuple(lanes)
+
+
+def _guide(row: tuple[float, ...]) -> bytes:
+    """Per leading byte h of m, the outcome every latent ``1 - m / 2**53`` in it selects.
+
+    With X = int(c * 2**53), exact for any c in [0, 1], threshold c lies
+    below the latent exactly when m < 2**53 - X: below it for every m in
+    bucket h when h < (2**53 - X) >> 45, and for none when h is past that.
+    At h == (2**53 - X) >> 45 it is split, unless 2**45 divides 2**53 - X;
+    a bucket holding a split threshold gets ``_UNSETTLED``.  The outcome of
+    a settled bucket is the number of thresholds below all of it.
+    """
+    ends = [2**53 - int(c * 2**53) for c in row]
+    table = bytearray(256)
+    top = 256
+    for j, d in enumerate(ends):  # the row ascends, so the bucket bounds descend
+        table[d >> _BUCKET:top] = bytes([j]) * (top - (d >> _BUCKET))
+        top = d >> _BUCKET
+    for d in ends:
+        if d % 2**_BUCKET:
+            table[d >> _BUCKET] = _UNSETTLED
+    return bytes(table)
+
 
 def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
     """Rewrite a valid network as a threshold-equation system.
@@ -277,20 +338,73 @@ def sample(
 
     The generator is the stdlib Mersenne Twister (``random.Random``); each
     draw takes one uniform per variable in ascending variable order, mapped
-    from [0, 1) to (0, 1].  Fixed (seed, count) reproduces tallies exactly.
-    Draws are evaluated ``CHUNK`` at a time, which changes neither the
-    stream nor the tallies.
+    from [0, 1) to (0, 1].  Fixed (seed, count) reproduces tallies exactly,
+    in first-drawn order.  Draws are evaluated in chunks, which changes
+    neither the stream nor the tallies.  Within a chunk of ``CHUNK`` draws,
+    the bytes of ``getrandbits(64 * latents)`` are the words ``random()``
+    would read, and the guide tables of ``ThresholdEquationSystem._lanes``
+    settle each latent from its leading byte, or flag it for an exact
+    bisection.  A system without that plan evaluates float latents as
+    ``evaluate`` does, ``CHUNK // 4`` draws at a time.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    draw = random.Random(seed).random
+    rng = random.Random(seed)
     n = sem.n
+    lanes = sem._lanes
+    # A float latent and its list slot take four times a lane latent's 8
+    # bytes, so both passes hold about the same memory per chunk.
+    size = CHUNK if lanes is not None else CHUNK // 4
     tally: Counter[Assignment] = Counter()
-    for done in range(0, count, CHUNK):
-        k = min(CHUNK, count - done)
-        flat = list(map((1.0).__sub__, starmap(draw, repeat((), k * n))))
-        tally.update(_forward(sem._steps, flat, k))
+    for done in range(0, count, size):
+        k = min(size, count - done)
+        if lanes is None:
+            flat = list(map((1.0).__sub__, starmap(rng.random, repeat((), k * n))))
+            tally.update(_forward(sem._steps, flat, k))
+        else:
+            tally.update(_lane_forward(lanes, rng.getrandbits(64 * k * n).to_bytes(8 * k * n, "little"), k))
     return tally
+
+
+def _lane_forward(lanes, raw: bytes, k: int) -> Iterator[Assignment]:
+    """The ``k`` assignments that the generator output ``raw`` selects.
+
+    ``raw`` holds 8 bytes per latent, draw after draw, each latent's two
+    32-bit words little-endian: ``random()`` reads m = (w1 >> 5) << 26 |
+    w2 >> 6 from them, so m's leading byte is w1's, at offset 3.  Per
+    variable, parents first, the row ranks are the stride-weighted sum of
+    the parents' value columns read as integers (a rank stays below 256, so
+    no byte carries into the next), and each row's guide table is applied
+    to the draws its pick table selects.  Latents left ``_UNSETTLED`` are
+    bisected in their row.
+    """
+    n = len(lanes)
+    if not n:
+        return repeat((), k)
+    columns = [b""] * n
+    for v, parents, rows in lanes:
+        lead = raw[8 * v + 3::8 * n]
+        if parents:
+            ranks = sum(stride * int.from_bytes(columns[p], "little") for p, stride in parents).to_bytes(k, "little")
+            values = 0
+            for pick, guide, _ in rows:
+                chosen = int.from_bytes(ranks.translate(pick), "little")
+                values |= chosen & int.from_bytes(lead.translate(guide), "little")
+            column = values.to_bytes(k, "little")
+        else:
+            ranks = bytes(k)
+            column = lead.translate(rows[0][1])
+        if _UNSETTLED in column:
+            column = bytearray(column)
+            i = column.find(_UNSETTLED)
+            while i >= 0:
+                at = 8 * (i * n + v)
+                words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
+                m = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
+                column[i] = bisect_left(rows[ranks[i]][2], 1.0 - m / 2**53)
+                i = column.find(_UNSETTLED, i + 1)
+        columns[v] = column
+    return zip(*columns)
 
 
 def _structure(names: tuple[str, ...], parent_lists) -> StructureMatrix:

@@ -2,11 +2,12 @@
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from causalstruct import (
     Bbn,
@@ -14,6 +15,8 @@ from causalstruct import (
     CyclicStructureError,
     StructuralChange,
     StructureMatrix,
+    ThresholdEquation,
+    ThresholdEquationSystem,
     affected_variables,
     apply_change,
     bbn_to_sem,
@@ -32,7 +35,7 @@ from causalstruct import (
     sem_structure,
     triangularize,
 )
-from causalstruct.sem import CHUNK
+from causalstruct.sem import CHUNK, _guide, _lane_forward
 
 from generators import permute, subsystem
 from oracles import (
@@ -337,18 +340,115 @@ def test_one_sample_draw_is_evaluate_on_the_same_latents(bbn, seed):
     assert sample(sem, seed, 1) == Counter({evaluate(sem, latents): 1})
 
 
+# Cut points on and beside the edges of the 256 buckets of a latent's
+# leading byte, where one byte settles a draw or just fails to.
+BUCKET_EDGES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-53, 1 - 2.0**-53, 1.0]),
+    st.integers(0, 256).map(lambda j: j / 256),
+    st.builds(lambda j, to: math.nextafter(j / 256, to), st.integers(1, 255), st.sampled_from([0.0, 1.0])),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def edge_rows(draw, k):
+    return (*sorted(draw(st.lists(BUCKET_EDGES, min_size=k - 1, max_size=k - 1))), 1.0)
+
+
+@st.composite
+def edge_systems(draw, max_nodes=4, max_outcomes=4):
+    """Equation systems of ``edge_rows``, variables in a drawn topological order."""
+    n = draw(st.integers(1, max_nodes))
+    order = draw(st.permutations(range(n)))
+    counts = [draw(st.integers(2, max_outcomes)) for _ in range(n)]
+    equations = [None] * n
+    for position, i in enumerate(order):
+        earlier = order[:position]
+        parents = tuple(draw(st.lists(st.sampled_from(earlier), unique=True, max_size=2))) if earlier else ()
+        rows = tuple(draw(edge_rows(counts[i])) for _ in range(math.prod(counts[p] for p in parents)))
+        equations[i] = ThresholdEquation(parents, rows)
+    return ThresholdEquationSystem(tuple(f"v{i}" for i in range(n)), tuple(equations))
+
+
+@given(st.integers(2, 6).flatmap(edge_rows))
+@example((0.0, 1.0))
+@example((5e-324, 1.0))
+@example((2.0**-53, 1.0))
+@example((1 - 2.0**-53, 1.0))
+@example(tuple(j / 256 for j in range(1, 257)))
+@settings(max_examples=300)
+def test_guide_table_settles_exactly_the_buckets_one_outcome_fills(row):
+    table = _guide(row)
+    for h in range(256):
+        # Outcomes only grow with m, so a bucket's two ends decide it.
+        low, high = (bisect_left(row, 1.0 - m / 2**53) for m in (h << 45, (h + 1 << 45) - 1))
+        assert table[h] == (low if low == high else 255), h
+
+
+@given(edge_systems(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_lane_pass_equals_the_per_draw_reference_at_the_edges(sem, data):
+    # Latents 1 - m / 2**53 where some threshold flips or a bucket starts or ends.
+    ends = {2**53 - int(c * 2**53) for eq in sem.equations for row in eq.thresholds for c in row}
+    flips = [m for d in sorted(ends) for m in (d - 1, d) if 0 <= m < 2**53]
+    edges = [m for h in range(256) for m in (h << 45, (h + 1 << 45) - 1)]
+    latent = st.sampled_from(flips) | st.sampled_from(edges)
+    k = data.draw(st.integers(1, 6))
+    draws = [[data.draw(latent) for _ in range(sem.n)] for _ in range(k)]
+    # The words random() reads m from, with their unread low bits set or clear.
+    raw = b"".join(
+        (m >> 26 << 5 | 31 * (v % 2) | ((m & 2**26 - 1) << 6 | 63 * (v % 2)) << 32).to_bytes(8, "little")
+        for latents in draws
+        for v, m in enumerate(latents)
+    )
+    assert list(_lane_forward(sem._lanes, raw, k)) == [
+        reference_evaluate(sem, {v: 1.0 - m / 2**53 for v, m in enumerate(latents)}) for latents in draws
+    ]
+
+
 @given(
-    shuffled_bbns(),
+    shuffled_bbns().map(bbn_to_sem) | edge_systems(),
     st.integers(0, 2**32 - 1),
     st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
 )
-@settings(max_examples=40, deadline=None)
-def test_sample_equals_the_per_draw_reference(bbn, seed, count):
-    sem = bbn_to_sem(bbn)
+@settings(max_examples=60, deadline=None)
+def test_sample_equals_the_per_draw_reference(sem, seed, count):
     # Same tallies, first drawn first.
     assert list(sample(sem, seed, count).items()) == list(
         reference_sample(sem, seed, count).items()
     )
+
+
+def _wide_system(outcomes):
+    """One variable of ``outcomes`` outcomes and a binary child of it."""
+    cuts = tuple((j + 1) / outcomes for j in range(outcomes))
+    return ThresholdEquationSystem(
+        ("w", "b"),
+        (ThresholdEquation((), (cuts,)), ThresholdEquation((0,), tuple((j / outcomes, 1.0) for j in range(outcomes)))),
+    )
+
+
+def _deep_system(parents):
+    """``parents`` binary roots and one child whose equation has 2**parents rows."""
+    rng = random.Random(parents)
+    roots = [ThresholdEquation((), ((rng.random(), 1.0),)) for _ in range(parents)]
+    child = ThresholdEquation(tuple(range(parents)), tuple((rng.random(), 1.0) for _ in range(2**parents)))
+    return ThresholdEquationSystem(tuple(f"v{i}" for i in range(parents + 1)), (*roots, child))
+
+
+@pytest.mark.parametrize(
+    "sem, in_lanes",
+    [(_wide_system(254), True), (_wide_system(255), False), (_wide_system(300), False),
+     (_deep_system(8), True), (_deep_system(9), False)],
+    ids=["254-outcomes", "255-outcomes", "300-outcomes", "256-rows", "512-rows"],
+)
+@pytest.mark.parametrize("count", [CHUNK // 4 - 1, CHUNK // 4 + 1, CHUNK + 1])
+def test_sample_past_the_byte_lanes_equals_the_per_draw_reference(sem, in_lanes, count):
+    # A variable of 255 or more outcomes, or an equation of more than 256
+    # rows, takes the system out of the byte lanes and into evaluate's
+    # pass, CHUNK // 4 draws at a time; 254 outcomes and 256 rows still fit.
+    assert (sem._lanes is not None) == in_lanes
+    assert list(sample(sem, 23, count).items()) == list(reference_sample(sem, 23, count).items())
 
 
 @given(shuffled_bbns(), st.data())

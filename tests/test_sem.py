@@ -32,7 +32,7 @@ from causalstruct import (
 from causalstruct.bbn import ROW_SUM_TOLERANCE
 from causalstruct.sem import CHUNK
 
-from generators import random_bbn
+from generators import binary_chain_network, random_bbn
 
 
 @pytest.fixture
@@ -337,6 +337,36 @@ class TestSample:
                 tracemalloc.stop()
 
         assert peak(200_000) <= 1.5 * peak(2 * CHUNK)
+
+    def test_transient_memory_per_latent(self):
+        # A chunk keeps each latent as 8 bytes of generator output and one
+        # value byte, not as a float object: transient memory, the peak
+        # past what the returned tally holds, stays within 16 bytes a latent.
+        n = 2000
+        chain = bbn_to_sem(binary_chain_network(n))
+        tracemalloc.start()
+        try:
+            tally = sample(chain, seed=11, count=CHUNK)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(tally.values()) == CHUNK
+        assert (peak - retained) / (n * CHUNK) <= 16
+
+    def test_getrandbits_words_are_the_words_random_reads(self):
+        # sample reads its latents from getrandbits: the little-endian 32-bit
+        # words of getrandbits(64 * K) are those K calls of random() read, two
+        # per call, and m's leading byte is the top byte of the first word.
+        K = 1000
+        bits, floats = random.Random(17), random.Random(17)
+        raw = bits.getrandbits(64 * K).to_bytes(8 * K, "little")
+        words = [int.from_bytes(raw[i:i + 4], "little") for i in range(0, 8 * K, 4)]
+        ms = [(a >> 5) << 26 | b >> 6 for a, b in zip(words[::2], words[1::2])]
+        assert [m / 2**53 for m in ms] == [floats.random() for _ in range(K)], (
+            "getrandbits no longer yields the words random() reads, in the same order"
+        )
+        assert bits.random() == floats.random()
+        assert [m >> 45 for m in ms] == list(raw[3::8])
 
     def test_count_must_be_positive(self, xy_sem):
         with pytest.raises(ValueError):
