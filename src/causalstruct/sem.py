@@ -198,10 +198,10 @@ class ThresholdEquationSystem:
         Per target in evaluation order: the target, its (parent, stride)
         pairs, whose weighted sum of parent values is the row's mixed-radix
         rank, and per row its pick table (255 for its own rank, else 0), its
-        guide table (see ``_guide``) and the row.  Every value must stay
-        below ``_UNSETTLED`` and every rank below 256, so systems with a
-        variable of 255 or more outcomes or an equation of more than 256
-        rows get None.  Raises ``CycleError`` on feedback.
+        guide table (see ``_guide``) and the row.  Values must stay below
+        ``_UNSETTLED`` and ranks below 256: systems with a variable of 255
+        or more outcomes or an equation of more than 256 rows get None.
+        Raises ``CycleError`` on feedback.
         """
         counts = self.outcome_counts()
         if max(counts, default=0) >= _UNSETTLED or any(len(eq.thresholds) > 256 for eq in self.equations):
