@@ -16,7 +16,6 @@ from .bbn import (
     load_bbn,
     marginals,
     save_bbn,
-    topological_order,
     validate,
 )
 from .errors import (
@@ -48,7 +47,6 @@ from .sem import (
     load_sem,
     roundtrip_check,
     sample,
-    save_sem,
     sem_from_dict,
     sem_joint,
     sem_structure,
@@ -60,9 +58,7 @@ from .structure import (
     SystemReport,
     check_system,
     load_system,
-    save_system,
     system_from_dict,
-    system_to_dict,
 )
 from .triangular import Triangularization, is_triangularizable, triangularize
 
@@ -107,15 +103,11 @@ __all__ = [
     "roundtrip_check",
     "sample",
     "save_bbn",
-    "save_sem",
-    "save_system",
     "sem_from_dict",
     "sem_joint",
     "sem_structure",
     "sem_to_dict",
     "system_from_dict",
-    "system_to_dict",
-    "topological_order",
     "triangularize",
     "validate",
 ]

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from .dotutil import dot_id
 from .errors import CycleError, FormatError, InvalidBbnError
 from .graphs import topological_order as _topo
-from .structure import _load_json, _save_json
+from .structure import _json_text, _load_json, _write_text
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -205,7 +205,6 @@ class BbnIssue:
     kind: str  # "cycle" | "row-count" | "row-length" | "row-sum" | "entry-range" | "duplicate-parent"
     node: int | None
     detail: str
-    amount: float | None = None
 
 
 @dataclass(frozen=True)
@@ -294,22 +293,9 @@ def _validate(bbn: Bbn) -> BbnReport:
                 total = math.fsum(row)
             except OverflowError:  # entries this large are already out of range
                 continue
-            deviation = abs(total - 1.0)
-            if deviation > ROW_SUM_TOLERANCE:
-                issues.append(
-                    BbnIssue(
-                        "row-sum",
-                        i,
-                        f"row {r} sums to {total!r}",
-                        amount=deviation,
-                    )
-                )
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+                issues.append(BbnIssue("row-sum", i, f"row {r} sums to {total!r}"))
     return BbnReport(bbn=bbn, issues=tuple(issues), cycle=cycle)
-
-
-def topological_order(bbn: Bbn) -> list[int]:
-    """Parents before children, ties broken by ascending node index."""
-    return _topo(bbn.n, [node.parents for node in bbn.nodes])
 
 
 def joint_probability(bbn: Bbn, assignment: Sequence[int]) -> float:
@@ -459,4 +445,4 @@ def load_bbn(path: str | Path) -> Bbn:
 
 
 def save_bbn(bbn: Bbn, path: str | Path) -> None:
-    _save_json(bbn_to_dict(bbn), path)
+    _write_text(path, _json_text(bbn_to_dict(bbn)))

@@ -45,7 +45,7 @@ from .bbn import joint_probability  # noqa: F401  (bench/test_bench.py::test_tra
 from .bbn import _compile, _Factor, _joint, _json_floats, _named_items, _probability, _require_valid
 from .errors import FormatError
 from .ordering import causal_ordering
-from .structure import StructureMatrix, _load_json, _save_json
+from .structure import StructureMatrix, _load_json
 from .graphs import topological_order as _topo
 
 # Draws per byte-lane pass of ``sample``: enough to spread each variable's
@@ -384,16 +384,12 @@ def _lane_forward(lanes, raw: bytes, k: int) -> Iterator[Assignment]:
     columns = [b""] * n
     for v, parents, rows in lanes:
         lead = raw[8 * v + 3::8 * n]
-        if parents:
-            ranks = sum(stride * int.from_bytes(columns[p], "little") for p, stride in parents).to_bytes(k, "little")
-            values = 0
-            for pick, guide, _ in rows:
-                chosen = int.from_bytes(ranks.translate(pick), "little")
-                values |= chosen & int.from_bytes(lead.translate(guide), "little")
-            column = values.to_bytes(k, "little")
-        else:
-            ranks = bytes(k)
-            column = lead.translate(rows[0][1])
+        ranks = sum(stride * int.from_bytes(columns[p], "little") for p, stride in parents).to_bytes(k, "little")
+        values = 0
+        for pick, guide, _ in rows:
+            chosen = int.from_bytes(ranks.translate(pick), "little")
+            values |= chosen & int.from_bytes(lead.translate(guide), "little")
+        column = values.to_bytes(k, "little")
         if _UNSETTLED in column:
             column = bytearray(column)
             i = column.find(_UNSETTLED)
@@ -484,7 +480,3 @@ def sem_to_dict(sem: ThresholdEquationSystem) -> dict:
 
 def load_sem(path: str | Path) -> ThresholdEquationSystem:
     return sem_from_dict(_load_json(path))
-
-
-def save_sem(sem: ThresholdEquationSystem, path: str | Path) -> None:
-    _save_json(sem_to_dict(sem), path)

@@ -233,19 +233,6 @@ def system_from_dict(doc: object) -> StructureMatrix:
         raise FormatError(str(exc)) from None
 
 
-def system_to_dict(matrix: StructureMatrix) -> dict:
-    return {
-        "variables": list(matrix.variable_names),
-        "equations": [
-            {
-                "label": matrix.equation_labels[i],
-                "vars": [matrix.variable_names[v] for v in sorted(matrix.rows[i])],
-            }
-            for i in range(matrix.n)
-        ],
-    }
-
-
 def _reject_constant(name: str):
     raise FormatError(f"non-finite number {name} is not allowed")
 
@@ -290,13 +277,5 @@ def _write_text(path: str | Path, text: str) -> None:
             handle.truncate()
 
 
-def _save_json(doc: object, path: str | Path) -> None:
-    _write_text(path, _json_text(doc))
-
-
 def load_system(path: str | Path) -> StructureMatrix:
     return system_from_dict(_load_json(path))
-
-
-def save_system(matrix: StructureMatrix, path: str | Path) -> None:
-    _save_json(system_to_dict(matrix), path)

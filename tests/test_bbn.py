@@ -21,11 +21,15 @@ from causalstruct import (
     joint_probability,
     marginals,
     roundtrip_check,
-    topological_order,
     validate,
 )
+from causalstruct.graphs import topological_order
 
 from generators import binary_chain_network, independent_binary_network, random_bbn
+
+
+def parents_first(bbn):
+    return topological_order(bbn.n, [node.parents for node in bbn.nodes])
 
 
 def binary(name, parents, rows):
@@ -81,7 +85,7 @@ class TestValidate:
         report = validate(bbn)
         (issue,) = report.issues
         assert issue.kind == "row-sum"
-        assert issue.amount == pytest.approx(0.1)
+        assert report.describe() == "row-sum [x]: row 0 sums to 0.8999999999999999"
 
     def test_row_count_mismatch(self):
         bbn = Bbn(
@@ -111,8 +115,8 @@ class TestValidate:
 
     def test_valid_iff_topological_order_succeeds_and_tables_hold(self, two_node_cycle, xy_bbn):
         with pytest.raises(CycleError):
-            topological_order(two_node_cycle)
-        assert topological_order(xy_bbn) == [0, 1]
+            parents_first(two_node_cycle)
+        assert parents_first(xy_bbn) == [0, 1]
 
 
 class TestJointProbability:
@@ -230,14 +234,14 @@ class TestValidityGate:
 
 class TestTopologicalOrder:
     def test_chain(self, xy_bbn):
-        assert topological_order(xy_bbn) == [0, 1]
+        assert parents_first(xy_bbn) == [0, 1]
 
     def test_isolated_nodes_in_index_order(self):
         bbn = Bbn(tuple(binary(f"n{i}", (), ((0.5, 0.5),)) for i in range(3)))
-        assert topological_order(bbn) == [0, 1, 2]
+        assert parents_first(bbn) == [0, 1, 2]
 
     def test_diamond_tie_break(self, diamond):
-        assert topological_order(diamond) == [0, 1, 2, 3]
+        assert parents_first(diamond) == [0, 1, 2, 3]
 
 
 class TestRowIndexing:

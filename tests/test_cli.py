@@ -24,14 +24,10 @@ from causalstruct import (
     load_bbn,
     save_bbn,
     load_sem,
-    save_sem,
     load_system,
     ordering_to_dot,
-    save_system,
     sem_from_dict,
     sem_to_dict,
-    system_from_dict,
-    system_to_dict,
 )
 from causalstruct.cli import main
 
@@ -678,21 +674,6 @@ class TestErrorChannel:
 
 
 class TestGoldenCorpusRoundTrips:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "drunk_driving.json",
-            "seat_belts.json",
-            "nonstructural.json",
-            "feedback.json",
-            "unused_variable.json",
-        ],
-    )
-    def test_system_files(self, name):
-        doc = json.loads((DATA / name).read_text())
-        parsed = system_from_dict(doc)
-        assert system_from_dict(system_to_dict(parsed)) == parsed
-
     def test_network_files(self):
         doc = json.loads((DATA / "xy.json").read_text())
         parsed = bbn_from_dict(doc)
@@ -708,19 +689,12 @@ class TestWriters:
         save_bbn(bbn, path)
         assert path.read_bytes() == (json.dumps(bbn_to_dict(bbn), indent=2) + "\n").encode("utf-8")
 
-    @pytest.mark.parametrize("name", ["seat_belts.json", "unused_variable.json"])
-    def test_system_file(self, tmp_path, name):
-        matrix = load_system(DATA / name)
-        path = tmp_path / name
-        save_system(matrix, path)
-        assert path.read_bytes() == (json.dumps(system_to_dict(matrix), indent=2) + "\n").encode("utf-8")
-
     def test_equation_file(self, tmp_path, capsys):
         bbn = random_bbn(random.Random(33), max_nodes=6, max_outcomes=3, max_parents=2)
         save_bbn(bbn, tmp_path / "bbn.json")
         sem = bbn_to_sem(bbn)
         path = tmp_path / "sem.json"
-        save_sem(sem, path)
+        assert run(["to-sem", tmp_path / "bbn.json", "--out", path], capsys) == (0, "", "")
         text = json.dumps(sem_to_dict(sem), indent=2) + "\n"
         assert path.read_bytes() == text.encode("utf-8")
         assert run(["to-sem", tmp_path / "bbn.json"], capsys) == (0, text, "")

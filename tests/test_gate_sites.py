@@ -30,15 +30,7 @@ LIBRARY_ONLY = {
     "ThresholdEquation": "type of a converted system's equations",
     "ThresholdEquationSystem": "type of bbn_to_sem's result",
     "Triangularization": "type of triangularize's result",
-    "evaluate": "the paper's equation-solving step, one latent draw to one assignment",
-    "sem_structure": "links an equation system to the structure its ordering reads",
-    "sem_joint": "the equation system's joint, the quantity the equivalence compares",
-    "marginals": "the network's exact marginals over the full joint",
-    "topological_order": "a network's parents-first node order",
-    "save_sem": "file-format symmetry with load_sem",
-    "save_system": "file-format symmetry with load_system",
-    "system_to_dict": "file-format symmetry with system_from_dict",
-    "bbn_to_dict": "file-format symmetry with bbn_from_dict",
+    "bbn_to_dict": "the document save_bbn writes",
 }
 # Flags that leave a file as it is; os.open with any other flag writes.
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
