@@ -356,17 +356,10 @@ def bbn_to_dot(bbn: Bbn) -> str:
 def bbn_from_dict(doc: object) -> Bbn:
     """Parse a network document; node order fixes variable indices."""
     nodes = []
-    items = _named_items(doc, "network", "node", "name", ("outcomes", "cpt"))
-    for name, raw, parents in items:
+    for name, raw, parents, rows in _named_items(doc, "network", "node", "name", "cpt", ("outcomes",)):
         outcomes = raw.get("outcomes")
-        cpt = raw.get("cpt")
         if not isinstance(outcomes, list) or not all(isinstance(o, str) for o in outcomes):
             raise FormatError(f'node {name!r}: "outcomes" must be a list of strings')
-        if not isinstance(cpt, list):
-            raise FormatError(f'node {name!r}: "cpt" must be a list of rows')
-        rows = tuple(
-            _json_floats(row, f"node {name!r}: cpt row {r}") for r, row in enumerate(cpt)
-        )
         try:
             nodes.append(BbnNode(name, tuple(outcomes), parents, rows))
         except ValueError as exc:  # its message names the node
@@ -388,12 +381,12 @@ def bbn_to_dict(bbn: Bbn) -> dict:
     }
 
 
-def _named_items(doc: object, document: str, item: str, name_key: str, keys: tuple):
-    """Check ``{item + "s": [{name_key: ..., "parents": [...], *keys}]}``.
+def _named_items(doc: object, document: str, item: str, name_key: str, rows_key: str, keys: tuple = ()):
+    """Check ``{item + "s": [{name_key: ..., "parents": [...], rows_key: [[...], ...], *keys}]}``.
 
-    Yields (name, item object, parent indices) in list order once the item's
-    own keys and parents check out; names must be distinct and every parent
-    must be one of them.
+    Yields (name, item object, parent indices, rows) in list order once the
+    item's keys and parents check out: names must be distinct and every
+    parent one of them.  Both model files read their rows here, by ``_json_floats``.
     """
     if not isinstance(doc, dict):
         raise FormatError(f"{document} document must be a JSON object")
@@ -412,7 +405,7 @@ def _named_items(doc: object, document: str, item: str, name_key: str, keys: tup
     if len(index) != len(names):
         raise FormatError(f"{item} {name_key}s must be distinct")
     for name, raw in zip(names, raw_items):
-        extra = set(raw) - {name_key, "parents", *keys}
+        extra = set(raw) - {name_key, "parents", rows_key, *keys}
         if extra:
             raise FormatError(f"{item} {name!r}: unknown keys {sorted(extra)}")
         parents = raw.get("parents")
@@ -421,7 +414,12 @@ def _named_items(doc: object, document: str, item: str, name_key: str, keys: tup
         unknown = [p for p in parents if p not in index]
         if unknown:
             raise FormatError(f"{item} {name!r}: unknown parent {unknown[0]!r}")
-        yield name, raw, tuple(index[p] for p in parents)
+        table = raw.get(rows_key)
+        if not isinstance(table, list):
+            raise FormatError(f'{item} {name!r}: "{rows_key}" must be a list of rows')
+        noun = f"{item} {name!r}: {rows_key.rstrip('s')} row"
+        rows = tuple(_json_floats(row, f"{noun} {r}") for r, row in enumerate(table))
+        yield name, raw, tuple(index[p] for p in parents), rows
 
 
 def _json_floats(value: object, what: str) -> tuple[float, ...]:

@@ -42,7 +42,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .bbn import ROW_SUM_TOLERANCE, Assignment, Bbn
 from .bbn import joint_probability  # noqa: F401  (bench/test_bench.py::test_tracer_restores_every_binding)
-from .bbn import _compile, _Factor, _joint, _json_floats, _named_items, _probability, _require_valid
+from .bbn import _compile, _Factor, _joint, _named_items, _probability, _require_valid
 from .errors import FormatError
 from .ordering import causal_ordering
 from .structure import StructureMatrix, _load_json
@@ -132,7 +132,7 @@ class ThresholdEquationSystem:
                     f"equation for {self.variable_names[i]!r} repeats a parent"
                 )
             for p in eq.parents:
-                if p < 0 or p >= n or p == i:
+                if p < 0 or p >= n:
                     raise ValueError(
                         f"equation for {self.variable_names[i]!r} has a bad "
                         f"parent index {p}"
@@ -196,24 +196,24 @@ class ThresholdEquationSystem:
         """``sample``'s byte-lane plan, or None when values or row ranks outgrow a byte.
 
         Per target in evaluation order: the target, its (parent, stride)
-        pairs, whose weighted sum of parent values is the row's mixed-radix
-        rank, and per row its pick table (255 for its own rank, else 0), its
-        guide table (see ``_guide``) and the row.  Values must stay below
-        ``_UNSETTLED`` and ranks below 256: systems with a variable of 255
-        or more outcomes or an equation of more than 256 rows get None.
-        Raises ``CycleError`` on feedback.
+        pairs from its ``_plan`` factor, whose weighted sum of parent values
+        is the row's mixed-radix rank, and per row its pick table (255 for
+        its own rank, else 0), its guide table (see ``_guide``) and the row.
+        Values must stay below ``_UNSETTLED`` and ranks below 256: systems
+        with a variable of 255 or more outcomes or an equation of more than
+        256 rows get None.  Raises ``CycleError`` on feedback.
         """
         counts = self.outcome_counts()
         if max(counts, default=0) >= _UNSETTLED or any(len(eq.thresholds) > 256 for eq in self.equations):
             return None
         lanes = []
         for v in self.evaluation_order:
-            eq = self.equations[v]
-            strides = [math.prod(counts[q] for q in eq.parents[i + 1:]) for i in range(len(eq.parents))]
+            parents, strides, _ = self._plan[v]
             rows = tuple(
-                (bytes(r) + b"\xff" + bytes(255 - r), _guide(row), row) for r, row in enumerate(eq.thresholds)
+                (bytes(r) + b"\xff" + bytes(255 - r), _guide(row), row)
+                for r, row in enumerate(self.equations[v].thresholds)
             )
-            lanes.append((v, tuple(zip(eq.parents, strides)), rows))
+            lanes.append((v, tuple(zip(parents, strides)), rows))
         return tuple(lanes)
 
 
@@ -287,12 +287,9 @@ def _forward(steps, flat, k: int) -> Iterator[Assignment]:
         return repeat((), k)
     columns = [None] * n
     for v, parents, rows in steps:
-        if not parents:
-            selected = repeat(rows, k)
-        else:
-            selected = map(rows.__getitem__, columns[parents[0]])
-            for p in parents[1:]:
-                selected = map(getitem, selected, columns[p])
+        selected = repeat(rows, k)
+        for p in parents:
+            selected = map(getitem, selected, columns[p])
         columns[v] = list(map(bisect_left, selected, flat[v::n]))
     return zip(*columns)
 
@@ -389,16 +386,14 @@ def _lane_forward(lanes, raw: bytes, k: int) -> Iterator[Assignment]:
         for pick, guide, _ in rows:
             chosen = int.from_bytes(ranks.translate(pick), "little")
             values |= chosen & int.from_bytes(lead.translate(guide), "little")
-        column = values.to_bytes(k, "little")
-        if _UNSETTLED in column:
-            column = bytearray(column)
-            i = column.find(_UNSETTLED)
-            while i >= 0:
-                at = 8 * (i * n + v)
-                words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
-                m = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
-                column[i] = bisect_left(rows[ranks[i]][2], 1.0 - m / 2**53)
-                i = column.find(_UNSETTLED, i + 1)
+        column = bytearray(values.to_bytes(k, "little"))
+        i = column.find(_UNSETTLED)
+        while i >= 0:
+            at = 8 * (i * n + v)
+            words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
+            m = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
+            column[i] = bisect_left(rows[ranks[i]][2], 1.0 - m / 2**53)
+            i = column.find(_UNSETTLED, i + 1)
         columns[v] = column
     return zip(*columns)
 
@@ -445,15 +440,7 @@ def roundtrip_check(bbn: Bbn) -> bool:
 
 def sem_from_dict(doc: object) -> ThresholdEquationSystem:
     names, equations = [], []
-    items = _named_items(doc, "equation-system", "equation", "target", ("thresholds",))
-    for target, raw, parents in items:
-        thresholds = raw.get("thresholds")
-        if not isinstance(thresholds, list):
-            raise FormatError(f'equation {target!r}: "thresholds" must be a list of rows')
-        rows = tuple(
-            _json_floats(row, f"equation {target!r}: threshold row {r}")
-            for r, row in enumerate(thresholds)
-        )
+    for target, _, parents, rows in _named_items(doc, "equation-system", "equation", "target", "thresholds"):
         try:
             equations.append(ThresholdEquation(parents, rows))
         except ValueError as exc:

@@ -270,7 +270,8 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
     # error:cyclic
     inputs["loop.sem.json"] = _json(_ring_sem(["rain", "wet"]))
     inputs["ring.sem.json"] = _json(_ring_sem([f"r{k}" for k in range(5)]))
-    for stem in ("loop", "ring"):
+    inputs["self.sem.json"] = _json(_ring_sem(["x"]))  # a variable listed among its own parents
+    for stem in ("loop", "ring", "self"):
         case(f"cyclic/sample-{stem}", "sample", f"{{tmp}}/{stem}.sem.json", "--count", 10)
 
     # error:invalid-bbn

@@ -45,6 +45,7 @@ REFUSALS = [
     (system_from_dict, {"variables": ["x"], "equations": [["x"]]}, "equation 0 must be an object"),
     (system_from_dict, system(["x", "y"], ("e", ["x"]), ("e", ["y"])), "equation labels must be distinct"),
     (system_from_dict, system([""], ("e", [""])), "variable names must be non-empty"),
+    (bbn_from_dict, network(node(cpt=0.5)), "node 'x': \"cpt\" must be a list of rows"),
     (sem_from_dict, thresholds(0.5), "equation 'x': \"thresholds\" must be a list of rows"),
     (sem_from_dict, thresholds([]), "equation 'x': an equation needs at least one threshold row"),
     (sem_from_dict, thresholds([[1.0]]), "equation 'x': threshold rows need at least two outcomes"),

@@ -138,6 +138,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             ThresholdEquationSystem(names, equations)
 
+    def test_parent_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="bad parent index 1"):
+            ThresholdEquationSystem(("x",), (ThresholdEquation((1,), ((0.5, 1.0),)),))
+
     def test_entry_past_the_tolerance_is_named(self):
         with pytest.raises(ValueError, match="entry 1.5 above 1"):
             ThresholdEquation(parents=(), thresholds=((0.5, 1.5, 1.0),))
@@ -287,16 +291,26 @@ class TestCyclicSystemHasNoJoint:
     products sum to 0.75.
     """
 
+    SELF = binary_ring([((0.3, 1.0), (0.8, 1.0))])  # a variable listed among its own parents: a cycle of one
     LOOP = binary_ring([((0.3, 1.0), (0.8, 1.0)), ((0.6, 1.0), (0.1, 1.0))])
     RING = binary_ring([((0.3, 1.0), (0.8, 1.0)), ((0.6, 1.0), (0.1, 1.0)), ((0.5, 1.0), (0.2, 1.0))])
+    CASES = pytest.mark.parametrize(
+        "sem, members", [(SELF, (0,)), (LOOP, (0, 1)), (RING, (0, 1, 2))], ids=["self", "loop", "ring"]
+    )
 
-    @pytest.mark.parametrize("sem, members", [(LOOP, (0, 1)), (RING, (0, 1, 2))], ids=["loop", "ring"])
+    @CASES
     def test_sem_joint_refuses(self, sem, members):
         with pytest.raises(CycleError) as info:
             sem_joint(sem, (0,) * sem.n)
         assert info.value.members == members
 
-    @pytest.mark.parametrize("sem, members", [(LOOP, (0, 1)), (RING, (0, 1, 2))], ids=["loop", "ring"])
+    @CASES
+    def test_evaluate_refuses(self, sem, members):
+        with pytest.raises(CycleError) as info:
+            evaluate(sem, dict.fromkeys(range(sem.n), 0.5))
+        assert info.value.members == members
+
+    @CASES
     def test_check_equivalence_refuses(self, sem, members):
         chain = Bbn(
             tuple(
