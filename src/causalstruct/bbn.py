@@ -18,7 +18,7 @@ from operator import mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .dotutil import dot_id
+from .dotutil import _digraph, dot_id
 from .errors import CycleError, FormatError, InvalidBbnError
 from .graphs import topological_order as _topo
 from .structure import _json_text, _load_json, _write_text
@@ -211,7 +211,6 @@ class BbnIssue:
 class BbnReport:
     bbn: Bbn
     issues: tuple[BbnIssue, ...]
-    cycle: tuple[int, ...] | None
 
     @property
     def valid(self) -> bool:
@@ -244,12 +243,10 @@ def _require_valid(bbn: Bbn) -> None:
 
 def _validate(bbn: Bbn) -> BbnReport:
     issues: list[BbnIssue] = []
-    cycle = None
 
     try:
         _topo(bbn.n, [node.parents for node in bbn.nodes])
     except CycleError as exc:
-        cycle = exc.members
         issues.append(
             BbnIssue(
                 kind="cycle",
@@ -295,7 +292,7 @@ def _validate(bbn: Bbn) -> BbnReport:
                 continue
             if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 issues.append(BbnIssue("row-sum", i, f"row {r} sums to {total!r}"))
-    return BbnReport(bbn=bbn, issues=tuple(issues), cycle=cycle)
+    return BbnReport(bbn=bbn, issues=tuple(issues))
 
 
 def joint_probability(bbn: Bbn, assignment: Sequence[int]) -> float:
@@ -341,12 +338,8 @@ def _marginals(bbn: Bbn, variables, nodes: Sequence[int]) -> list[list[float]]:
 
 def bbn_to_dot(bbn: Bbn) -> str:
     """DOT digraph of the network's arcs."""
-    lines = ["digraph bbn {"]
-    lines.extend(f"  {dot_id(node.name)};" for node in bbn.nodes)
-    for p, child in sorted(bbn.edges):
-        lines.append(f"  {dot_id(bbn.nodes[p].name)} -> {dot_id(bbn.nodes[child].name)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = [node.name for node in bbn.nodes]
+    return _digraph("bbn", [f"  {dot_id(name)};" for name in names], names, bbn.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 validation failure (a report is printed), 2 IO,
 parse or usage errors.  Every failure also emits one machine-parseable
 line ``error:<category>: ...`` on stderr.  Each ``_cmd_*`` returns its exit
 code, stdout text and error line; ``main`` writes the text in one piece, so
-a report it cannot encode leaves stdout empty.
+a report it cannot encode leaves stdout empty.  The parser raises its usage
+errors to ``main`` too; only ``--help`` and ``--version`` exit inside it.
 """
 
 from __future__ import annotations
@@ -41,10 +42,7 @@ from .triangular import is_triangularizable, triangularize
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        if sys.stderr is not None:  # None when fd 2 was closed at start-up
-            with suppress(OSError):  # a stderr that cannot be written loses the line
-                print(f"error:usage: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(message)
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -223,8 +221,8 @@ def _cmd_graph(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, out, error = args.run(args)
     except OSError as exc:
         code, out, error = 2, "", f"error:io: {exc}"

@@ -16,3 +16,11 @@ def dot_id(name: str) -> str:
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
+
+
+def _digraph(graph: str, body: list[str], names, edges) -> str:
+    """``digraph graph`` of the ``body`` lines, then the sorted edges as arrows between names."""
+    lines = [f"digraph {graph} {{", *body]
+    lines += [f"  {dot_id(names[u])} -> {dot_id(names[v])};" for u, v in sorted(edges)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -20,12 +20,11 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
     Vertices are 0..n-1.  Each component is returned with its members
     sorted; the component list itself is in reverse topological order
     (every edge leaves a later component toward an earlier one or stays
-    inside its own).  The walk keeps one adjacency iterator per vertex on
-    it.
+    inside its own).  The walk keeps one adjacency iterator per vertex on it.
+    Vertices of finished components take index n, above every live index.
     """
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -36,7 +35,6 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         trail = [root]
         pending = [iter(adjacency[root])]
         while pending:
@@ -46,11 +44,10 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
                     trail.append(w)
                     pending.append(iter(adjacency[w]))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if index[w] < low[v]:  # false once w's component is done: its index is n
                     low[v] = index[w]
             else:
                 trail.pop()
@@ -59,7 +56,7 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
                     component = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
+                        index[w] = n
                         component.append(w)
                         if w == v:
                             break

@@ -100,13 +100,11 @@ def intervene_bbn(bbn: Bbn, node: int, dist: Sequence[float]) -> Bbn:
     if node < 0 or node >= bbn.n:
         raise IndexError(f"node index {node} out of range")
     target = bbn.nodes[node]
-    row = tuple(dist)
-    report = validate(Bbn((BbnNode(target.name, target.outcomes, (), (row,)),)))
+    cut = BbnNode(target.name, target.outcomes, (), (tuple(map(float, dist)),))
+    report = validate(Bbn((cut,)))
     if not report.valid:
-        raise ValueError(f"distribution {row!r} rejected: {report.issues[0].detail}")
-    nodes = list(bbn.nodes)
-    nodes[node] = BbnNode(target.name, target.outcomes, (), (tuple(map(float, row)),))
-    return Bbn(tuple(nodes))
+        raise ValueError(f"distribution {cut.cpt[0]!r} rejected: {report.issues[0].detail}")
+    return Bbn(bbn.nodes[:node] + (cut,) + bbn.nodes[node + 1:])
 
 
 def _ancestral(bbn: Bbn, variables) -> set[int]:

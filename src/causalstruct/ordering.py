@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dotutil import dot_id
+from .dotutil import _digraph, dot_id
 from .graphs import strongly_connected_components
 from .matching import maximum_matching
 from .structure import StructureMatrix, _require_self_contained, precedence
@@ -105,7 +105,7 @@ def ordering_to_dot(ordering: CausalOrdering) -> str:
     annotated with their degree; no edges are drawn inside them.
     """
     matrix = ordering.matrix
-    lines = ["digraph causal_ordering {"]
+    lines = []
     box = 0
     for cluster in ordering.clusters:
         names = [dot_id(matrix.variable_names[v]) for v in sorted(cluster.variables)]
@@ -118,9 +118,4 @@ def ordering_to_dot(ordering: CausalOrdering) -> str:
             box += 1
         else:
             lines.extend(f"  {name};" for name in names)
-    for u, v in sorted(ordering.variable_edges):
-        lines.append(
-            f"  {dot_id(matrix.variable_names[u])} -> {dot_id(matrix.variable_names[v])};"
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph("causal_ordering", lines, matrix.variable_names, ordering.variable_edges)

@@ -313,7 +313,7 @@ def _run(case: Case, tmp: Path) -> dict:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main([fill(arg) for arg in case.argv])
-            except SystemExit as stop:  # argparse's own exits
+            except SystemExit as stop:  # --help and --version exit inside argparse
                 code = stop.code
         out = "" if case.closed_stdout else blank(stdout.buffer.getvalue().decode("utf-8"))
     finally:

@@ -46,7 +46,7 @@ def ring_names(n=RING):
 def run(argv, capsys):
     try:
         code = main([str(a) for a in argv])
-    except SystemExit as stop:  # argparse-level exits
+    except SystemExit as stop:  # --help and --version exit inside argparse
         code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -649,6 +649,19 @@ class TestErrorChannel:
         code, out, err = run(["check", bad], capsys)
         assert code == 2
         assert err.startswith("error:parse:")
+
+    @pytest.mark.parametrize(
+        "name", ["usage/no-command", "usage/missing-option", "usage/count-not-an-int", "usage/dist-words"]
+    )
+    def test_parser_errors_return_through_main(self, capsys, tmp_path, name):
+        """The corpus's parser-level usage errors return 2 from main, raising no SystemExit."""
+        cases = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))["cases"]
+        case = next(case for case in cases if case["name"] == name)
+        argv = [arg.replace("{data}", str(DATA)).replace("{tmp}", str(tmp_path)) for arg in case["argv"]]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", case["stderr"])
+        assert err.startswith("error:usage: ") and err.count("\n") == 1
 
     def test_unknown_subcommand(self, capsys):
         code, out, err = run(["frobnicate"], capsys)

@@ -212,7 +212,7 @@ def test_every_failure_is_one_error_line(case, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as stop:  # argparse exits on bad flags
+            except SystemExit as stop:  # --help and --version exit inside argparse
                 code = stop.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     out.flush()

@@ -1,6 +1,7 @@
 """Each refusal error has one raise site, files are written at one site, the
-CLI prints at two, no module imports a name it never uses, and every public
-name has a user or a stated reason to be public."""
+CLI prints at one, no module imports a name it never uses, every public name
+has a user or a stated reason to be public, and only the listed functions
+call themselves."""
 
 import ast
 import re
@@ -18,7 +19,9 @@ GATES = {
     "CycleError": "graphs.topological_order",
 }
 WRITER = "structure._write_text"
-PRINTERS = {"cli.main", "cli._Parser.error"}
+PRINTERS = {"cli.main"}
+# ROADMAP item 2 replaces the one search that still recurses on input depth.
+SELF_CALLERS = {"matching.maximum_matching.try_augment"}
 # (module, name) imported and never used: bench/test_bench.py's
 # test_tracer_restores_every_binding patches sem.joint_probability.
 UNUSED_IMPORTS = {("sem", "joint_probability")}
@@ -93,6 +96,15 @@ class _WriteSites(_Scoped):
         self.generic_visit(node)
 
 
+class _SelfCalls(_Scoped):
+    """``module.function`` for each function that calls itself by its bare name."""
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == self.scope[-1]:
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
 class _OutputSites(_Scoped):
     """``module.function`` for each ``print`` call and each use of ``sys.stdout`` or ``sys.stderr``."""
 
@@ -151,8 +163,14 @@ def test_only_the_writer_writes_a_file():
     assert sites and set(sites) == {WRITER}
 
 
-def test_only_main_and_the_parser_print():
+def test_only_main_prints():
     assert set(_sites(_OutputSites)) == PRINTERS
+
+
+def test_only_the_listed_functions_call_themselves():
+    """No new recursion on input depth: each function calling itself by bare name
+    is listed.  Mutual recursion, and a call through an attribute, are not caught."""
+    assert set(_sites(_SelfCalls)) == SELF_CALLERS
 
 
 def test_no_module_imports_a_name_it_never_uses():

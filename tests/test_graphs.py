@@ -159,7 +159,6 @@ def test_prefix_stops_at_a_ring_and_everything_below_it(path, ring_size):
 def test_validate_names_a_deep_ring(path):
     report = validate(ring_network(path))
     expected = rotated_to_min(path)
-    assert report.cycle == expected
     assert [issue.kind for issue in report.issues] == ["cycle"]
     assert report.issues[0].detail == "cycle through " + " -> ".join(f"v{v}" for v in expected)
 
