@@ -245,7 +245,7 @@ def _validate(bbn: Bbn) -> BbnReport:
     issues: list[BbnIssue] = []
 
     try:
-        _topo(bbn.n, [node.parents for node in bbn.nodes])
+        _topo([node.parents for node in bbn.nodes])
     except CycleError as exc:
         issues.append(
             BbnIssue(

@@ -14,15 +14,16 @@ from collections.abc import Iterable, Sequence
 from .errors import CycleError
 
 
-def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
+def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative to keep recursion depth flat.
 
-    Vertices are 0..n-1.  Each component is returned with its members
-    sorted; the component list itself is in reverse topological order
-    (every edge leaves a later component toward an earlier one or stays
-    inside its own).  The walk keeps one adjacency iterator per vertex on it.
-    Vertices of finished components take index n, above every live index.
+    Vertices are 0..len(adjacency)-1.  Components come with their members
+    sorted, in reverse topological order (every edge leaves a later component
+    toward an earlier one or stays inside its own).  The walk keeps one
+    adjacency iterator per vertex on it.  Finished vertices take index
+    len(adjacency), above every live index.
     """
+    n = len(adjacency)
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []
@@ -66,20 +67,20 @@ def strongly_connected_components(n: int, adjacency: Sequence[Sequence[int]]) ->
     return components
 
 
-def topological_prefix(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
+def topological_prefix(parents: Sequence[Sequence[int]]) -> list[int]:
     """Kahn's algorithm with ascending-index tie-breaking, stopping where it sticks.
 
-    ``parents[v]`` lists the vertices that must precede ``v``.  The order
-    leaves out exactly the vertices on or downstream of a directed cycle.
+    Vertices are 0..len(parents)-1; ``parents[v]`` lists the vertices that
+    must precede ``v``.  The order leaves out exactly the vertices on or
+    downstream of a directed cycle.
     """
-    children: list[list[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for v in range(n):
-        for p in parents[v]:
+    children: list[list[int]] = [[] for _ in parents]
+    indegree = [len(ps) for ps in parents]
+    for v, ps in enumerate(parents):
+        for p in ps:
             children[p].append(v)
-            indegree[v] += 1
     order = []
-    ready = [v for v in range(n) if indegree[v] == 0]
+    ready = [v for v, d in enumerate(indegree) if d == 0]
     heapq.heapify(ready)
     while ready:
         v = heapq.heappop(ready)
@@ -91,10 +92,10 @@ def topological_prefix(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
-def topological_order(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
+def topological_order(parents: Sequence[Sequence[int]]) -> list[int]:
     """Kahn's algorithm with ascending-index tie-breaking.
 
-    ``parents[v]`` lists the vertices that must precede ``v``.  If no order
+    Vertices and ``parents`` are as in ``topological_prefix``.  If no order
     exists, raises ``CycleError`` with a cycle read off what the pass left:
     from the smallest unplaced vertex, step to the first unplaced parent in
     list order until a vertex repeats.  Every unplaced vertex has an unplaced
@@ -103,12 +104,12 @@ def topological_order(n: int, parents: Sequence[Sequence[int]]) -> list[int]:
     meets first.  It is given in arrow order (each vertex a parent of the
     next, the last of the first), rotated to start at its smallest vertex.
     """
-    order = topological_prefix(n, parents)
-    if len(order) == n:
+    order = topological_prefix(parents)
+    if len(order) == len(parents):
         return order
     placed = set(order)
     at: dict[int, int] = {}  # vertex -> position on the walk
-    v = next(v for v in range(n) if v not in placed)
+    v = next(v for v in range(len(parents)) if v not in placed)
     while v not in at:
         at[v] = len(at)
         v = next(p for p in parents[v] if p not in placed)

@@ -107,12 +107,6 @@ def intervene_bbn(bbn: Bbn, node: int, dist: Sequence[float]) -> Bbn:
     return Bbn(bbn.nodes[:node] + (cut,) + bbn.nodes[node + 1:])
 
 
-def _ancestral(bbn: Bbn, variables) -> set[int]:
-    """``variables`` and every ancestor of one of them."""
-    arcs_up = ((child, p) for child, node in enumerate(bbn.nodes) for p in node.parents)
-    return reachable_from(variables, arcs_up)
-
-
 def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
     """Per-variable max absolute marginal gap.
 
@@ -143,7 +137,8 @@ def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
     affected = sorted(reachable_from(changed, before.edges))
     sides = []
     for bbn, moved in ((before, affected), (after, [at[i] for i in affected])):
-        nodes = sorted(_ancestral(bbn, moved))
+        arcs_up = ((c, p) for c, node in enumerate(bbn.nodes) for p in node.parents)
+        nodes = sorted(reachable_from(moved, arcs_up))  # moved and their ancestors
         _require_enumerable(math.prod(bbn.nodes[v].outcome_count for v in nodes))
         sides.append((bbn, moved, nodes))
     before_marg, after_marg = (_marginals(*side) for side in sides)

@@ -1,12 +1,12 @@
 """Bipartite matching between equations and variables.
 
-Augmenting-path (Kuhn) matching is ample for desk-scale systems; rows and
-adjacency lists are visited in ascending index order so results, and the
-Hall violators derived from them, are deterministic.  The search recurses
-one Python frame per augmenting-path step, so a path longer than the
-interpreter's recursion limit (about 1000) raises ``RecursionError``; that
-is why the benchmark's chain-1500 and dag-8000 systems fail (ROADMAP item 2
-replaces the search).
+Augmenting-path (Kuhn) matching is ample for desk-scale systems.  Rows are
+square (as many columns as rows) and are sorted here, so rows and columns
+are visited in ascending order and results, and the Hall violators derived
+from them, are deterministic.  The search recurses one Python frame per
+augmenting-path step, so a path longer than the interpreter's recursion
+limit (about 1000) raises ``RecursionError``; that is why the benchmark's
+chain-1500 and dag-8000 systems fail (ROADMAP item 2 replaces the search).
 
 A failed search visits every column reachable from its row along
 alternating paths, and each of those columns is matched, so no later
@@ -18,22 +18,22 @@ violator the matching returns.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 
 def maximum_matching(
-    n_right: int, adjacency: Sequence[Sequence[int]]
+    rows: Sequence[Iterable[int]],
 ) -> tuple[list[int], tuple[frozenset[int], frozenset[int]] | None]:
-    """Match each left vertex to a distinct right vertex where possible.
+    """Match each row to a distinct column where possible.
 
-    ``adjacency[i]`` lists the right vertices reachable from left vertex
-    ``i``.  Returns ``(match, reach)``: ``match[i]`` is the right vertex
-    assigned to left vertex ``i``, or -1 if ``i`` is unmatched; ``reach`` is
-    None when every left vertex is matched, and otherwise the left and right
-    vertices that the lowest unmatched left vertex's failed search visited.
+    ``rows[i]`` holds the columns, of 0..len(rows)-1, that row ``i`` may
+    take; it is searched in ascending order.  Returns ``(match, reach)``:
+    ``match[i]`` is row ``i``'s column, or -1 if ``i`` is unmatched;
+    ``reach`` is None when every row is matched, and otherwise the rows and
+    columns that the lowest unmatched row's failed search visited.
     """
-    match_left = [-1] * len(adjacency)
-    match_right = [-1] * n_right
+    adjacency = [sorted(row) for row in rows]
+    match_left, match_right = [-1] * len(rows), [-1] * len(rows)
     reach = None
 
     def try_augment(i: int, seen: set[int]) -> bool:

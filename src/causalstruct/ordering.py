@@ -61,12 +61,12 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
     _require_self_contained(matrix)
     # The gate's matching would do; bench/test_bench.py pins a second
     # maximum_matching call per ordering until the verdict is cached.
-    match, _ = maximum_matching(matrix.n, [sorted(row) for row in matrix.rows])
+    match, _ = maximum_matching(matrix.rows)
     parents = precedence(matrix, match)
 
     # Tarjan finishes a component only after every component it reaches, so
     # over parent lists each cluster's predecessors are already numbered.
-    comps = strongly_connected_components(matrix.n, parents)
+    comps = strongly_connected_components(parents)
     cluster_of = [0] * matrix.n
     orders: list[int] = []
     cross = []  # (parent, equation) pairs in different clusters

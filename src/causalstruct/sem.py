@@ -155,7 +155,7 @@ class ThresholdEquationSystem:
     @cached_property
     def evaluation_order(self) -> tuple[int, ...]:
         """Topological order of targets; raises ``CycleError`` on feedback."""
-        return tuple(_topo(self.n, [eq.parents for eq in self.equations]))
+        return tuple(_topo([eq.parents for eq in self.equations]))
 
     @cached_property
     def _plan(self) -> tuple[_Factor, ...]:

@@ -160,7 +160,7 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
     equation reachable from it along alternating paths.  Only then can a
     variable occur in no equation, so only then are the rows scanned for one.
     """
-    match, reach = maximum_matching(matrix.n, [sorted(row) for row in matrix.rows])
+    match, reach = maximum_matching(matrix.rows)
     unused: tuple[int, ...] = ()
     violation = None
     if reach is not None:

@@ -41,7 +41,7 @@ def triangularize(matrix: StructureMatrix) -> Triangularization:
     the entry precondition.
     """
     match = _require_self_contained(matrix)
-    row_perm = topological_prefix(matrix.n, precedence(matrix, match))
+    row_perm = topological_prefix(precedence(matrix, match))
     if len(row_perm) != matrix.n:
         raise CyclicStructureError(frozenset(range(matrix.n)).difference(row_perm))
     return Triangularization(tuple(row_perm), tuple(match[e] for e in row_perm))

@@ -29,7 +29,7 @@ from generators import binary_chain_network, independent_binary_network, random_
 
 
 def parents_first(bbn):
-    return topological_order(bbn.n, [node.parents for node in bbn.nodes])
+    return topological_order([node.parents for node in bbn.nodes])
 
 
 def binary(name, parents, rows):

@@ -82,10 +82,10 @@ def assert_cycle_is_the_reference(parents):
     try:
         expected = recursive_find_cycle(len(parents), parents)
     except ValueError:
-        assert topological_order(len(parents), parents) == smallest_order(parents)
+        assert topological_order(parents) == smallest_order(parents)
         return
     with pytest.raises(CycleError) as info:
-        topological_order(len(parents), parents)
+        topological_order(parents)
     assert info.value.members == expected
 
 
@@ -107,13 +107,13 @@ def test_a_cyclic_order_runs_one_kahn_pass(monkeypatch):
     calls = []
     original = graphs.topological_prefix
 
-    def counted(n, parents):
-        calls.append(n)
-        return original(n, parents)
+    def counted(parents):
+        calls.append(len(parents))
+        return original(parents)
 
     monkeypatch.setattr(graphs, "topological_prefix", counted)
     with pytest.raises(CycleError) as info:
-        topological_order(4, [[], [0, 3], [1], [2]])
+        topological_order([[], [0, 3], [1], [2]])
     assert info.value.members == (1, 2, 3)
     assert calls == [4]
 
@@ -123,8 +123,8 @@ def test_a_cyclic_order_runs_one_kahn_pass(monkeypatch):
 @settings(max_examples=30, deadline=None)
 def test_chains_sort_in_path_order_and_have_no_cycle(path):
     parents = chain_parents(path)
-    assert topological_order(len(path), parents) == path
-    assert topological_prefix(len(path), parents) == path
+    assert topological_order(parents) == path
+    assert topological_prefix(parents) == path
 
 
 @given(paths())
@@ -132,9 +132,9 @@ def test_chains_sort_in_path_order_and_have_no_cycle(path):
 @settings(max_examples=30, deadline=None)
 def test_rings_report_the_whole_ring_in_arrow_order(path):
     parents = ring_parents(path)
-    assert topological_prefix(len(path), parents) == []
+    assert topological_prefix(parents) == []
     with pytest.raises(CycleError) as info:
-        topological_order(len(path), parents)
+        topological_order(parents)
     assert info.value.members == rotated_to_min(path)
 
 
@@ -147,9 +147,9 @@ def test_prefix_stops_at_a_ring_and_everything_below_it(path, ring_size):
     parents = chain_parents(path) + [[ring[k - 1]] for k in range(ring_size)]
     cut = len(path) // 2
     parents[path[cut]].append(ring[0])
-    assert topological_prefix(len(parents), parents) == path[:cut]
+    assert topological_prefix(parents) == path[:cut]
     with pytest.raises(CycleError) as info:
-        topological_order(len(parents), parents)
+        topological_order(parents)
     assert info.value.members == tuple(ring)
 
 
@@ -177,7 +177,7 @@ def assert_components_ancestors_first(adjacency, components):
 @example([])
 @example([[0, 0], [1, 0, 1]])
 def test_components_partition_the_vertices_ancestors_first(adjacency):
-    components = strongly_connected_components(len(adjacency), adjacency)
+    components = strongly_connected_components(adjacency)
     assert_components_ancestors_first(adjacency, components)
 
 
@@ -187,7 +187,7 @@ def test_components_equal_networkx(adjacency):
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(adjacency)))
     graph.add_edges_from((v, w) for v, successors in enumerate(adjacency) for w in successors)
-    components = strongly_connected_components(len(adjacency), adjacency)
+    components = strongly_connected_components(adjacency)
     assert {frozenset(comp) for comp in components} == set(
         map(frozenset, nx.strongly_connected_components(graph))
     )
@@ -199,7 +199,7 @@ def test_components_equal_networkx(adjacency):
 def test_chain_components_are_single_vertices_in_path_order(path):
     # Each vertex points at its predecessor on the path, so that one comes first.
     adjacency = chain_parents(path)
-    components = strongly_connected_components(len(path), adjacency)
+    components = strongly_connected_components(adjacency)
     assert components == [[v] for v in path]
 
 
@@ -208,4 +208,4 @@ def test_chain_components_are_single_vertices_in_path_order(path):
 @settings(max_examples=30, deadline=None)
 def test_ring_is_one_component(path):
     adjacency = ring_parents(path)
-    assert strongly_connected_components(len(path), adjacency) == [sorted(path)]
+    assert strongly_connected_components(adjacency) == [sorted(path)]

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from causalstruct import cli
 from causalstruct.cli import build_parser
 
 README = Path(__file__).parent.parent / "README.md"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 CLI = Path(causalstruct.__file__).parent / "cli.py"
 
 
@@ -16,6 +18,26 @@ def test_every_name_the_readme_imports_is_exported():
     assert names
     assert names <= set(causalstruct.__all__)
     assert all(hasattr(causalstruct, name) for name in causalstruct.__all__)
+
+
+def test_the_public_list_is_exactly_what_the_package_imports():
+    tree = ast.parse(Path(causalstruct.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert imported
+    assert set(causalstruct.__all__) == imported
+    assert len(causalstruct.__all__) == len(imported)
+
+
+def test_the_project_version_is_the_package_version():
+    # A regex, not tomllib: tomllib is missing on Python 3.10, which the project supports.
+    project = re.search(r"^\[project\]$(.*?)^\[", PYPROJECT.read_text(), re.M | re.S)
+    (version,) = re.findall(r'^version\s*=\s*"([^"]*)"', project.group(1), re.M)
+    assert version == causalstruct.__version__
 
 
 def subcommands() -> dict:

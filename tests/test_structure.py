@@ -15,6 +15,8 @@ from causalstruct import (
     system_from_dict,
     triangularize,
 )
+from causalstruct.graphs import strongly_connected_components, topological_order
+from causalstruct.matching import maximum_matching
 
 from conftest import DATA
 from generators import permute, random_self_contained_system, random_square_matrix, subsystem
@@ -115,6 +117,22 @@ class TestCheckSystem:
         # brute force over all 7 non-empty subsets agrees
         assert brute_is_self_contained(model4, {0, 1, 2})
         assert check_system(model4).self_contained
+
+    def test_the_matching_visits_each_row_in_ascending_order(self):
+        # CPython iterates frozenset({1, 8}) as 8, then 1: the matching must not.
+        rows = [frozenset({1, 8}), frozenset({0})]
+        rows += [frozenset({v}) for v in range(2, 8)] + [frozenset({1, 8})]
+        assert list(rows[0]) == [8, 1]
+        matrix = StructureMatrix(
+            tuple(f"v{v}" for v in range(9)), tuple(f"e{e}" for e in range(9)), tuple(rows)
+        )
+        assert check_system(matrix).matching == (8, 0, 2, 3, 4, 5, 6, 7, 1)
+        assert maximum_matching([list(row) for row in rows]) == maximum_matching(
+            [sorted(row) for row in rows]
+        )
+        assert maximum_matching([]) == ([], None)
+        assert strongly_connected_components([]) == []
+        assert topological_order([]) == []
 
     def test_violating_subset_has_fewer_variables(self):
         rng = random.Random(7)
