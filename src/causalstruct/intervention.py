@@ -10,7 +10,6 @@ degenerate one-hot case covering value-fixing interventions.
 from __future__ import annotations
 
 import math
-from collections import ChainMap
 from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
@@ -53,17 +52,17 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
     variable in the row, or an empty row, and ``NotSelfContainedError``, with
     ``check_system``'s report, when the edited system is not self-contained.
     """
-    names, labels, added = matrix.variable_names, matrix.equation_labels, {}
+    names, labels = matrix.variable_names, matrix.equation_labels
+    index = {name: v for v, name in enumerate(names)}
     if change.kind == "replace_equation":
         e = matrix.equation_index(change.target)
     else:
-        if change.target in matrix._name_to_var:
+        if change.target in index:
             raise ValueError(f"variable {change.target!r} already exists")
-        e = matrix.n
-        added = {change.target: e}
+        e = index[change.target] = matrix.n
         names += (change.target,)
-        labels += (next(f"e{k}" for k in count(e + 1) if f"e{k}" not in matrix._label_to_eq),)
-    index = ChainMap(added, matrix._name_to_var)
+        taken = set(labels)
+        labels += (next(f"e{k}" for k in count(e + 1) if f"e{k}" not in taken),)
     try:
         row = frozenset(index[name] for name in change.vars)
     except KeyError as exc:

@@ -69,7 +69,10 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
     comps = strongly_connected_components(parents)
     cluster_of = [0] * matrix.n
     orders: list[int] = []
-    cross = []  # (parent, equation) pairs in different clusters
+    # Parent and equation of each precedence between different clusters, in
+    # two flat lists, which hold no tuple per pair.
+    cross_parents: list[int] = []
+    cross_equations: list[int] = []
     for ci, comp in enumerate(comps):
         for e in comp:
             cluster_of[e] = ci
@@ -77,24 +80,34 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
         for e in comp:
             for p in parents[e]:
                 if cluster_of[p] != ci:
-                    cross.append((p, e))
+                    cross_parents.append(p)
+                    cross_equations.append(e)
                     order = max(order, orders[cluster_of[p]] + 1)
         orders.append(order)
+    # Equal sets are one object: a singleton {k} serves as one cluster's
+    # equations and as another's variables.
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    equations = [shared.setdefault(s, s) for s in map(frozenset, comps)]
     variables = [frozenset(match[e] for e in comp) for comp in comps]
+    variables = [shared.setdefault(s, s) for s in variables]
+    del parents, comps, shared  # freed before the edge sets are built
 
-    canonical = sorted(range(len(comps)), key=lambda ci: (orders[ci], min(variables[ci])))
-    position = [0] * len(comps)
+    canonical = sorted(range(len(orders)), key=lambda ci: (orders[ci], min(variables[ci])))
+    position = [0] * len(orders)
     for new, ci in enumerate(canonical):
         position[ci] = new
-    clusters = tuple(Cluster(frozenset(comps[ci]), variables[ci], orders[ci]) for ci in canonical)
-    cluster_edges = {(position[cluster_of[p]], position[cluster_of[e]]) for p, e in cross}
-    variable_edges = {(match[p], w) for p, e in cross for w in variables[cluster_of[e]]}
+    clusters = tuple(Cluster(equations[ci], variables[ci], orders[ci]) for ci in canonical)
+    # Each edge frozenset is copied from its own set, one at a time: a copy
+    # sizes its table to fit, half what building from a generator leaves.
+    cross = cross_parents, cross_equations
+    cluster_edges = frozenset({(position[cluster_of[p]], position[cluster_of[e]]) for p, e in zip(*cross)})
+    variable_edges = frozenset({(match[p], w) for p, e in zip(*cross) for w in variables[cluster_of[e]]})
 
     return CausalOrdering(
         matrix=matrix,
         clusters=clusters,
-        cluster_edges=frozenset(cluster_edges),
-        variable_edges=frozenset(variable_edges),
+        cluster_edges=cluster_edges,
+        variable_edges=variable_edges,
     )
 
 

@@ -17,7 +17,6 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -66,18 +65,10 @@ class StructureMatrix:
     def n(self) -> int:
         return len(self.variable_names)
 
-    @cached_property
-    def _name_to_var(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.variable_names)}
-
-    @cached_property
-    def _label_to_eq(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.equation_labels)}
-
     def equation_index(self, label: str) -> int:
         try:
-            return self._label_to_eq[label]
-        except KeyError:
+            return self.equation_labels.index(label)
+        except ValueError:
             raise KeyError(f"unknown equation {label!r}") from None
 
     @staticmethod
@@ -193,7 +184,9 @@ def precedence(matrix: StructureMatrix, match: Sequence[int]) -> list[list[int]]
     ``match`` is a perfect matching (``match[e]`` the variable equation e
     determines); equation e can be solved only after the equations it lists.
     """
-    equation_of = {v: e for e, v in enumerate(match)}
+    equation_of = [0] * len(match)
+    for e, v in enumerate(match):
+        equation_of[v] = e
     return [[equation_of[u] for u in row if u != v] for row, v in zip(matrix.rows, match)]
 
 

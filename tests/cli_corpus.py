@@ -41,11 +41,13 @@ from causalstruct.cli import main  # noqa: E402
 
 from generators import (  # noqa: E402
     binary_chain_network,
+    chain_system,
     independent_binary_network,
     random_bbn,
     random_distribution,
     random_self_contained_system,
     random_square_matrix,
+    system_doc,
 )
 
 DATA = HERE / "data"
@@ -68,16 +70,6 @@ def _sha(data: bytes) -> str:
 
 def _json(doc: object) -> bytes:
     return json.dumps(doc).encode("utf-8")
-
-
-def _system_doc(matrix) -> dict:
-    return {
-        "variables": list(matrix.variable_names),
-        "equations": [
-            {"label": label, "vars": [matrix.variable_names[v] for v in sorted(row)]}
-            for label, row in zip(matrix.equation_labels, matrix.rows)
-        ],
-    }
 
 
 def _network_doc(bbn) -> dict:
@@ -159,12 +151,18 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
                                   (6, 200, 0.005, True)]:
         matrix = random_self_contained_system(random.Random(seed), n, n, extra, plant_cycle=cycle)
         stem = f"system-{seed}"
-        inputs[f"{stem}.json"] = _json(_system_doc(matrix))
+        inputs[f"{stem}.json"] = _json(system_doc(matrix))
         structure_commands(stem, f"{{tmp}}/{stem}.json")
     for seed in range(100, 106):
         stem = f"square-{seed}"
-        inputs[f"{stem}.json"] = _json(_system_doc(random_square_matrix(random.Random(seed))))
+        inputs[f"{stem}.json"] = _json(system_doc(random_square_matrix(random.Random(seed))))
         structure_commands(stem, f"{{tmp}}/{stem}.json")
+
+    # The benchmark's chain of 1500 equations, whose last equation's
+    # augmenting path runs through the whole chain.
+    inputs["chain-1500.json"] = _json(system_doc(chain_system(1500)))
+    for command in ("check", "order", "triangularize"):
+        case(f"chain-1500/{command}", command, "{tmp}/chain-1500.json")
 
     # Seeded networks.
     for seed, shape in [(0, {}), (1, {}), (2, {}), (3, {}), (30, {"max_nodes": 9, "max_outcomes": 3})]:

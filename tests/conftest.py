@@ -1,3 +1,5 @@
+import contextlib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -5,6 +7,16 @@ import pytest
 from causalstruct import load_bbn, load_system
 
 DATA = Path(__file__).parent / "data"
+
+# Hypothesis imports this module to write a patch only once a generated
+# example fails, and importing it makes libcst raise a DeprecationWarning
+# (mypy_extensions.TypedDict) that filterwarnings = ["error"] turns into an
+# INTERNALERROR ending the session.  Importing it here, with warnings
+# silenced for this import alone, lets a failing property report as a
+# failure; Hypothesis itself skips the patch when the module cannot load.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

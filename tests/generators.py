@@ -57,6 +57,32 @@ def random_square_matrix(rng: random.Random, max_n: int = 8, fill: float = 0.35)
     )
 
 
+def chain_system(n: int) -> StructureMatrix:
+    """The adversarial augmenting chain, as the benchmark builds it.
+
+    Variable i is ``v<i>`` and equation k is ``e<k>``; equation k < n-1 is
+    {v_k, v_k+1} and the last is {v0}.  Matching equations in file order,
+    the last one needs an augmenting path through the whole chain.
+    """
+    rows = [frozenset((k, k + 1)) for k in range(n - 1)] + [frozenset((0,))]
+    return StructureMatrix(
+        variable_names=tuple(f"v{i}" for i in range(n)),
+        equation_labels=tuple(f"e{k}" for k in range(n)),
+        rows=tuple(rows),
+    )
+
+
+def system_doc(matrix: StructureMatrix) -> dict:
+    """The system file document of a matrix, each row's names in index order."""
+    return {
+        "variables": list(matrix.variable_names),
+        "equations": [
+            {"label": label, "vars": [matrix.variable_names[v] for v in sorted(row)]}
+            for label, row in zip(matrix.equation_labels, matrix.rows)
+        ],
+    }
+
+
 def permute(matrix: StructureMatrix, rows, cols) -> StructureMatrix:
     """Reorder equations by ``rows`` and variables by ``cols``.
 

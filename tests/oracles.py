@@ -304,3 +304,33 @@ def recursive_find_cycle(n: int, parents) -> tuple[int, ...]:
             if found is not None:
                 return found
     raise ValueError("graph is acyclic; no cycle to report")
+
+
+def recursive_maximum_matching(rows):
+    """Kuhn's augmenting-path matching, one recursive call per path step.
+
+    Rows are searched in ascending order and each row's columns in
+    ascending order.  Returns ``(match, reach)`` as
+    ``causalstruct.matching.maximum_matching`` does: ``reach`` holds the
+    rows and columns the lowest unmatched row's failed search visited.
+    """
+    adjacency = [sorted(row) for row in rows]
+    match_left, match_right = [-1] * len(rows), [-1] * len(rows)
+    reach = None
+
+    def try_augment(i: int, seen: set[int]) -> bool:
+        for j in adjacency[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_right[j] == -1 or try_augment(match_right[j], seen):
+                match_left[i] = j
+                match_right[j] = i
+                return True
+        return False
+
+    for i in range(len(adjacency)):
+        seen: set[int] = set()
+        if not try_augment(i, seen) and reach is None:
+            reach = (frozenset([i, *(match_right[j] for j in seen)]), frozenset(seen))
+    return match_left, reach

@@ -9,9 +9,10 @@ are run through every subcommand with in-process ``main``.  Generated
 networks are valid, some with row sums at the edge of the tolerance, so
 ``to-sem`` and ``verify`` must not call one left unmutated unusable, and
 ``verify`` must not fail one on its joint gap or round trip.  The
-inputs stay small, at most 12 equations, so the recursive matching stays far
-below its recursion limit of about 1000 nested augmenting steps; deep inputs
-are covered by the graph and CLI tests of their own.
+generated inputs stay small, at most 12 equations, so that many mutations
+run quickly; one deep input, a chain of 5000 equations whose last
+augmenting path runs through the whole chain, goes through every structure
+subcommand on its own.
 """
 
 import contextlib
@@ -29,6 +30,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from causalstruct import Bbn, BbnNode, bbn_to_dict, bbn_to_sem, sem_to_dict
 from causalstruct.bbn import ROW_SUM_TOLERANCE
 from causalstruct.cli import main
+
+from generators import chain_system, system_doc
 
 CATEGORIES = ("usage", "io", "parse", "not-self-contained", "cyclic", "invalid-bbn", "verify")
 ERROR_LINE = re.compile(r"error:(%s): " % "|".join(map(re.escape, CATEGORIES)))
@@ -227,3 +230,17 @@ def test_every_failure_is_one_error_line(case, data):
         # verify; only an unwritable --out may still end the command.
         refused = ("error:usage:", "error:invalid-bbn:", "error:verify:")
         assert not err.getvalue().startswith(refused), (argv, err.getvalue())
+
+
+STRUCTURE_COMMANDS = ("check", "order", "triangularize", "graph")
+
+
+def test_structure_commands_take_a_deep_chain(tmp_path):
+    path = tmp_path / "chain-5000.json"
+    path.write_text(json.dumps(system_doc(chain_system(5000))))
+    for command in STRUCTURE_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        assert (code, err.getvalue()) == (0, ""), command
+        assert out.getvalue()

@@ -20,8 +20,8 @@ GATES = {
 }
 WRITER = "structure._write_text"
 PRINTERS = {"cli.main"}
-# ROADMAP item 2 replaces the one search that still recurses on input depth.
-SELF_CALLERS = {"matching.maximum_matching.try_augment"}
+# No search recurses on input depth: every graph walk keeps its own stack.
+SELF_CALLERS: set[str] = set()
 # (module, name) imported and never used: bench/test_bench.py's
 # test_tracer_restores_every_binding patches sem.joint_probability.
 UNUSED_IMPORTS = {("sem", "joint_probability")}

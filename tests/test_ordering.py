@@ -3,13 +3,16 @@ import random
 import pytest
 
 from causalstruct import (
+    CyclicStructureError,
     NotSelfContainedError,
     StructureMatrix,
     causal_ordering,
+    check_system,
     ordering_to_dot,
+    triangularize,
 )
 
-from generators import permute, random_self_contained_system
+from generators import chain_system, permute, random_self_contained_system
 from oracles import naive_causal_ordering
 
 
@@ -287,7 +290,7 @@ def networkx_ordering(matrix, nx):
 def test_large_systems_match_networkx(seed, cycles):
     nx = pytest.importorskip("networkx")
     rng = random.Random(seed)
-    matrix = planted_feedback_system(rng, rng.randint(900, 1100), 3, cycles)
+    matrix = planted_feedback_system(rng, rng.randint(9000, 11000), 3, cycles)
     ordering = causal_ordering(matrix)
     clusters, cluster_edges, variable_edges = networkx_ordering(matrix, nx)
     assert [(c.equations, c.variables, c.order) for c in ordering.clusters] == clusters
@@ -296,3 +299,29 @@ def test_large_systems_match_networkx(seed, cycles):
     if cycles:
         assert max(c.degree for c in ordering.clusters) > 1
     assert max(c.order for c in ordering.clusters) > 10
+
+
+DEEP_SYSTEMS = {
+    "chain-5000": lambda: chain_system(5000),
+    "feedback-10000": lambda: planted_feedback_system(random.Random(3), 10_000, 3, 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SYSTEMS))
+def test_deep_systems_finish_without_recursion(name):
+    """Augmenting paths thousands of steps long, and deep precedence, recurse nowhere."""
+    matrix = DEEP_SYSTEMS[name]()
+    report = check_system(matrix)
+    assert report.self_contained
+    ordering = causal_ordering(matrix)
+    assert sum(c.degree for c in ordering.clusters) == matrix.n
+    cyclic = any(c.degree > 1 for c in ordering.clusters)
+    assert cyclic == name.startswith("feedback")
+    if cyclic:
+        with pytest.raises(CyclicStructureError):
+            triangularize(matrix)
+    else:
+        result = triangularize(matrix)
+        assert result.col_perm == tuple(report.matching[e] for e in result.row_perm)
+    if name == "chain-5000":
+        assert max(c.order for c in ordering.clusters) == matrix.n - 1

@@ -35,12 +35,14 @@ from causalstruct import (
     sem_structure,
     triangularize,
 )
+from causalstruct.matching import maximum_matching
 from causalstruct.sem import CHUNK, _guide, _lane_forward
 
 from generators import permute, subsystem
 from oracles import (
     brute_self_contained_subsets,
     pivot_scan_triangularize,
+    recursive_maximum_matching,
     reference_compare_marginals,
     reference_evaluate,
     reference_gap,
@@ -249,6 +251,23 @@ def test_cyclic_witness_is_the_feedback_clusters_and_their_descendants(matrix):
     with pytest.raises(CyclicStructureError) as info:
         triangularize(matrix)
     assert info.value.remaining_equations == witness
+
+
+@given(
+    st.one_of(square_matrices(max_n=10), self_contained_matrices(max_n=10), any_self_contained),
+    st.data(),
+)
+@settings(max_examples=400)
+def test_matching_keeps_the_recursive_searchs_rows_and_violator(matrix, data):
+    """Whatever columns the rows take, the same rows stay unmatched and the reach is the same."""
+    rows = permute(matrix, data.draw(st.permutations(range(matrix.n))), range(matrix.n)).rows
+    match, reach = maximum_matching(rows)
+    expected_match, expected_reach = recursive_maximum_matching(rows)
+    assert reach == expected_reach
+    assert [j == -1 for j in match] == [j == -1 for j in expected_match]
+    taken = [j for j in match if j != -1]
+    assert len(set(taken)) == len(taken)
+    assert all(j == -1 or j in row for row, j in zip(rows, match))
 
 
 @given(bbns())

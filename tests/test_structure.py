@@ -119,17 +119,20 @@ class TestCheckSystem:
         assert check_system(model4).self_contained
 
     def test_the_matching_visits_each_row_in_ascending_order(self):
-        # CPython iterates frozenset({1, 8}) as 8, then 1: the matching must not.
+        # CPython iterates frozenset({1, 8}) as 8, then 1: the matching must
+        # not depend on that, nor on the order a row lists its columns in.
         rows = [frozenset({1, 8}), frozenset({0})]
         rows += [frozenset({v}) for v in range(2, 8)] + [frozenset({1, 8})]
         assert list(rows[0]) == [8, 1]
         matrix = StructureMatrix(
             tuple(f"v{v}" for v in range(9)), tuple(f"e{e}" for e in range(9)), tuple(rows)
         )
-        assert check_system(matrix).matching == (8, 0, 2, 3, 4, 5, 6, 7, 1)
-        assert maximum_matching([list(row) for row in rows]) == maximum_matching(
-            [sorted(row) for row in rows]
-        )
+        rng = random.Random(121)
+        for system in [matrix, *(random_square_matrix(rng, max_n=9) for _ in range(200))]:
+            expected = maximum_matching([sorted(row) for row in system.rows])
+            assert maximum_matching(system.rows) == expected
+            assert maximum_matching([sorted(row, reverse=True) for row in system.rows]) == expected
+            assert check_system(system).matching == tuple(expected[0])
         assert maximum_matching([]) == ([], None)
         assert strongly_connected_components([]) == []
         assert topological_order([]) == []
