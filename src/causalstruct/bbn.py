@@ -164,14 +164,10 @@ class Bbn:
     def n(self) -> int:
         return len(self.nodes)
 
-    @cached_property
-    def _name_to_index(self) -> dict[str, int]:
-        return {node.name: i for i, node in enumerate(self.nodes)}
-
     def index_of(self, name: str) -> int:
         try:
-            return self._name_to_index[name]
-        except KeyError:
+            return [node.name for node in self.nodes].index(name)
+        except ValueError:
             raise KeyError(f"unknown node {name!r}") from None
 
     @property
@@ -361,17 +357,8 @@ def bbn_from_dict(doc: object) -> Bbn:
 
 
 def bbn_to_dict(bbn: Bbn) -> dict:
-    return {
-        "nodes": [
-            {
-                "name": node.name,
-                "outcomes": list(node.outcomes),
-                "parents": [bbn.nodes[p].name for p in node.parents],
-                "cpt": [list(row) for row in node.cpt],
-            }
-            for node in bbn.nodes
-        ]
-    }
+    items = [(node.name, {"outcomes": list(node.outcomes)}, node.parents, node.cpt) for node in bbn.nodes]
+    return _named_doc("node", "name", "cpt", items)
 
 
 def _named_items(doc: object, document: str, item: str, name_key: str, rows_key: str, keys: tuple = ()):
@@ -413,6 +400,21 @@ def _named_items(doc: object, document: str, item: str, name_key: str, rows_key:
         noun = f"{item} {name!r}: {rows_key.rstrip('s')} row"
         rows = tuple(_json_floats(row, f"{noun} {r}") for r, row in enumerate(table))
         yield name, raw, tuple(index[p] for p in parents), rows
+
+
+def _named_doc(item: str, name_key: str, rows_key: str, items: list) -> dict:
+    """The document ``_named_items`` reads back, from (name, keys, parent indices, rows).
+
+    Each item object holds ``name_key``, then ``keys`` in their order, then
+    ``"parents"`` by name and ``rows_key``; both model files are written here.
+    """
+    names = [name for name, *_ in items]
+    return {
+        item + "s": [
+            {name_key: name, **keys, "parents": [names[p] for p in parents], rows_key: list(map(list, rows))}
+            for name, keys, parents, rows in items
+        ]
+    }
 
 
 def _json_floats(value: object, what: str) -> tuple[float, ...]:

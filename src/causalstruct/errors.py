@@ -9,15 +9,19 @@ class FormatError(ValueError):
     """A document does not conform to one of the JSON file formats."""
 
 
-class NotSelfContainedError(ValueError):
-    """An operation required a self-contained system but got something else.
-
-    ``report`` carries the diagnostic produced by ``check_system``.
-    """
+class _Refusal(ValueError):
+    """An input that a check refused; ``report`` carries the check's diagnostic."""
 
     def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
+
+
+class NotSelfContainedError(_Refusal):
+    """An operation required a self-contained system but got something else.
+
+    ``report`` carries the diagnostic produced by ``check_system``.
+    """
 
 
 class CyclicStructureError(Exception):
@@ -47,9 +51,5 @@ class CycleError(Exception):
         return "cycle through " + " -> ".join(names[v] for v in self.members)
 
 
-class InvalidBbnError(ValueError):
+class InvalidBbnError(_Refusal):
     """An operation required a valid belief network; ``report`` is ``validate``'s."""
-
-    def __init__(self, message: str, report):
-        super().__init__(message)
-        self.report = report

@@ -122,7 +122,8 @@ def compare_marginals(before: Bbn, after: Bbn) -> dict[str, float]:
     names = [node.name for node in before.nodes]
     if set(names) != {node.name for node in after.nodes}:
         raise ValueError("networks name different variable sets")
-    at = [after.index_of(name) for name in names]  # index in after, by index in before
+    index = {node.name: j for j, node in enumerate(after.nodes)}
+    at = [index[name] for name in names]  # index in after, by index in before
     twins = [after.nodes[j] for j in at]
     for name, a, b in zip(names, before.nodes, twins):
         if a.outcomes != b.outcomes:

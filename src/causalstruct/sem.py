@@ -42,10 +42,10 @@ from typing import Iterator, Mapping, Sequence
 
 from .bbn import ROW_SUM_TOLERANCE, Assignment, Bbn
 from .bbn import joint_probability  # noqa: F401  (bench/test_bench.py::test_tracer_restores_every_binding)
-from .bbn import _compile, _Factor, _joint, _named_items, _probability, _require_valid
+from .bbn import _compile, _Factor, _joint, _named_doc, _named_items, _probability, _require_valid
 from .errors import FormatError
 from .ordering import causal_ordering
-from .structure import StructureMatrix, _load_json
+from .structure import StructureMatrix, _load_json, _require_names
 from .graphs import topological_order as _topo
 
 # Draws per byte-lane pass of ``sample``: enough to spread each variable's
@@ -121,10 +121,7 @@ class ThresholdEquationSystem:
     def __post_init__(self):
         if len(self.variable_names) != len(self.equations):
             raise ValueError("need exactly one equation per variable")
-        if any(not name for name in self.variable_names):
-            raise ValueError("variable names must be non-empty")
-        if len(set(self.variable_names)) != len(self.variable_names):
-            raise ValueError("variable names must be distinct")
+        _require_names(self.variable_names)
         n = len(self.equations)
         for i, eq in enumerate(self.equations):
             if len(set(eq.parents)) != len(eq.parents):
@@ -433,10 +430,10 @@ def roundtrip_check(bbn: Bbn) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# File format:
-# {"equations": [{"target":..., "parents":[...], "thresholds":[[...],...]}]}
-# Equation order fixes variable indices; row order matches the conditional-
-# table convention (first parent most significant).
+# File format: the network file's layout (``bbn._named_items``) with
+# "equations" for "nodes", "target" for "name", "thresholds" for "cpt" and
+# no "outcomes".  Equation order fixes variable indices; row order matches
+# the conditional-table convention (first parent most significant).
 
 def sem_from_dict(doc: object) -> ThresholdEquationSystem:
     names, equations = [], []
@@ -453,16 +450,8 @@ def sem_from_dict(doc: object) -> ThresholdEquationSystem:
 
 
 def sem_to_dict(sem: ThresholdEquationSystem) -> dict:
-    return {
-        "equations": [
-            {
-                "target": name,
-                "parents": [sem.variable_names[p] for p in eq.parents],
-                "thresholds": [list(row) for row in eq.thresholds],
-            }
-            for name, eq in zip(sem.variable_names, sem.equations)
-        ]
-    }
+    items = [(name, {}, eq.parents, eq.thresholds) for name, eq in zip(sem.variable_names, sem.equations)]
+    return _named_doc("equation", "target", "thresholds", items)
 
 
 def load_sem(path: str | Path) -> ThresholdEquationSystem:

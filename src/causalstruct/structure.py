@@ -24,6 +24,14 @@ from .errors import FormatError, NotSelfContainedError
 from .matching import maximum_matching
 
 
+def _require_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless the variable names are non-empty and distinct."""
+    if any(not name for name in names):
+        raise ValueError("variable names must be non-empty")
+    if len(set(names)) != len(names):
+        raise ValueError("variable names must be distinct")
+
+
 @dataclass(frozen=True)
 class StructureMatrix:
     """Boolean incidence of variables in equations, always square.
@@ -44,10 +52,7 @@ class StructureMatrix:
                 f"system must be square: {n} variables, "
                 f"{len(self.equation_labels)} equations, {len(self.rows)} rows"
             )
-        if any(not name for name in self.variable_names):
-            raise ValueError("variable names must be non-empty")
-        if len(set(self.variable_names)) != n:
-            raise ValueError("variable names must be distinct")
+        _require_names(self.variable_names)
         if len(set(self.equation_labels)) != n:
             raise ValueError("equation labels must be distinct")
         for i, row in enumerate(self.rows):

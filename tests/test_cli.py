@@ -519,6 +519,17 @@ class TestIntervene:
         assert code == 2
         assert err.startswith("error:usage:")
 
+    @pytest.mark.parametrize("node, dist", [("nosuch", "1,0"), ("x", "2,0")], ids=["unknown-node", "bad-dist"])
+    def test_invalid_network_is_refused_before_node_and_dist(self, node, dist, capsys, tmp_path):
+        doc = json.loads((DATA / "xy.json").read_text())
+        doc["nodes"][0]["cpt"] = [[0.6, 0.5]]  # sums to 1.1
+        path, out_path = tmp_path / "bad.json", tmp_path / "after.json"
+        path.write_text(json.dumps(doc))
+        argv = ["intervene", path, "--node", node, "--dist", dist, "--out", out_path]
+        report = "row-sum [x]: row 0 sums to 1.1\n"
+        assert run(argv, capsys) == (1, report, "error:invalid-bbn: network failed validation\n")
+        assert not out_path.exists()
+
 
 class TestGraph:
     def test_network_dot(self, capsys):

@@ -1,7 +1,7 @@
 """Each refusal error has one raise site, files are written at one site, the
 CLI prints at one, no module imports a name it never uses, every public name
-has a user or a stated reason to be public, and only the listed functions
-call themselves."""
+has a user or a stated reason to be public, only the listed functions call
+themselves, and records cache only the listed values."""
 
 import ast
 import re
@@ -34,6 +34,12 @@ LIBRARY_ONLY = {
     "ThresholdEquationSystem": "type of bbn_to_sem's result",
     "Triangularization": "type of triangularize's result",
     "bbn_to_dict": "the document save_bbn writes",
+}
+# Each record's cached values, all derived plans or verdicts: a lookup table
+# such as a name index is a scan or a caller's local map instead.
+CACHED = {
+    "Bbn": {"_plan", "_report"},
+    "ThresholdEquationSystem": {"evaluation_order", "_plan", "_steps", "_lanes"},
 }
 # Flags that leave a file as it is; os.open with any other flag writes.
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
@@ -171,6 +177,23 @@ def test_only_the_listed_functions_call_themselves():
     """No new recursion on input depth: each function calling itself by bare name
     is listed.  Mutual recursion, and a call through an attribute, are not caught."""
     assert set(_sites(_SelfCalls)) == SELF_CALLERS
+
+
+def test_only_the_listed_values_are_cached():
+    cached = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                names = {
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    for d in item.decorator_list
+                    if getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                }
+                if names:
+                    cached[node.name] = names
+    assert cached == CACHED
 
 
 def test_no_module_imports_a_name_it_never_uses():

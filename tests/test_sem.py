@@ -459,6 +459,15 @@ class TestFileFormat:
         assert again == xy_sem
         assert sem_to_dict(again) == doc
 
+    def test_random_round_trips(self):
+        rng = random.Random(3)
+        for _ in range(10):
+            sem = bbn_to_sem(random_bbn(rng))
+            doc = sem_to_dict(sem)
+            again = sem_from_dict(json.loads(json.dumps(doc)))
+            assert again == sem
+            assert sem_to_dict(again) == doc
+
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError, match="unknown keys"):
             sem_from_dict({"equations": [], "comment": "hi"})
