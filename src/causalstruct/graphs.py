@@ -2,8 +2,8 @@
 
 One Kahn pass gives the order or, where it stalls, a cycle: every vertex it
 leaves has a parent it also left, so a walk up those parents always closes,
-on the cycle a depth-first search would meet first.  Tarjan's algorithm
-serves the clusters of the causal ordering only.
+on the cycle a depth-first search would meet first.  Tarjan's walk (1972),
+with Pearce's one rank per vertex (2016), serves only the ordering's clusters.
 """
 
 from __future__ import annotations
@@ -20,50 +20,47 @@ def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[li
     Vertices are 0..len(adjacency)-1.  Components come with their members
     sorted, in reverse topological order (every edge leaves a later component
     toward an earlier one or stays inside its own).  The walk keeps one
-    adjacency iterator per vertex on it.  Finished vertices take index
-    len(adjacency), above every live index.
+    adjacency iterator per vertex on it and one rank (Pearce 2016): the stack
+    position a vertex is pushed at, lowered to the lowest live one it reaches.
+    A root's rank names its own position; a finished vertex's is len(adjacency).
     """
     n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
+    rank = [-1] * n
     stack: list[int] = []
     components: list[list[int]] = []
-    counter = 0
 
     for root in range(n):
-        if index[root] != -1:
+        if rank[root] != -1:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        rank[root] = len(stack)
         stack.append(root)
         trail = [root]
         pending = [iter(adjacency[root])]
         while pending:
             v = trail[-1]
             for w in pending[-1]:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
+                if rank[w] == -1:
+                    rank[w] = len(stack)
                     stack.append(w)
                     trail.append(w)
                     pending.append(iter(adjacency[w]))
                     break
-                if index[w] < low[v]:  # false once w's component is done: its index is n
-                    low[v] = index[w]
+                if rank[w] < rank[v]:  # false once w's component is done: its rank is n
+                    rank[v] = rank[w]
             else:
                 trail.pop()
                 pending.pop()
-                if low[v] == index[v]:
+                if stack[rank[v]] == v:
                     component = []
                     while True:
                         w = stack.pop()
-                        index[w] = n
+                        rank[w] = n
                         component.append(w)
                         if w == v:
                             break
                     components.append(sorted(component))
-                elif low[v] < low[trail[-1]]:
-                    low[trail[-1]] = low[v]
+                elif rank[v] < rank[trail[-1]]:
+                    rank[trail[-1]] = rank[v]
     return components
 
 

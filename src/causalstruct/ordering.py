@@ -8,9 +8,10 @@ precedence edges from already-solved variables into each cluster.
 Instead of enumerating subsets, the implementation matches each equation to
 one of its variables and lets every equation follow the equations matched
 to its other variables.  The clusters are the strongly connected components
-of that equation precedence, and one Tarjan pass (Tarjan 1972) yields them
-ancestors first, so each cluster's order (one more than the largest among
-its predecessors, else 0) and in-edges are read off as it is finished.  That is
+of that equation precedence, and one Tarjan pass keeping one rank per
+equation (Tarjan 1972; Pearce 2016) yields them ancestors first, so each
+cluster's order (one more than the largest among its predecessors, else 0)
+and in-edges are read off as it is finished.  That is
 the square Dulmage-Mendelsohn decomposition (Iwasaki & Simon 1994, "Causality
 and model abstraction"), computed as in Pothen & Fan (1990).  The result is
 matching-independent and held against a brute-force oracle in the tests.

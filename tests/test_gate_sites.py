@@ -1,9 +1,10 @@
 """Each refusal error has one raise site, files are written at one site, the
 CLI prints at one, no module imports a name it never uses, every public name
-has a user or a stated reason to be public, only the listed functions call
-themselves, and records cache only the listed values."""
+has a user or a stated reason to be public, no function reaches itself
+through calls, and records cache only the listed values."""
 
 import ast
+import graphlib
 import re
 from pathlib import Path
 
@@ -20,8 +21,6 @@ GATES = {
 }
 WRITER = "structure._write_text"
 PRINTERS = {"cli.main"}
-# No search recurses on input depth: every graph walk keeps its own stack.
-SELF_CALLERS: set[str] = set()
 # (module, name) imported and never used: bench/test_bench.py's
 # test_tracer_restores_every_binding patches sem.joint_probability.
 UNUSED_IMPORTS = {("sem", "joint_probability")}
@@ -102,13 +101,62 @@ class _WriteSites(_Scoped):
         self.generic_visit(node)
 
 
-class _SelfCalls(_Scoped):
-    """``module.function`` for each function that calls itself by its bare name."""
+class _BareCalls(_Scoped):
+    """Each def's dotted path, in ``defs``, and for each bare-name call the
+    ``(caller, paths)`` its name could mean, first match wins: a def nested in
+    an enclosing def, innermost first, one at module level, then the target
+    of a ``from .x import y [as z]`` read earlier.  A class body encloses no
+    name its methods can call bare."""
+
+    def __init__(self, module: str):
+        super().__init__(module)
+        self.defs: set[str] = set()
+        self.imported: dict[str, str] = {}
+        self.lexical = [1]  # lengths of the scope prefixes that are the module or a def
+
+    def visit_ImportFrom(self, node):
+        if node.level == 1 and node.module:
+            for alias in node.names:
+                self.imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def visit_FunctionDef(self, node):
+        self.defs.add(".".join(self.scope + [node.name]))
+        self.lexical.append(len(self.scope) + 1)
+        super().visit_FunctionDef(node)
+        self.lexical.pop()
 
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == self.scope[-1]:
-            self.sites.append(".".join(self.scope))
+        if isinstance(node.func, ast.Name) and len(self.scope) > 1:
+            name = node.func.id
+            paths = [".".join(self.scope[:k] + [name]) for k in reversed(self.lexical)]
+            self.sites.append((".".join(self.scope), paths + [self.imported.get(name)]))
         self.generic_visit(node)
+
+
+def _call_graph(sources: dict) -> dict:
+    """Each caller in ``sources`` (module name -> text) mapped to the defs it
+    calls by bare name, resolved within its module or through a relative import."""
+    defs, sites = set(), []
+    for module, text in sources.items():
+        visitor = _BareCalls(module)
+        visitor.visit(ast.parse(text))
+        defs |= visitor.defs
+        sites += visitor.sites
+    calls: dict[str, set[str]] = {}
+    for caller, paths in sites:
+        callee = next((path for path in paths if path in defs), None)
+        if callee:
+            calls.setdefault(caller, set()).add(callee)
+    return calls
+
+
+def _cycle(calls: dict):
+    """A cycle of ``calls`` as a list of defs, first repeated last, or None."""
+    try:
+        graphlib.TopologicalSorter(calls).prepare()
+    except graphlib.CycleError as error:
+        return error.args[1]
+    return None
 
 
 class _OutputSites(_Scoped):
@@ -173,10 +221,11 @@ def test_only_main_prints():
     assert set(_sites(_OutputSites)) == PRINTERS
 
 
-def test_only_the_listed_functions_call_themselves():
-    """No new recursion on input depth: each function calling itself by bare name
-    is listed.  Mutual recursion, and a call through an attribute, are not caught."""
-    assert set(_sites(_SelfCalls)) == SELF_CALLERS
+def test_no_function_reaches_itself_through_calls():
+    """No recursion on input depth: every graph walk keeps its own stack.  A
+    call through an attribute, such as a method call, is not followed."""
+    calls = _call_graph({path.stem: path.read_text(encoding="utf-8") for path in SOURCES})
+    assert _cycle(calls) is None
 
 
 def test_only_the_listed_values_are_cached():
@@ -239,6 +288,24 @@ def test_every_public_name_has_a_user_or_a_reason():
 )
 def test_unused_import_detection(source, unused):
     assert _unused_imports(source) == unused
+
+
+@pytest.mark.parametrize(
+    "sources, on_cycle",
+    [
+        ({"m": "def f(n):\n    return f(n - 1)"}, {"m.f"}),
+        ({"m": "def f():\n    g()\ndef g():\n    f()"}, {"m.f", "m.g"}),
+        (
+            {"a": "from .b import g as h\ndef f():\n    h()", "b": "from .a import f\ndef g():\n    f()"},
+            {"a.f", "b.g"},
+        ),
+        ({"m": "from .n import g\ndef f():\n    g()\n    len([])", "n": "def g():\n    pass"}, set()),
+        ({"m": "def f(x):\n    def f(y):\n        return y\n    return f(x)"}, set()),
+        ({"m": "class C:\n    def f(self):\n        return f(self)\ndef f(c):\n    return c.f()"}, set()),
+    ],
+)
+def test_call_cycle_detection(sources, on_cycle):
+    assert set(_cycle(_call_graph(sources)) or ()) == on_cycle
 
 
 @pytest.mark.parametrize(

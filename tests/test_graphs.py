@@ -4,8 +4,11 @@ Every helper keeps its own stack, so chains and rings thousands of vertices
 deep must work like short ones.  The recursive depth-first search in
 ``oracles`` is the reference for which cycle ``topological_order`` reports;
 it is only run on graphs of at most 300 vertices, where its recursion stays
-shallow.
+shallow.  Each walk reads every list entry exactly once, counted by the
+lists themselves rather than timed.
 """
+
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +22,11 @@ from causalstruct.graphs import (
 )
 
 from oracles import recursive_find_cycle
+
+try:  # imported here, so its import time does not count against a test's deadline
+    import networkx as nx
+except ImportError:
+    nx = None
 
 DEEP = 5000
 # Vertex 0 is the deepest: its parent walk passes through every other vertex.
@@ -176,14 +184,20 @@ def assert_components_ancestors_first(adjacency, components):
 @given(digraphs(min_n=0))
 @example([])
 @example([[0, 0], [1, 0, 1]])
+@example([[1], [0], [0]])  # a later root's edge enters a finished component
+@example([[1], [0, 2], [1]])  # a back edge to a vertex whose rank is already lowered
+@example([[1], [0], [3], [2, 0]])  # root 2 reuses the stack positions [0, 1] freed
 def test_components_partition_the_vertices_ancestors_first(adjacency):
     components = strongly_connected_components(adjacency)
     assert_components_ancestors_first(adjacency, components)
 
 
 @given(digraphs(min_n=0))
+@example([[1], [0], [0]])
+@example([[1], [0, 2], [1]])
+@example([[1], [0], [3], [2, 0]])
+@pytest.mark.skipif(nx is None, reason="networkx is not installed")
 def test_components_equal_networkx(adjacency):
-    nx = pytest.importorskip("networkx")
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(adjacency)))
     graph.add_edges_from((v, w) for v, successors in enumerate(adjacency) for w in successors)
@@ -209,3 +223,69 @@ def test_chain_components_are_single_vertices_in_path_order(path):
 def test_ring_is_one_component(path):
     adjacency = ring_parents(path)
     assert strongly_connected_components(adjacency) == [sorted(path)]
+
+
+COUNTED_N = 10_000
+
+
+class Counted(list):
+    """A list whose iterators add one to ``tally[0]`` for each entry they yield."""
+
+    def __init__(self, entries, tally):
+        super().__init__(entries)
+        self.tally = tally
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.tally[0] += 1
+            yield entry
+
+
+def planted_precedence(feedback_share):
+    """Parent lists of a planted DAG of blocks, with the vertices numbered at random.
+
+    A block is a singleton or, with probability ``feedback_share``, a
+    feedback block of 2..4 vertices.  Each vertex lists its block mates, then
+    three distinct vertices of earlier blocks.
+    """
+    rng = random.Random(7)
+    label = list(range(COUNTED_N))
+    rng.shuffle(label)
+    lists = [[] for _ in label]
+    start = 0
+    while start < COUNTED_N:
+        size = rng.randint(2, 4) if rng.random() < feedback_share else 1
+        block = range(start, min(start + size, COUNTED_N))
+        for v in block:
+            earlier = rng.sample(range(start), min(3, start))
+            lists[label[v]] = [label[u] for u in block if u != v] + [label[u] for u in earlier]
+        start = block.stop
+    return lists
+
+
+COUNTED_GRAPHS = {
+    "chain": lambda: chain_parents(list(range(COUNTED_N - 1, -1, -1))),
+    "ring": lambda: ring_parents(list(range(COUNTED_N - 1, -1, -1))),
+    "feedback": lambda: planted_precedence(0.05),
+    "dag": lambda: planted_precedence(0.0),
+}
+
+
+def entries_read(walk, graph):
+    lists = COUNTED_GRAPHS[graph]()
+    tally = [0]
+    walk([Counted(entries, tally) for entries in lists])
+    return tally[0], sum(map(len, lists))
+
+
+@pytest.mark.parametrize("walk", [strongly_connected_components, topological_prefix])
+@pytest.mark.parametrize("graph", ["chain", "ring", "feedback"])
+def test_walks_read_each_entry_once(walk, graph):
+    reads, nnz = entries_read(walk, graph)
+    assert reads == nnz
+
+
+@pytest.mark.parametrize("graph", ["chain", "dag"])
+def test_an_acyclic_order_reads_each_entry_once(graph):
+    reads, nnz = entries_read(topological_order, graph)
+    assert reads == nnz

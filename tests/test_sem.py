@@ -16,6 +16,7 @@ from causalstruct import (
     InvalidBbnError,
     ThresholdEquation,
     ThresholdEquationSystem,
+    bbn_to_dict,
     bbn_to_sem,
     check_equivalence,
     evaluate,
@@ -30,6 +31,7 @@ from causalstruct import (
 )
 
 from causalstruct.bbn import ROW_SUM_TOLERANCE
+from causalstruct.cli import main
 from causalstruct.sem import CHUNK
 
 from generators import binary_chain_network, random_bbn
@@ -92,6 +94,18 @@ class TestConstruction:
         )
         sem = bbn_to_sem(bbn)
         assert sem.equations[0].thresholds[0][-1] == 1.0
+
+    def test_negative_zero_entries_give_positive_zero_thresholds(self, tmp_path, capsys):
+        # validate accepts -0.0, but no threshold may carry its sign into a file.
+        bbn = Bbn((BbnNode("x", ("a", "b", "c"), (), ((-0.0, -0.0, 1.0),)),))
+        assert validate(bbn).valid
+        (thresholds,) = bbn_to_sem(bbn).equations[0].thresholds
+        assert all(math.copysign(1.0, t) == 1.0 for t in thresholds)
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(bbn_to_dict(bbn)), encoding="utf-8")
+        assert main(["to-sem", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" in path.read_text(encoding="utf-8") and "-0.0" not in out
 
     def test_invalid_network_rejected(self):
         bbn = Bbn((BbnNode("x", ("t", "f"), (), ((0.7, 0.2),)),))
