@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from .dotutil import _digraph, dot_id
 from .errors import CycleError, FormatError, InvalidBbnError
 from .graphs import topological_order as _topo
-from .structure import _json_text, _load_json, _write_text
+from .structure import _json_object, _json_strings, _json_text, _load_json, _require_names, _write_text
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -131,8 +131,6 @@ class BbnNode:
     cpt: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("node name must be non-empty")
         if len(self.outcomes) < 2:
             raise ValueError(f"node {self.name!r} needs at least two outcomes")
         if len(set(self.outcomes)) != len(self.outcomes):
@@ -150,9 +148,7 @@ class Bbn:
     nodes: tuple[BbnNode, ...]
 
     def __post_init__(self):
-        names = [node.name for node in self.nodes]
-        if len(set(names)) != len(names):
-            raise ValueError("node names must be distinct")
+        _require_names([node.name for node in self.nodes], "node names")
         for node in self.nodes:
             for p in node.parents:
                 if p < 0 or p >= len(self.nodes):
@@ -344,16 +340,16 @@ def bbn_to_dot(bbn: Bbn) -> str:
 
 def bbn_from_dict(doc: object) -> Bbn:
     """Parse a network document; node order fixes variable indices."""
-    nodes = []
-    for name, raw, parents, rows in _named_items(doc, "network", "node", "name", "cpt", ("outcomes",)):
-        outcomes = raw.get("outcomes")
-        if not isinstance(outcomes, list) or not all(isinstance(o, str) for o in outcomes):
-            raise FormatError(f'node {name!r}: "outcomes" must be a list of strings')
-        try:
-            nodes.append(BbnNode(name, tuple(outcomes), parents, rows))
-        except ValueError as exc:  # its message names the node
-            raise FormatError(str(exc)) from None
-    return Bbn(tuple(nodes))
+    items = _named_items(doc, "network", "node", "name", "cpt", ("outcomes",))
+    try:
+        return Bbn(tuple(
+            BbnNode(name, tuple(_json_strings(raw.get("outcomes"), 'node {!r}: "outcomes"', name)), parents, rows)
+            for name, raw, parents, rows in items
+        ))
+    except FormatError:
+        raise
+    except ValueError as exc:  # a node's refusal names the node, so no prefix is added
+        raise FormatError(str(exc)) from None
 
 
 def bbn_to_dict(bbn: Bbn) -> dict:
@@ -365,15 +361,11 @@ def _named_items(doc: object, document: str, item: str, name_key: str, rows_key:
     """Check ``{item + "s": [{name_key: ..., "parents": [...], rows_key: [[...], ...], *keys}]}``.
 
     Yields (name, item object, parent indices, rows) in list order once the
-    item's keys and parents check out: names must be distinct and every
-    parent one of them.  Both model files read their rows here, by ``_json_floats``.
+    item's keys and parents check out: every parent must be one of the
+    names, whose distinctness the caller's record checks.  Both model files
+    read their rows here, by ``_json_floats``.
     """
-    if not isinstance(doc, dict):
-        raise FormatError(f"{document} document must be a JSON object")
-    extra = set(doc) - {item + "s"}
-    if extra:
-        raise FormatError(f"unknown keys in {document} document: {sorted(extra)}")
-    raw_items = doc.get(item + "s")
+    raw_items = _json_object(doc, {item + "s"}, document + " document").get(item + "s")
     if not isinstance(raw_items, list):
         raise FormatError(f'"{item}s" must be a list')
     names: list[str] = []
@@ -382,15 +374,10 @@ def _named_items(doc: object, document: str, item: str, name_key: str, rows_key:
             raise FormatError(f'{item} {k}: missing or non-string "{name_key}"')
         names.append(raw[name_key])
     index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise FormatError(f"{item} {name_key}s must be distinct")
+    allowed = {name_key, "parents", rows_key, *keys}
     for name, raw in zip(names, raw_items):
-        extra = set(raw) - {name_key, "parents", rows_key, *keys}
-        if extra:
-            raise FormatError(f"{item} {name!r}: unknown keys {sorted(extra)}")
-        parents = raw.get("parents")
-        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
-            raise FormatError(f'{item} {name!r}: "parents" must be a list of names')
+        _json_object(raw, allowed, item + " {!r}", name)
+        parents = _json_strings(raw.get("parents"), item + ' {!r}: "parents"', name)
         unknown = [p for p in parents if p not in index]
         if unknown:
             raise FormatError(f"{item} {name!r}: unknown parent {unknown[0]!r}")

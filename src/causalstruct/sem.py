@@ -121,7 +121,7 @@ class ThresholdEquationSystem:
     def __post_init__(self):
         if len(self.variable_names) != len(self.equations):
             raise ValueError("need exactly one equation per variable")
-        _require_names(self.variable_names)
+        _require_names(self.variable_names, "variable names")
         n = len(self.equations)
         for i, eq in enumerate(self.equations):
             if len(set(eq.parents)) != len(eq.parents):

@@ -17,6 +17,7 @@ import json
 import os
 import stat
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,12 +25,16 @@ from .errors import FormatError, NotSelfContainedError
 from .matching import maximum_matching
 
 
-def _require_names(names: Sequence[str]) -> None:
-    """Raise ``ValueError`` unless the variable names are non-empty and distinct."""
-    if any(not name for name in names):
-        raise ValueError("variable names must be non-empty")
+def _require_names(names: Sequence[str], what: str) -> None:
+    """Raise ``ValueError`` unless ``names`` are non-empty and distinct.
+
+    ``what`` says whose names they are, such as ``"variable names"``; every
+    record's names, labels and targets are checked here.
+    """
+    if not all(names):
+        raise ValueError(f"{what} must be non-empty")
     if len(set(names)) != len(names):
-        raise ValueError("variable names must be distinct")
+        raise ValueError(f"{what} must be distinct")
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,8 @@ class StructureMatrix:
                 f"system must be square: {n} variables, "
                 f"{len(self.equation_labels)} equations, {len(self.rows)} rows"
             )
-        _require_names(self.variable_names)
-        if len(set(self.equation_labels)) != n:
-            raise ValueError("equation labels must be distinct")
+        _require_names(self.variable_names, "variable names")
+        _require_names(self.equation_labels, "equation labels")
         for i, row in enumerate(self.rows):
             if not row:
                 raise ValueError(
@@ -200,31 +204,18 @@ def precedence(matrix: StructureMatrix, match: Sequence[int]) -> list[list[int]]
 
 def system_from_dict(doc: object) -> StructureMatrix:
     """Parse the system file document; list order fixes all indices."""
-    if not isinstance(doc, dict):
-        raise FormatError("system document must be a JSON object")
-    extra = set(doc) - {"variables", "equations"}
-    if extra:
-        raise FormatError(f"unknown keys in system document: {sorted(extra)}")
-    variables = doc.get("variables")
+    doc = _json_object(doc, {"variables", "equations"}, "system document")
+    variables = _json_strings(doc.get("variables"), '"variables"')
     equations = doc.get("equations")
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise FormatError('"variables" must be a list of strings')
     if not isinstance(equations, list):
         raise FormatError('"equations" must be a list')
     parsed = []
+    keys = {"label", "vars"}
     for k, eq in enumerate(equations):
-        if not isinstance(eq, dict):
-            raise FormatError(f"equation {k} must be an object")
-        extra = set(eq) - {"label", "vars"}
-        if extra:
-            raise FormatError(f"unknown keys in equation {k}: {sorted(extra)}")
-        label = eq.get("label")
-        var_names = eq.get("vars")
-        if not isinstance(label, str) or not label:
+        label = _json_object(eq, keys, "equation {}", k).get("label")
+        if not isinstance(label, str):
             raise FormatError(f'equation {k}: "label" must be a non-empty string')
-        if not isinstance(var_names, list) or not all(isinstance(v, str) for v in var_names):
-            raise FormatError(f'equation {label!r}: "vars" must be a list of strings')
-        parsed.append((label, var_names))
+        parsed.append((label, _json_strings(eq.get("vars"), 'equation {!r}: "vars"', label)))
     try:
         return StructureMatrix.from_names(variables, parsed)
     except ValueError as exc:
@@ -247,6 +238,26 @@ def _load_json(path: str | Path) -> object:
         raise FormatError(str(exc)) from None
     except RecursionError:
         raise FormatError("JSON nested too deeply") from None
+
+
+def _json_object(value: object, keys: set[str], what: str, arg: object = None) -> dict:
+    """``value`` if it is a JSON object whose keys are among ``keys``; else ``FormatError``.
+
+    The message names the value as ``what.format(arg)``, formatted only on
+    refusal, so a reader builds no message for an item that checks out.
+    """
+    if not isinstance(value, dict):
+        raise FormatError(f"{what.format(arg)} must be a JSON object")
+    if not value.keys() <= keys:
+        raise FormatError(f"unknown keys in {what.format(arg)}: {sorted(value.keys() - keys)}")
+    return value
+
+
+def _json_strings(value: object, what: str, arg: object = None) -> list:
+    """``value`` if it is a JSON list of strings; else ``FormatError``, named as by ``_json_object``."""
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
+        raise FormatError(f"{what.format(arg)} must be a list of strings")
+    return value
 
 
 def _json_text(doc: object) -> str:

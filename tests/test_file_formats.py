@@ -25,8 +25,8 @@ def system(variables, *labels_and_vars):
     return {"variables": variables, "equations": equations}
 
 
-def thresholds(rows):
-    return {"equations": [{"target": "x", "parents": [], "thresholds": rows}]}
+def thresholds(rows, **fields):
+    return {"equations": [{"target": "x", "parents": [], "thresholds": rows, **fields}]}
 
 
 ONE_OUTCOME = network(node(outcomes=["a"], cpt=[[1.0]]))
@@ -37,12 +37,16 @@ REFUSALS = [
     (bbn_from_dict, network(node(outcomes=["a", 1])), "node 'x': \"outcomes\" must be a list"),
     (bbn_from_dict, ONE_OUTCOME, "node 'x' needs at least two outcomes"),
     (bbn_from_dict, network(node(outcomes=["a", "a"])), "node 'x' has duplicate outcome labels"),
-    (bbn_from_dict, network(node("")), "node name must be non-empty"),
-    (bbn_from_dict, network(node(color="red")), "node 'x': unknown keys ['color']"),
+    (bbn_from_dict, network(node("")), "node names must be non-empty"),
+    (bbn_from_dict, network(node(color="red")), "unknown keys in node 'x': ['color']"),
+    (bbn_from_dict, network(node(parents="x")), "node 'x': \"parents\" must be a list of strings"),
+    (bbn_from_dict, network(node(parents=None)), '"parents" must be a list of strings'),
     (bbn_from_dict, network(node(), node()), "node names must be distinct"),
     (system_from_dict, [], "system document must be a JSON object"),
     (system_from_dict, {"variables": ["x"], "equations": {"e": ["x"]}}, '"equations" must be a list'),
-    (system_from_dict, {"variables": ["x"], "equations": [["x"]]}, "equation 0 must be an object"),
+    (system_from_dict, {"variables": ["x"], "equations": [["x"]]}, "equation 0 must be a JSON object"),
+    (system_from_dict, system(["x"], (5, ["x"])), "equation 0: \"label\" must be a non-empty string"),
+    (system_from_dict, system(["x"], ("", ["x"])), "equation labels must be non-empty"),
     (system_from_dict, system(["x", "y"], ("e", ["x"]), ("e", ["y"])), "equation labels must be distinct"),
     (system_from_dict, system([""], ("e", [""])), "variable names must be non-empty"),
     (system_from_dict, system(["x"], ("e", "x")), "equation 'e': \"vars\" must be a list of strings"),
@@ -52,6 +56,8 @@ REFUSALS = [
     (sem_from_dict, thresholds([[1.0]]), "equation 'x': threshold rows need at least two outcomes"),
     (sem_from_dict, thresholds([[-0.1, 1.0]]), "equation 'x': threshold row 0 has a negative entry"),
     (sem_from_dict, thresholds([[0.5, 1.0], [1.0]]), "equation 'x': threshold row 1 has inconsistent length"),
+    (sem_from_dict, thresholds([[0.5, 1.0]], parents="x"), "equation 'x': \"parents\" must be a list of strings"),
+    (sem_from_dict, thresholds([[0.5, 1.0]], parents=None), '"parents" must be a list of strings'),
 ]
 
 
@@ -73,7 +79,7 @@ def test_a_node_is_named_once():
 @pytest.mark.parametrize(
     "argv, doc, line",
     [
-        (["check"], {"variables": ["x"], "equations": [["x"]]}, "equation 0 must be an object"),
+        (["check"], {"variables": ["x"], "equations": [["x"]]}, "equation 0 must be a JSON object"),
         (["verify"], ONE_OUTCOME, "node 'x' needs at least two outcomes"),
         (["sample", "--count", "5"], thresholds([]), "equation 'x': an equation needs at least one threshold row"),
     ],

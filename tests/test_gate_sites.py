@@ -1,5 +1,5 @@
-"""Each refusal error has one raise site, files are written at one site, the
-CLI prints at one, no module imports a name it never uses, every public name
+"""Each refusal error, shape refusal and naming refusal has one raise site,
+files are written at one site, the CLI prints at one, no module imports a name it never uses, every public name
 has a user or a stated reason to be public, no function reaches itself
 through calls, and records cache only the listed values."""
 
@@ -18,6 +18,15 @@ GATES = {
     "NotSelfContainedError": "structure._require_self_contained",
     "InvalidBbnError": "bbn._require_valid",
     "CycleError": "graphs.topological_order",
+}
+# Each rule the three file formats and their records share, by a fragment of
+# its message: the exception it raises and the one function that raises it.
+SHARED_RULES = {
+    "must be a JSON object": ("FormatError", "structure._json_object"),
+    "unknown keys in": ("FormatError", "structure._json_object"),
+    "must be a list of strings": ("FormatError", "structure._json_strings"),
+    "must be non-empty": ("ValueError", "structure._require_names"),
+    "must be distinct": ("ValueError", "structure._require_names"),
 }
 WRITER = "structure._write_text"
 PRINTERS = {"cli.main"}
@@ -60,12 +69,14 @@ class _Scoped(ast.NodeVisitor):
 
 
 class _RaiseSites(_Scoped):
-    """``(exception name, module.function)`` for each ``raise Name(...)`` in a module."""
+    """``(exception name, module.function, text)`` for each ``raise Name(...)`` in
+    a module, where ``text`` joins the string constants of its arguments."""
 
     def visit_Raise(self, node):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         if isinstance(exc, ast.Name):
-            self.sites.append((exc.id, ".".join(self.scope)))
+            parts = [n.value for n in ast.walk(node.exc) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            self.sites.append((exc.id, ".".join(self.scope), "".join(parts)))
 
 
 def _writes(call: ast.Call) -> bool:
@@ -209,7 +220,13 @@ def _sites(visitor_class) -> list:
 def test_each_gate_error_is_raised_only_by_its_gate():
     sites = _sites(_RaiseSites)
     for error, gate in GATES.items():
-        assert [where for name, where in sites if name == error] == [gate]
+        assert [where for name, where, _ in sites if name == error] == [gate]
+
+
+def test_each_shared_rule_is_raised_only_by_its_helper():
+    sites = _sites(_RaiseSites)
+    for fragment, site in SHARED_RULES.items():
+        assert [(name, where) for name, where, text in sites if fragment in text] == [site], fragment
 
 
 def test_only_the_writer_writes_a_file():

@@ -253,6 +253,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="distinct"):
             StructureMatrix(("x", "x"), ("e1", "e2"), (frozenset({0}), frozenset({1})))
 
+    def test_empty_label_rejected(self):
+        with pytest.raises(ValueError, match="^equation labels must be non-empty$"):
+            StructureMatrix(("x",), ("",), (frozenset({0}),))
+
     @pytest.mark.parametrize("v", [-1, 1])
     def test_variable_index_out_of_range(self, v):
         with pytest.raises(ValueError, match="index out of range"):
