@@ -11,7 +11,6 @@ probability operations refuse an invalid network with ``InvalidBbnError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
 from operator import mul
@@ -21,7 +20,7 @@ from typing import NamedTuple, Sequence
 from .dotutil import _digraph, dot_id
 from .errors import CycleError, FormatError, InvalidBbnError
 from .graphs import topological_order as _topo
-from .structure import _json_object, _json_strings, _json_text, _load_json, _require_names, _write_text
+from .structure import _json_object, _json_strings, _json_text, _load_json, _Record, _require_names, _store, _write_text
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -121,40 +120,46 @@ def _joint(plans, counts, nodes=None) -> list[list[float]]:
     return joints
 
 
-@dataclass(frozen=True)
-class BbnNode:
+class BbnNode(_Record):
     """One variable: outcome labels, parent indices, conditional table."""
 
-    name: str
-    outcomes: tuple[str, ...]
-    parents: tuple[int, ...]
-    cpt: tuple[tuple[float, ...], ...]
+    _fields = ("name", "outcomes", "parents", "cpt")
 
-    def __post_init__(self):
-        if len(self.outcomes) < 2:
-            raise ValueError(f"node {self.name!r} needs at least two outcomes")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError(f"node {self.name!r} has duplicate outcome labels")
+    def __init__(
+        self,
+        name: str,
+        outcomes: tuple[str, ...],
+        parents: tuple[int, ...],
+        cpt: tuple[tuple[float, ...], ...],
+    ):
+        if len(outcomes) < 2:
+            raise ValueError(f"node {name!r} needs at least two outcomes")
+        if len(set(outcomes)) != len(outcomes):
+            raise ValueError(f"node {name!r} has duplicate outcome labels")
+        _store(self, "name", name)
+        _store(self, "outcomes", outcomes)
+        _store(self, "parents", parents)
+        _store(self, "cpt", cpt)
 
     @property
     def outcome_count(self) -> int:
         return len(self.outcomes)
 
 
-@dataclass(frozen=True)
-class Bbn:
+class Bbn(_Record):
     """Belief network over an indexed tuple of nodes."""
 
-    nodes: tuple[BbnNode, ...]
+    _fields = ("nodes",)
 
-    def __post_init__(self):
-        _require_names([node.name for node in self.nodes], "node names")
-        for node in self.nodes:
+    def __init__(self, nodes: tuple[BbnNode, ...]):
+        _require_names([node.name for node in nodes], "node names")
+        for node in nodes:
             for p in node.parents:
-                if p < 0 or p >= len(self.nodes):
+                if p < 0 or p >= len(nodes):
                     raise ValueError(
                         f"node {node.name!r} references parent index {p} out of range"
                     )
+        _store(self, "nodes", nodes)
 
     @property
     def n(self) -> int:
@@ -189,20 +194,25 @@ class Bbn:
         return _validate(self)
 
 
-@dataclass(frozen=True)
-class BbnIssue:
+class BbnIssue(_Record):
     """One invariant violation found by ``validate``; ``node`` is None for a
     cycle, and ``detail`` names the row of a row-level issue."""
 
-    kind: str  # "cycle" | "row-count" | "row-length" | "row-sum" | "entry-range" | "duplicate-parent"
-    node: int | None
-    detail: str
+    _fields = ("kind", "node", "detail")
+
+    def __init__(self, kind: str, node: int | None, detail: str):
+        # kind: "cycle" | "row-count" | "row-length" | "row-sum" | "entry-range" | "duplicate-parent"
+        _store(self, "kind", kind)
+        _store(self, "node", node)
+        _store(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class BbnReport:
-    bbn: Bbn
-    issues: tuple[BbnIssue, ...]
+class BbnReport(_Record):
+    _fields = ("bbn", "issues")
+
+    def __init__(self, bbn: Bbn, issues: tuple[BbnIssue, ...]):
+        _store(self, "bbn", bbn)
+        _store(self, "issues", issues)
 
     @property
     def valid(self) -> bool:

@@ -193,9 +193,11 @@ def _cmd_sample(args):
     keys = sorted(counts)
     texts = [" ".join(map(getitem, labels, key)) for key in keys]
     width = max(len("assignment"), *map(len, texts))
-    row = f"%-{width}s  %10d  %.6f\n"
+    tallies = list(map(counts.__getitem__, keys))
+    # Few counts recur across many rows, so each count's columns are formatted once.
+    tail = {n: "  %10d  %.6f\n" % (n, n / total) for n in set(tallies)}
     report = [f"draws: {total}\nseed: {args.seed}\n{'assignment':<{width}}  {'count':>10}  frequency\n"]
-    report += [row % (text, n, n / total) for text, n in zip(texts, map(counts.__getitem__, keys))]
+    report += [text.ljust(width) + tail[n] for text, n in zip(texts, tallies)]
     return 0, "".join(report), None
 
 

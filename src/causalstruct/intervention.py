@@ -10,20 +10,18 @@ degenerate one-hot case covering value-fixing interventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
 
 from .bbn import Bbn, BbnNode, _marginals, _require_enumerable, validate
 from .graphs import reachable_from
 from .ordering import CausalOrdering
-from .structure import StructureMatrix, _require_self_contained
+from .structure import StructureMatrix, _Record, _require_self_contained, _store
 
 CHANGE_KINDS = ("replace_equation", "add_exogenous_variable")
 
 
-@dataclass(frozen=True)
-class StructuralChange:
+class StructuralChange(_Record):
     """One edit to a system's equations: a new row for one equation.
 
     ``replace_equation``: ``target`` is an equation label, ``vars`` its new
@@ -33,13 +31,14 @@ class StructuralChange:
     for the least k above the old number of equations whose label is free.
     """
 
-    kind: str
-    target: str
-    vars: tuple[str, ...]
+    _fields = ("kind", "target", "vars")
 
-    def __post_init__(self):
-        if self.kind not in CHANGE_KINDS:
-            raise ValueError(f"unknown change kind {self.kind!r}")
+    def __init__(self, kind: str, target: str, vars: tuple[str, ...]):
+        if kind not in CHANGE_KINDS:
+            raise ValueError(f"unknown change kind {kind!r}")
+        _store(self, "kind", kind)
+        _store(self, "target", target)
+        _store(self, "vars", vars)
 
 
 def apply_change(matrix: StructureMatrix, change: StructuralChange) -> StructureMatrix:

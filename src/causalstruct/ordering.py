@@ -19,29 +19,28 @@ matching-independent and held against a brute-force oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dotutil import _digraph, dot_id
 from .graphs import strongly_connected_components
 from .matching import maximum_matching
-from .structure import StructureMatrix, _require_self_contained, precedence
+from .structure import StructureMatrix, _Record, _require_self_contained, _store, precedence
 
 
-@dataclass(frozen=True, slots=True)
-class Cluster:
+class Cluster(_Record):
     """A minimal self-contained subset: equations, their variables, order."""
 
-    equations: frozenset[int]
-    variables: frozenset[int]
-    order: int
+    __slots__ = _fields = ("equations", "variables", "order")
+
+    def __init__(self, equations: frozenset[int], variables: frozenset[int], order: int):
+        _store(self, "equations", equations)
+        _store(self, "variables", variables)
+        _store(self, "order", order)
 
     @property
     def degree(self) -> int:
         return len(self.equations)
 
 
-@dataclass(frozen=True)
-class CausalOrdering:
+class CausalOrdering(_Record):
     """Clusters in canonical order plus cluster- and variable-level edges.
 
     Clusters are sorted by (order, smallest variable index).  Cluster edges
@@ -51,10 +50,19 @@ class CausalOrdering:
     whose set holds it.
     """
 
-    matrix: StructureMatrix
-    clusters: tuple[Cluster, ...]
-    cluster_edges: frozenset[tuple[int, int]]
-    variable_edges: frozenset[tuple[int, int]]
+    _fields = ("matrix", "clusters", "cluster_edges", "variable_edges")
+
+    def __init__(
+        self,
+        matrix: StructureMatrix,
+        clusters: tuple[Cluster, ...],
+        cluster_edges: frozenset[tuple[int, int]],
+        variable_edges: frozenset[tuple[int, int]],
+    ):
+        _store(self, "matrix", matrix)
+        _store(self, "clusters", clusters)
+        _store(self, "cluster_edges", cluster_edges)
+        _store(self, "variable_edges", variable_edges)
 
 
 def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:

@@ -33,10 +33,9 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat, starmap
-from operator import getitem, sub
+from operator import getitem, le, sub
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -45,7 +44,7 @@ from .bbn import joint_probability  # noqa: F401  (bench/test_bench.py::test_tra
 from .bbn import _compile, _Factor, _joint, _named_doc, _named_items, _probability, _require_valid
 from .errors import FormatError
 from .ordering import causal_ordering
-from .structure import StructureMatrix, _load_json, _require_names
+from .structure import StructureMatrix, _load_json, _Record, _require_names, _store
 from .graphs import topological_order as _topo
 
 # Draws per byte-lane pass of ``sample``: enough to spread each variable's
@@ -60,8 +59,7 @@ _BUCKET = 45
 _UNSETTLED = 255
 
 
-@dataclass(frozen=True)
-class ThresholdEquation:
+class ThresholdEquation(_Record):
     """Deterministic equation for one variable: its parents and its rows.
 
     The equation carries no variable index; its position in a
@@ -71,17 +69,16 @@ class ThresholdEquation:
     significant, matching the conditional-table row order).
     """
 
-    parents: tuple[int, ...]
-    thresholds: tuple[tuple[float, ...], ...]
+    _fields = ("parents", "thresholds")
 
-    def __post_init__(self):
-        if not self.thresholds:
+    def __init__(self, parents: tuple[int, ...], thresholds: tuple[tuple[float, ...], ...]):
+        if not thresholds:
             raise ValueError("an equation needs at least one threshold row")
-        width = len(self.thresholds[0])
+        width = len(thresholds[0])
         if width < 2:
             raise ValueError("threshold rows need at least two outcomes")
         clamped = []
-        for r, row in enumerate(self.thresholds):
+        for r, row in enumerate(thresholds):
             if len(row) != width:
                 raise ValueError(f"threshold row {r} has inconsistent length")
             if not all(map(math.isfinite, row)):
@@ -91,8 +88,8 @@ class ThresholdEquation:
                 raise ValueError(f"threshold row {r} has an entry {top!r} above 1")
             # Entries that overshoot 1 within the tolerance are clamped first,
             # so the order check sees the row as it will be used.
-            row = tuple(min(c, 1.0) for c in row)
-            if any(b < a for a, b in zip(row, row[1:])):
+            row = tuple([min(c, 1.0) for c in row]) if top > 1.0 else tuple(row)
+            if not all(map(le, row, row[1:])):
                 raise ValueError(f"threshold row {r} is not non-decreasing")
             if row[0] < 0.0:
                 raise ValueError(f"threshold row {r} has a negative entry")
@@ -100,47 +97,48 @@ class ThresholdEquation:
                 raise ValueError(f"threshold row {r} ends at {row[-1]!r}, not 1")
             # Ending at exactly 1.0 keeps a latent of 1.0 inside the last interval.
             clamped.append(row[:-1] + (1.0,))
-        object.__setattr__(self, "thresholds", tuple(clamped))
+        _store(self, "parents", parents)
+        _store(self, "thresholds", tuple(clamped))
 
     @property
     def outcome_count(self) -> int:
         return len(self.thresholds[0])
 
 
-@dataclass(frozen=True)
-class ThresholdEquationSystem:
+class ThresholdEquationSystem(_Record):
     """One threshold equation per variable, each with its own latent.
 
     Equation i targets variable i; the latent variables are mutually
     independent and never shared between equations.
     """
 
-    variable_names: tuple[str, ...]
-    equations: tuple[ThresholdEquation, ...]
+    _fields = ("variable_names", "equations")
 
-    def __post_init__(self):
-        if len(self.variable_names) != len(self.equations):
+    def __init__(self, variable_names: tuple[str, ...], equations: tuple[ThresholdEquation, ...]):
+        if len(variable_names) != len(equations):
             raise ValueError("need exactly one equation per variable")
-        _require_names(self.variable_names, "variable names")
-        n = len(self.equations)
-        for i, eq in enumerate(self.equations):
+        _require_names(variable_names, "variable names")
+        n = len(equations)
+        for i, eq in enumerate(equations):
             if len(set(eq.parents)) != len(eq.parents):
                 raise ValueError(
-                    f"equation for {self.variable_names[i]!r} repeats a parent"
+                    f"equation for {variable_names[i]!r} repeats a parent"
                 )
             for p in eq.parents:
                 if p < 0 or p >= n:
                     raise ValueError(
-                        f"equation for {self.variable_names[i]!r} has a bad "
+                        f"equation for {variable_names[i]!r} has a bad "
                         f"parent index {p}"
                     )
-        for i, eq in enumerate(self.equations):
-            expected = math.prod(self.equations[p].outcome_count for p in eq.parents)
+        for i, eq in enumerate(equations):
+            expected = math.prod(equations[p].outcome_count for p in eq.parents)
             if len(eq.thresholds) != expected:
                 raise ValueError(
-                    f"equation for {self.variable_names[i]!r} needs {expected} "
+                    f"equation for {variable_names[i]!r} needs {expected} "
                     f"threshold rows, found {len(eq.thresholds)}"
                 )
+        _store(self, "variable_names", variable_names)
+        _store(self, "equations", equations)
 
     @property
     def n(self) -> int:

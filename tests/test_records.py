@@ -91,7 +91,7 @@ def test_a_record_of_another_class_is_never_equal(cls, fields, change):
 @pytest.mark.parametrize("cls, fields, change", RECORDS, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(cls, fields, change):
     record = cls(**fields)
-    for name in fields:
+    for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
