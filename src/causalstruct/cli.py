@@ -13,12 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import suppress
-from operator import getitem
 from pathlib import Path
 
 from . import __version__
-from .bbn import ROW_SUM_TOLERANCE, _json_floats, _require_valid
-from .bbn import bbn_from_dict, bbn_to_dot, load_bbn, save_bbn
 from .errors import (
     CycleError,
     CyclicStructureError,
@@ -26,18 +23,6 @@ from .errors import (
     InvalidBbnError,
     NotSelfContainedError,
 )
-from .intervention import compare_marginals, intervene_bbn
-from .ordering import causal_ordering, ordering_to_dot
-from .sem import (
-    bbn_to_sem,
-    check_equivalence,
-    load_sem,
-    roundtrip_check,
-    sample,
-    sem_to_dict,
-)
-from .structure import _json_text, _load_json, _write_text, load_system, system_from_dict
-from .triangular import is_triangularizable, triangularize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +31,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
+    from .bbn import _json_floats
+
     try:
         return _json_floats(list(map(float, text.split(","))), "--dist")
     except ValueError:  # a part that is no number, or FormatError for a non-finite one
@@ -102,7 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command imports what it calls in its own body, so a CLI process loads
+# only the modules of the command it runs.
 def _cmd_check(args):
+    from .structure import load_system
+    from .triangular import is_triangularizable
+
     matrix = load_system(args.system)
     try:
         acyclic = is_triangularizable(matrix)
@@ -118,6 +110,9 @@ def _cmd_check(args):
 
 
 def _cmd_order(args):
+    from .ordering import causal_ordering, ordering_to_dot
+    from .structure import _write_text, load_system
+
     matrix = load_system(args.system)
     ordering = causal_ordering(matrix)
     if args.dot:
@@ -136,6 +131,9 @@ def _cmd_order(args):
 
 
 def _cmd_triangularize(args):
+    from .structure import load_system
+    from .triangular import triangularize
+
     matrix = load_system(args.system)
     try:
         result = triangularize(matrix)
@@ -156,6 +154,8 @@ def _cmd_triangularize(args):
 
 def _file_or_stdout(path, text):
     """Write ``text`` to ``path`` and print nothing, or, with no path, print it."""
+    from .structure import _write_text
+
     if path:
         _write_text(path, text)
         text = ""
@@ -163,10 +163,17 @@ def _file_or_stdout(path, text):
 
 
 def _cmd_to_sem(args):
+    from .bbn import load_bbn
+    from .sem import bbn_to_sem, sem_to_dict
+    from .structure import _json_text
+
     return _file_or_stdout(args.out, _json_text(sem_to_dict(bbn_to_sem(load_bbn(args.bbn)))))
 
 
 def _cmd_verify(args):
+    from .bbn import ROW_SUM_TOLERANCE, load_bbn
+    from .sem import bbn_to_sem, check_equivalence, roundtrip_check
+
     bbn = load_bbn(args.bbn)
     deviation = check_equivalence(bbn, bbn_to_sem(bbn))
     ok = roundtrip_check(bbn)
@@ -180,6 +187,10 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
+    from operator import getitem
+
+    from .sem import load_sem, sample
+
     sem = load_sem(args.sem)
     try:
         counts = sample(sem, args.seed, args.count)
@@ -202,6 +213,9 @@ def _cmd_sample(args):
 
 
 def _cmd_intervene(args):
+    from .bbn import _require_valid, load_bbn, save_bbn
+    from .intervention import compare_marginals, intervene_bbn
+
     before = load_bbn(args.bbn)
     _require_valid(before)
     after = intervene_bbn(before, before.index_of(args.node), args.dist)
@@ -214,10 +228,17 @@ def _cmd_intervene(args):
 
 
 def _cmd_graph(args):
+    from .structure import _load_json
+
     doc = _load_json(args.input)
     if isinstance(doc, dict) and "nodes" in doc:
+        from .bbn import bbn_from_dict, bbn_to_dot
+
         text = bbn_to_dot(bbn_from_dict(doc))
     else:
+        from .ordering import causal_ordering, ordering_to_dot
+        from .structure import system_from_dict
+
         text = ordering_to_dot(causal_ordering(system_from_dict(doc)))
     return _file_or_stdout(args.dot, text)
 

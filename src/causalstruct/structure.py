@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -291,9 +292,15 @@ def _load_json(path: str | Path) -> object:
     """Parse a UTF-8 JSON file without NaN or Infinity; any failure is a ``FormatError``."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return _DECODER.decode(handle.read())
-    except ValueError as exc:  # also oversized integer literals
+            text = handle.read()
+    except ValueError as exc:  # not UTF-8
         raise FormatError(str(exc)) from None
+    try:
+        return _DECODER.decode(text)
+    except (FormatError, json.JSONDecodeError) as exc:
+        raise FormatError(str(exc)) from None
+    except ValueError:  # int() refused a literal, in words that differ between Python versions
+        raise FormatError(f"integer literal over {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise FormatError("JSON nested too deeply") from None
 

@@ -15,7 +15,12 @@ stdout (the text when it is short, else its SHA-256) and the SHA-256 of each
 file the case writes (null when the file is absent).  ``{data}`` and
 ``{tmp}`` stand for the data directory and the scratch directory in argv and
 in the recorded output.  ``test_cli_corpus.py`` replays the corpus and
-compares; regenerate it, naming each changed case in CHANGES.md, with
+compares.  Replay it without pytest, say on another interpreter, with
+
+    python tests/cli_corpus.py --check
+
+which prints each changed case and exits 1 if there is one; regenerate it,
+naming each changed case in CHANGES.md, with
 
     python tests/cli_corpus.py --write
 """
@@ -361,11 +366,14 @@ def changed(old: dict, new: dict) -> list[str]:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: python {sys.argv[0]} --write")
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit(f"usage: python {sys.argv[0]} --write | --check")
     with tempfile.TemporaryDirectory() as scratch:
         doc = record(Path(scratch))
-    if GOLDEN.exists():
-        for name in changed(json.loads(GOLDEN.read_text(encoding="utf-8")), doc):
-            print("changed:", name)
-    GOLDEN.write_text(render(doc), encoding="utf-8")
+    names = changed(json.loads(GOLDEN.read_text(encoding="utf-8")), doc) if GOLDEN.exists() else []
+    for name in names:
+        print("changed:", name)
+    if sys.argv[1] == "--write":
+        GOLDEN.write_text(render(doc), encoding="utf-8")
+    elif names:
+        sys.exit(1)

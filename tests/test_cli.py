@@ -84,7 +84,7 @@ class TestCheck:
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("causalstruct") and (
-                getattr(module, "check_system", None) is original
+                vars(module).get("check_system") is original
             ):
                 monkeypatch.setattr(module, "check_system", counted)
         run(["check", DATA / name], capsys)
@@ -302,7 +302,7 @@ class TestVerify:
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("causalstruct") and (
-                getattr(module, "bbn_to_sem", None) is original
+                vars(module).get("bbn_to_sem") is original
             ):
                 monkeypatch.setattr(module, "bbn_to_sem", counted)
         code, out, err = run(["verify", DATA / "xy.json"], capsys)
@@ -319,7 +319,7 @@ class TestVerify:
             moved = ThresholdEquation(first.parents, ((row[0] + 1e-6, *row[1:]), *rows))
             return ThresholdEquationSystem(sem.variable_names, (moved, *rest))
 
-        monkeypatch.setattr(causalstruct.cli, "bbn_to_sem", shifted)
+        monkeypatch.setattr(causalstruct.sem, "bbn_to_sem", shifted)
         code, out, err = run(["verify", DATA / "xy.json"], capsys)
         assert code == 1
         # x's intervals move by 1e-6, and y's largest conditional probability is 0.8.
@@ -635,8 +635,7 @@ class TestErrorChannel:
         bad.write_bytes(b"\xff\xfe{")
         code, out, err = run([command, bad], capsys)
         assert code == 2
-        assert err.startswith("error:parse:")
-        assert err.count("\n") == 1
+        assert err == "error:parse: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 
     @pytest.mark.parametrize(
         "command, kind", [("check", "system"), ("graph", "system"), ("verify", "network"), ("graph", "network")]
@@ -653,8 +652,8 @@ class TestErrorChannel:
             (load_system if kind == "system" else load_bbn)(path)
         code, out, err = run([command, path], capsys)
         assert code == 2
-        assert err.startswith("error:parse:")
-        assert err.count("\n") == 1
+        # The program's own words: CPython's differ between versions.
+        assert err == f"error:parse: integer literal over {sys.get_int_max_str_digits()} digits\n"
 
     def test_format_violation(self, capsys, tmp_path):
         bad = tmp_path / "extra.json"

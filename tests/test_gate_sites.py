@@ -2,19 +2,22 @@
 files are written at one site, the CLI prints at one, no module imports a name it never uses, every public name
 has a user or a stated reason to be public, no function reaches itself
 through calls, records cache only the listed values, no source generates
-code with ``exec``, ``eval`` or ``compile``, and importing the CLI loads no
-code-generation or introspection module."""
+code with ``exec``, ``eval`` or ``compile``, importing the CLI loads no
+code-generation or introspection module, and each command loads only the
+package modules it runs."""
 
 import ast
 import graphlib
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import causalstruct
+from causalstruct.cli import main
 
 SOURCES = sorted(Path(causalstruct.__file__).parent.glob("*.py"))
 REPO = Path(__file__).parent.parent
@@ -60,6 +63,19 @@ CODE_BUILDERS = {"exec", "eval", "compile"}
 # Modules that every CLI process would pay to import and none needs: the
 # dataclasses code generator and the inspect, ast and dis modules it loads.
 START_UP_ABSENT = ("dataclasses", "inspect", "ast", "dis")
+DATA = REPO / "tests" / "data"
+# Per CLI command, the file it runs on and the package modules its process
+# must not load.  ``sample`` runs on the threshold file of ``xy.json``.
+STRUCTURE_ONLY = {"bbn", "sem", "intervention", "ordering", "dotutil"}
+NETWORK_ONLY = {"triangular", "intervention"}
+NOT_LOADED = {
+    "check": ("seat_belts.json", STRUCTURE_ONLY),
+    "triangularize": ("seat_belts.json", STRUCTURE_ONLY),
+    "order": ("seat_belts.json", {"bbn", "sem", "intervention", "triangular"}),
+    "verify": ("xy.json", NETWORK_ONLY),
+    "to-sem": ("xy.json", NETWORK_ONLY),
+    "sample": ("xy.sem.json", NETWORK_ONLY),
+}
 
 
 class _Scoped(ast.NodeVisitor):
@@ -264,17 +280,60 @@ def test_no_source_builds_code_from_text():
     assert calls == []
 
 
-def test_the_cli_imports_no_code_generator():
-    """Counted, not timed: ``-S`` keeps the site hooks of the interpreter's
-    installation out, so only what the package imports is seen, and ``-B``
-    leaves no bytecode cache in ``src/`` to speed up later CLI runs."""
-    probe = f"import sys, causalstruct.cli; print(*[m for m in {START_UP_ABSENT!r} if m in sys.modules])"
+def _fresh(probe: str) -> list:
+    """The words ``probe`` prints in a fresh interpreter.  Counted, not timed:
+    ``-S`` keeps the site hooks of the interpreter's installation out, so only
+    what the package imports is seen, and ``-B`` leaves no bytecode cache in
+    ``src/`` to speed up later CLI runs."""
     env = {"PYTHONPATH": str(REPO / "src")}
     result = subprocess.run(
         [sys.executable, "-S", "-B", "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    return result.stdout.split()
+
+
+def _loaded_by(argv: list) -> set:
+    """The package modules, by short name, that running ``argv`` through the CLI loads."""
+    probe = f"""
+        import contextlib, io, sys
+        from causalstruct.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main({argv!r})
+            except SystemExit as stop:
+                code = stop.code
+        print(code, *[m.partition(".")[2] or m for m in sys.modules if m.partition(".")[0] == "causalstruct"])
+    """
+    code, *modules = _fresh(textwrap.dedent(probe))
+    assert code == "0"
+    return set(modules)
+
+
+def test_the_cli_imports_no_code_generator():
+    probe = f"import sys, causalstruct.cli; print(*[m for m in {START_UP_ABSENT!r} if m in sys.modules])"
+    assert _fresh(probe) == []
+
+
+def test_importing_the_package_loads_no_module():
+    probe = "import sys, causalstruct; print(*[m for m in sys.modules if m.startswith('causalstruct')])"
+    assert _fresh(probe) == ["causalstruct"]
+
+
+def test_the_version_loads_only_the_cli_and_its_errors():
+    assert _loaded_by(["--version"]) == {"causalstruct", "cli", "errors"}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_each_command_loads_only_what_it_runs(command, tmp_path):
+    name, absent = NOT_LOADED[command]
+    path = DATA / name
+    if command == "sample":
+        path = tmp_path / name
+        assert main(["to-sem", str(DATA / "xy.json"), "--out", str(path)]) == 0
+    loaded = _loaded_by([command, str(path)])
+    assert {"cli", "structure"} <= loaded
+    assert loaded & absent == set()
 
 
 def test_only_the_listed_values_are_cached():
@@ -298,7 +357,6 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {
         (path.stem, name)
         for path in SOURCES
-        if path.name != "__init__.py"  # it imports to re-export
         for name in _unused_imports(path.read_text(encoding="utf-8"))
     }
     assert unused == UNUSED_IMPORTS
