@@ -43,7 +43,6 @@ from .bbn import ROW_SUM_TOLERANCE, Assignment, Bbn
 from .bbn import joint_probability  # noqa: F401  (bench/test_bench.py::test_tracer_restores_every_binding)
 from .bbn import _compile, _Factor, _joint, _named_doc, _named_items, _probability, _require_valid
 from .errors import FormatError
-from .ordering import causal_ordering
 from .structure import StructureMatrix, _load_json, _Record, _require_names, _store
 from .graphs import topological_order as _topo
 
@@ -393,38 +392,35 @@ def _lane_forward(lanes, raw: bytes, k: int) -> Iterator[Assignment]:
     return zip(*columns)
 
 
-def _structure(names: tuple[str, ...], parent_lists) -> StructureMatrix:
-    """Equation ``f_<name>`` involves variable i and the parents in its list i."""
-    return StructureMatrix(
-        variable_names=names,
-        equation_labels=tuple(f"f_{name}" for name in names),
-        rows=tuple(frozenset((i, *parents)) for i, parents in enumerate(parent_lists)),
-    )
-
-
 def sem_structure(sem: ThresholdEquationSystem) -> StructureMatrix:
-    """Participation matrix: each equation involves its target and parents.
+    """Participation matrix: equation ``f_<name>`` involves its target and parents.
 
     Latent variables stay implicit; they are never columns.
     """
-    return _structure(sem.variable_names, [eq.parents for eq in sem.equations])
+    names = sem.variable_names
+    return StructureMatrix(
+        variable_names=names,
+        equation_labels=tuple(f"f_{name}" for name in names),
+        rows=tuple(frozenset((i, *eq.parents)) for i, eq in enumerate(sem.equations)),
+    )
 
 
 def roundtrip_check(bbn: Bbn) -> bool:
     """Whether the causal ordering of the network's equations restores its DAG.
 
-    The equations are those of ``bbn_to_sem(bbn)``, whose structure depends
-    only on the parent lists, so it is read off them without converting.
-    True iff every cluster has degree one and the variable-level precedence
-    edges equal the network's arcs exactly.  Raises ``InvalidBbnError`` if
-    ``validate`` refuses the network.
+    It does for every network ``validate`` accepts.  Equation i of
+    ``bbn_to_sem(bbn)`` involves variable i and its parents, so matching each
+    equation to its own target is a perfect matching.  Under it, equation i
+    follows equation p exactly when p is a parent of i: the precedence graph
+    is the parent graph, which ``validate`` has proved acyclic (a node among
+    its own parents is a cycle) and free of repeated parents.  So every
+    cluster holds one equation and, as the ordering does not depend on the
+    matching (see ``ordering``), the variable-level edges are the network's
+    arcs.  Returns True; raises ``InvalidBbnError`` if ``validate`` refuses
+    the network.
     """
     _require_valid(bbn)
-    names = tuple(node.name for node in bbn.nodes)
-    ordering = causal_ordering(_structure(names, [node.parents for node in bbn.nodes]))
-    if any(cluster.degree != 1 for cluster in ordering.clusters):
-        return False
-    return ordering.variable_edges == bbn.edges
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,11 @@ def random_probability_row(rng: random.Random, k: int, zero_prob: float = 0.15) 
     for i in range(k):
         if rng.random() < zero_prob and sum(w > 0 for w in weights) > 1:
             weights[i] = 0.0
-    total = sum(weights)
+    # Left to right, as the built-in sum adds floats before Python 3.12 (it
+    # compensates from 3.12 on), so the rows match on every interpreter.
+    total = 0.0
+    for w in weights:
+        total += w
     return tuple(w / total for w in weights)
 
 

@@ -6,6 +6,10 @@ avoid the matching/SCC/Kahn machinery of the package under test.
 The probability oracles form one joint probability per assignment, ranking
 each node's parent values afresh, without the compiled per-model plans.
 The sampling oracle evaluates one draw at a time, one variable at a time.
+``chain_rule_network`` refactors a network's joint along another order by
+conditioning the enumerated joint.  ``ordering_restores_dag`` is the one
+exception: it runs the package's own causal ordering, to hold
+``roundtrip_check``'s theorem against the computed result.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 from operator import itemgetter
 
-from causalstruct import StructureMatrix
+from causalstruct import Bbn, BbnNode, StructureMatrix, bbn_to_sem, causal_ordering, sem_structure
 
 
 def _rank(radices, digits) -> int:
@@ -110,6 +114,39 @@ def reference_compare_marginals(before, after) -> dict[str, float]:
     """Per-variable largest marginal gap; both networks list the same names in order."""
     pairs = zip(before.nodes, reference_marginals(before), reference_marginals(after))
     return {node.name: max(abs(x - y) for x, y in zip(a, b)) for node, a, b in pairs}
+
+
+def chain_rule_network(bbn, order):
+    """A network with ``bbn``'s joint whose node ``order[k]`` has parents ``order[:k]``.
+
+    Each node keeps its index, name and outcomes; its parents are the nodes
+    before it in ``order``, ascending, and its rows are its conditionals given
+    them, read off the exact joint: P(v, parents) / P(parents), or one-hot on
+    the first outcome where P(parents) is 0.  This is Shachter's arc reversal
+    ("Evaluating influence diagrams", 1986) by brute force.
+    """
+    counts = bbn.outcome_counts()
+    joint = {a: reference_joint(bbn, a) for a in product(*map(range, counts))}
+    nodes = list(bbn.nodes)
+    for k, v in enumerate(order):
+        parents = tuple(sorted(order[:k]))
+        cells = defaultdict(list)
+        for a, p in joint.items():
+            cells[tuple(a[q] for q in parents), a[v]].append(p)
+        rows = []
+        for config in product(*(range(counts[q]) for q in parents)):
+            mass = [math.fsum(cells[config, j]) for j in range(counts[v])]
+            total = math.fsum(mass)
+            rows.append(tuple(m / total for m in mass) if total else (1.0,) + (0.0,) * (counts[v] - 1))
+        nodes[v] = BbnNode(bbn.nodes[v].name, bbn.nodes[v].outcomes, parents, tuple(rows))
+    return Bbn(tuple(nodes))
+
+
+def ordering_restores_dag(bbn) -> bool:
+    """Whether the causal ordering of ``bbn_to_sem(bbn)`` has only degree-1
+    clusters and variable-level edges equal to the network's arcs."""
+    ordering = causal_ordering(sem_structure(bbn_to_sem(bbn)))
+    return all(c.degree == 1 for c in ordering.clusters) and ordering.variable_edges == bbn.edges
 
 
 def row_masks(matrix: StructureMatrix) -> list[int]:

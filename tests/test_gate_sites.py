@@ -67,7 +67,7 @@ DATA = REPO / "tests" / "data"
 # Per CLI command, the file it runs on and the package modules its process
 # must not load.  ``sample`` runs on the threshold file of ``xy.json``.
 STRUCTURE_ONLY = {"bbn", "sem", "intervention", "ordering", "dotutil"}
-NETWORK_ONLY = {"triangular", "intervention"}
+NETWORK_ONLY = {"triangular", "intervention", "ordering"}
 NOT_LOADED = {
     "check": ("seat_belts.json", STRUCTURE_ONLY),
     "triangularize": ("seat_belts.json", STRUCTURE_ONLY),

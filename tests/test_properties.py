@@ -41,6 +41,7 @@ from causalstruct.sem import CHUNK, _guide, _lane_forward
 from generators import permute, subsystem
 from oracles import (
     brute_self_contained_subsets,
+    ordering_restores_dag,
     pivot_scan_triangularize,
     recursive_maximum_matching,
     reference_compare_marginals,
@@ -286,7 +287,8 @@ def test_construction_is_distribution_exact(bbn):
 @given(bbns())
 @settings(max_examples=50)
 def test_round_trip_restores_the_dag(bbn):
-    assert roundtrip_check(bbn)
+    assert roundtrip_check(bbn) is True
+    assert ordering_restores_dag(bbn)
 
 
 @given(bbns(), st.data())

@@ -35,6 +35,7 @@ from causalstruct.cli import main
 from causalstruct.sem import CHUNK
 
 from generators import binary_chain_network, random_bbn
+from oracles import ordering_restores_dag
 
 
 @pytest.fixture
@@ -458,7 +459,9 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_networks(self, seed):
-        assert roundtrip_check(random_bbn(random.Random(seed)))
+        bbn = random_bbn(random.Random(seed))
+        assert roundtrip_check(bbn) is True
+        assert ordering_restores_dag(bbn)
 
     def test_invalid_network_rejected(self):
         bbn = Bbn((BbnNode("x", ("t", "f"), (), ((0.7, 0.2),)),))
