@@ -17,7 +17,6 @@ from operator import mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .dotutil import _digraph, dot_id
 from .errors import CycleError, FormatError, InvalidBbnError
 from .graphs import topological_order as _topo
 from .structure import _json_object, _json_strings, _json_text, _load_json, _Record, _require_names, _store, _write_text
@@ -340,6 +339,8 @@ def _marginals(bbn: Bbn, variables, nodes: Sequence[int]) -> list[list[float]]:
 
 def bbn_to_dot(bbn: Bbn) -> str:
     """DOT digraph of the network's arcs."""
+    from .dotutil import _digraph, dot_id  # loaded by the graph command alone
+
     names = [node.name for node in bbn.nodes]
     return _digraph("bbn", [f"  {dot_id(name)};" for name in names], names, bbn.edges)
 

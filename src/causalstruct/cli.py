@@ -189,11 +189,11 @@ def _cmd_verify(args):
 def _cmd_sample(args):
     from operator import getitem
 
-    from .sem import load_sem, sample
+    from .sem import _tally, load_sem
 
     sem = load_sem(args.sem)
     try:
-        counts = sample(sem, args.seed, args.count)
+        counts = _tally(sem, args.seed, args.count, "s")
     except CycleError as exc:
         return 1, "", f"error:cyclic: {exc.describe(sem.variable_names)}"
     total = args.count
@@ -201,15 +201,53 @@ def _cmd_sample(args):
         [f"{name}={j}" for j in range(k)]
         for name, k in zip(sem.variable_names, sem.outcome_counts())
     ]
+    # Keys of one length sort the same as bytes and as tuples of values.
     keys = sorted(counts)
-    texts = [" ".join(map(getitem, labels, key)) for key in keys]
-    width = max(len("assignment"), *map(len, texts))
-    tallies = list(map(counts.__getitem__, keys))
     # Few counts recur across many rows, so each count's columns are formatted once.
-    tail = {n: "  %10d  %.6f\n" % (n, n / total) for n in set(tallies)}
-    report = [f"draws: {total}\nseed: {args.seed}\n{'assignment':<{width}}  {'count':>10}  frequency\n"]
-    report += [text.ljust(width) + tail[n] for text, n in zip(texts, tallies)]
-    return 0, "".join(report), None
+    tail = {n: "  %10d  %.6f\n" % (n, n / total) for n in set(counts.values())}
+    tails = [tail[counts[key]] for key in keys]
+    # Byte-lane keys give rows of one stride when each variable's labels have
+    # one width (at most 10 outcomes) and no count passes ten digits.
+    if isinstance(keys[0], bytes) and all(len(row) <= 10 for row in labels) and len(set(map(len, tail.values()))) == 1:
+        text = " ".join(row[0] for row in labels)
+        width = max(len("assignment"), len(text))
+        body = _columns(labels, keys, tails, width - len(text))
+    else:
+        texts = [" ".join(map(getitem, labels, key)) for key in keys]
+        width = max(len("assignment"), *map(len, texts))
+        body = "".join([text.ljust(width) + t for text, t in zip(texts, tails)])
+    return 0, f"draws: {total}\nseed: {args.seed}\n{'assignment':<{width}}  {'count':>10}  frequency\n" + body, None
+
+
+def _columns(labels, keys, tails, pad):
+    """The report rows of the byte keys ``keys``: labels joined, ``pad`` spaces, then the tails.
+
+    Each variable's labels have one length and so do the tails, so the rows
+    have one stride.  They start as copies of the first row and are written
+    column by column where they differ: a byte of a variable's labels is one
+    ``translate`` of its column of values, a byte of the tails one slice.
+    Encoding with ``surrogatepass`` gives a name UTF-8 cannot encode back
+    unchanged, to fail where every report does.
+    """
+    encoded = [[label.encode("utf-8", "surrogatepass") for label in row] for row in labels]
+    text = b" ".join(row[0] for row in encoded) + b" " * pad
+    first = text + tails[0].encode("ascii")
+    start, stride = len(text), len(first)
+    body = bytearray(first) * len(keys)
+    values = b"".join(keys)
+    at = 0
+    for v, row in enumerate(encoded):
+        column = values[v::len(labels)]
+        for c in range(len(row[0])):
+            if len({label[c] for label in row}) > 1:
+                body[at + c::stride] = column.translate(bytes(label[c] for label in row).ljust(256))
+        at += len(row[0]) + 1
+    tail = "".join(tails).encode("ascii")
+    for c in range(len(tails[0])):
+        column = tail[c::len(tails[0])]
+        if column != column[:1] * len(keys):
+            body[start + c::stride] = column
+    return body.decode("utf-8", "surrogatepass")
 
 
 def _cmd_intervene(args):

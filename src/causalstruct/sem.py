@@ -35,8 +35,9 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, repeat, starmap
-from operator import getitem, le, sub
+from operator import getitem, itemgetter, le, sub
 from pathlib import Path
+from struct import Struct
 from typing import Iterator, Mapping, Sequence
 
 from .bbn import ROW_SUM_TOLERANCE, Assignment, Bbn
@@ -338,40 +339,55 @@ def sample(
     bisection.  A system without that plan evaluates float latents as
     ``evaluate`` does, ``CHUNK // 4`` draws at a time.
     """
+    return _tally(sem, seed, count, "B")
+
+
+def _tally(sem: ThresholdEquationSystem, seed: int, count: int, code: str) -> Counter:
+    """``sample``'s tally, each byte-lane draw keyed by the ``struct`` code ``code``.
+
+    With ``"B"`` a draw's key is its tuple of values; with ``"s"`` it is one
+    ``bytes`` object holding them, which hashes once, compares by ``memcmp``
+    and sorts as the tuple does.  Draws of the float pass, and the one draw
+    of a system of no variables, are tuples either way.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = random.Random(seed)
     n = sem.n
+    if not n:  # every draw is the empty assignment, and iter_unpack refuses an empty struct
+        return Counter({(): count})
+    rng = random.Random(seed)
     lanes = sem._lanes
     # A float latent and its list slot take four times a lane latent's 8
     # bytes, so both passes hold about the same memory per chunk.
     size = CHUNK if lanes is not None else CHUNK // 4
-    tally: Counter[Assignment] = Counter()
+    unpack = Struct(f"{n}{code}").iter_unpack
+    tally: Counter = Counter()
     for done in range(0, count, size):
         k = min(size, count - done)
         if lanes is None:
             flat = list(map((1.0).__sub__, starmap(rng.random, repeat((), k * n))))
             tally.update(_forward(sem._steps, flat, k))
         else:
-            tally.update(_lane_forward(lanes, rng.getrandbits(64 * k * n).to_bytes(8 * k * n, "little"), k))
+            keys = unpack(_lane_forward(lanes, rng.getrandbits(64 * k * n).to_bytes(8 * k * n, "little"), k))
+            tally.update(map(itemgetter(0), keys) if code == "s" else keys)
     return tally
 
 
-def _lane_forward(lanes, raw: bytes, k: int) -> Iterator[Assignment]:
-    """The ``k`` assignments that the generator output ``raw`` selects.
+def _lane_forward(lanes, raw: bytes, k: int) -> bytearray:
+    """The values of the ``k`` draws that the generator output ``raw`` selects.
 
-    ``raw`` holds 8 bytes per latent, draw after draw, each latent's two
-    32-bit words little-endian: ``random()`` reads m = (w1 >> 5) << 26 |
-    w2 >> 6 from them, so m's leading byte is w1's, at offset 3.  Per
-    variable, parents first, the row ranks are the stride-weighted sum of
-    the parents' value columns read as integers (a rank stays below 256, so
-    no byte carries into the next), and each row's guide table is applied
-    to the draws its pick table selects.  Latents left ``_UNSETTLED`` are
-    bisected in their row.
+    The result holds one byte per value, draw after draw, so draw i's
+    values are ``result[i * n:(i + 1) * n]``.  ``raw`` holds 8 bytes per
+    latent in the same order, each latent's two 32-bit words little-endian:
+    ``random()`` reads m = (w1 >> 5) << 26 | w2 >> 6 from them, so m's
+    leading byte is w1's, at offset 3.  Per variable, parents first, the
+    row ranks are the stride-weighted sum of the parents' value columns
+    read as integers (a rank stays below 256, so no byte carries into the
+    next), and each row's guide table is applied to the draws its pick
+    table selects.  Latents left ``_UNSETTLED`` are bisected in their row.
     """
     n = len(lanes)
-    if not n:
-        return repeat((), k)
+    draws = bytearray(k * n)
     columns = [b""] * n
     for v, parents, rows in lanes:
         lead = raw[8 * v + 3::8 * n]
@@ -389,7 +405,8 @@ def _lane_forward(lanes, raw: bytes, k: int) -> Iterator[Assignment]:
             column[i] = bisect_left(rows[ranks[i]][2], 1.0 - m / 2**53)
             i = column.find(_UNSETTLED, i + 1)
         columns[v] = column
-    return zip(*columns)
+        draws[v::n] = column
+    return draws
 
 
 def sem_structure(sem: ThresholdEquationSystem) -> StructureMatrix:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import FormatError, NotSelfContainedError
-from .matching import maximum_matching
 
 
 # Stores one field of a record past its refusing ``__setattr__``.  Unlike
@@ -219,6 +218,10 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
     equation reachable from it along alternating paths.  Only then can a
     variable occur in no equation, so only then are the rows scanned for one.
     """
+    # Imported here, so that the network commands, which load this module
+    # only for its file and record helpers, do not load the matching.
+    from .matching import maximum_matching
+
     match, reach = maximum_matching(matrix.rows)
     unused: tuple[int, ...] = ()
     violation = None

@@ -23,6 +23,9 @@ which prints each changed case and exits 1 if there is one; regenerate it,
 naming each changed case in CHANGES.md, with
 
     python tests/cli_corpus.py --write
+
+``--interpreters PYTHON...`` runs ``--check`` under each interpreter given
+and prints one ``version: ok`` or ``version: N changed`` line for each.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -203,6 +207,25 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
         for count in (700, 4097):
             case(f"sem-{stem}/sample-{count}", "sample", f"{{tmp}}/{stem}.sem.json", "--seed", 7, "--count", count)
 
+    # The report's edges: no variable at all, labels of one width up to the
+    # widest (10 outcomes, x=0 to x=9) and labels of two widths (12 outcomes),
+    # each with a child whose rows the wide parent picks.
+    inputs["empty.sem.json"] = _json({"equations": []})
+    for outcomes in (10, 12):
+        inputs[f"outcomes-{outcomes}.sem.json"] = _json({"equations": [
+            {"target": "x", "parents": [], "thresholds": [[(j + 1) / outcomes for j in range(outcomes)]]},
+            {"target": "y", "parents": ["x"], "thresholds": [[j / outcomes, 1.0] for j in range(outcomes)]},
+        ]})
+    # Names of two, three and four UTF-8 bytes per character.
+    inputs["names.sem.json"] = _json({"equations": [
+        {"target": "température", "parents": [], "thresholds": [[0.2, 0.7, 1.0]]},
+        {"target": "雨", "parents": ["température"], "thresholds": [[0.9, 1.0], [0.5, 1.0], [0.1, 1.0]]},
+        {"target": "\U0001f327", "parents": [], "thresholds": [[0.5, 1.0]]},
+    ]})
+    for stem in ("empty", "outcomes-10", "outcomes-12", "names"):
+        for count in (700, 4097):
+            case(f"sem-{stem}/sample-{count}", "sample", f"{{tmp}}/{stem}.sem.json", "--seed", 7, "--count", count)
+
     # error:usage
     case("usage/no-command")
     case("usage/version", "--version")
@@ -236,6 +259,10 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
     case("unencodable/order-dot", "order", "{tmp}/unencodable-system.json", "--dot", "{tmp}/unencodable.dot",
          writes=["{tmp}/unencodable.dot"])
     case("unencodable/check", "check", "{tmp}/unencodable-unused.json")
+    inputs["unencodable.sem.json"] = _json({"equations": [
+        {"target": "a", "parents": [], "thresholds": [[0.5, 1.0]]},
+        {"target": UNENCODABLE, "parents": [], "thresholds": [[0.5, 1.0]]}]})
+    case("unencodable/sample", "sample", "{tmp}/unencodable.sem.json", "--count", 10)
     for command in ("verify", "to-sem"):
         case(f"unencodable/{command}-invalid", command, "{tmp}/unencodable-invalid.json")
     case("unencodable/graph-network-dot", "graph", "{tmp}/unencodable-network.json", "--dot",
@@ -365,9 +392,34 @@ def changed(old: dict, new: dict) -> list[str]:
     return names
 
 
+def check_under(pythons: list[str]) -> bool:
+    """Replay the corpus under each interpreter in ``pythons``, one line each; True if all pass."""
+    passed = True
+    for python in pythons:
+        try:
+            version = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
+                                     capture_output=True, text=True).stdout.strip() or python
+            run = subprocess.run([python, __file__, "--check"], capture_output=True, text=True)
+        except OSError as exc:  # no such interpreter
+            print(f"{python}: {exc}")
+            passed = False
+            continue
+        lines = run.stdout.count("changed:")
+        if run.returncode == 0:
+            print(f"{version}: ok")
+        elif lines:
+            print(f"{version}: {lines} changed")
+        else:
+            print(f"{version}: failed with exit code {run.returncode}\n{run.stderr}", end="")
+        passed = passed and run.returncode == 0
+    return passed
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--interpreters"] and sys.argv[2:]:
+        sys.exit(0 if check_under(sys.argv[2:]) else 1)
     if sys.argv[1:] not in (["--write"], ["--check"]):
-        sys.exit(f"usage: python {sys.argv[0]} --write | --check")
+        sys.exit(f"usage: python {sys.argv[0]} --write | --check | --interpreters PYTHON...")
     with tempfile.TemporaryDirectory() as scratch:
         doc = record(Path(scratch))
     names = changed(json.loads(GOLDEN.read_text(encoding="utf-8")), doc) if GOLDEN.exists() else []

@@ -5,7 +5,8 @@ rows one at a time, or by recursive depth-first search, and deliberately
 avoid the matching/SCC/Kahn machinery of the package under test.
 The probability oracles form one joint probability per assignment, ranking
 each node's parent values afresh, without the compiled per-model plans.
-The sampling oracle evaluates one draw at a time, one variable at a time.
+The sampling oracle evaluates one draw at a time, one variable at a time,
+and the report oracle renders its tallies one row at a time.
 ``chain_rule_network`` refactors a network's joint along another order by
 conditioning the enumerated joint.  ``ordering_restores_dag`` is the one
 exception: it runs the package's own causal ordering, to hold
@@ -89,6 +90,19 @@ def reference_sample(sem, seed, count):
     n = sem.n
     draws = ([1.0 - rng.random() for _ in range(n)] for _ in range(count))
     return Counter(_reference_forward(_reference_steps(sem), draws))
+
+
+def reference_report(sem, seed, count):
+    """The ``sample`` command's stdout, one row per distinct draw of ``reference_sample``."""
+    counts = reference_sample(sem, seed, count)
+    labels = [[f"{name}={j}" for j in range(k)] for name, k in zip(sem.variable_names, sem.outcome_counts())]
+    keys = sorted(counts)
+    texts = [" ".join(labels[v][j] for v, j in enumerate(key)) for key in keys]
+    width = max([len("assignment")] + [len(text) for text in texts])
+    lines = [f"draws: {count}", f"seed: {seed}", "assignment".ljust(width) + "       count  frequency"]
+    for text, key in zip(texts, keys):
+        lines.append(f"{text.ljust(width)}  {counts[key]:>10}  {counts[key] / count:.6f}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_marginals(bbn) -> list[list[float]]:

@@ -3,8 +3,8 @@ files are written at one site, the CLI prints at one, no module imports a name i
 has a user or a stated reason to be public, no function reaches itself
 through calls, records cache only the listed values, no source generates
 code with ``exec``, ``eval`` or ``compile``, importing the CLI loads no
-code-generation or introspection module, and each command loads only the
-package modules it runs."""
+code-generation or introspection module, each command loads only the
+package modules it runs, and the built-in ``sum`` adds only integers."""
 
 import ast
 import graphlib
@@ -60,6 +60,11 @@ CACHED = {
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
 # Builtins that turn text into code.
 CODE_BUILDERS = {"exec", "eval", "compile"}
+# Each built-in ``sum`` call, by the function it sits in, and the integers
+# it adds.  Floats are summed with ``math.fsum``: its correctly rounded total
+# is the same on every interpreter, while the built-in's float total is
+# compensated from Python 3.12 on.
+INTEGER_SUMS = {"sem._lane_forward": "row ranks: each stride times a parent's value column read as one integer"}
 # Modules that every CLI process would pay to import and none needs: the
 # dataclasses code generator and the inspect, ast and dis modules it loads.
 START_UP_ABSENT = ("dataclasses", "inspect", "ast", "dis")
@@ -67,7 +72,7 @@ DATA = REPO / "tests" / "data"
 # Per CLI command, the file it runs on and the package modules its process
 # must not load.  ``sample`` runs on the threshold file of ``xy.json``.
 STRUCTURE_ONLY = {"bbn", "sem", "intervention", "ordering", "dotutil"}
-NETWORK_ONLY = {"triangular", "intervention", "ordering"}
+NETWORK_ONLY = {"triangular", "intervention", "ordering", "matching", "dotutil"}
 NOT_LOADED = {
     "check": ("seat_belts.json", STRUCTURE_ONLY),
     "triangularize": ("seat_belts.json", STRUCTURE_ONLY),
@@ -209,6 +214,15 @@ class _OutputSites(_Scoped):
         self.generic_visit(node)
 
 
+class _SumSites(_Scoped):
+    """``module.function`` for each call of the built-in ``sum`` by its bare name."""
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "sum":
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
 def _unused_imports(source: str) -> set:
     """Names bound by an import in ``source`` and never read; ``__future__`` aside."""
     tree = ast.parse(source)
@@ -308,6 +322,10 @@ def _loaded_by(argv: list) -> set:
     code, *modules = _fresh(textwrap.dedent(probe))
     assert code == "0"
     return set(modules)
+
+
+def test_every_builtin_sum_adds_integers():
+    assert sorted(_sites(_SumSites)) == sorted(INTEGER_SUMS)
 
 
 def test_the_cli_imports_no_code_generator():

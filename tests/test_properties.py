@@ -1,10 +1,16 @@
 """Property tests for the structural invariants the library promises."""
 
+import contextlib
+import io
+import json
 import math
 import random
+import tempfile
 from bisect import bisect_left
 from collections import Counter
 from itertools import product
+from pathlib import Path
+from struct import iter_unpack
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,9 +38,11 @@ from causalstruct import (
     roundtrip_check,
     sample,
     sem_joint,
+    sem_to_dict,
     sem_structure,
     triangularize,
 )
+from causalstruct.cli import main
 from causalstruct.matching import maximum_matching
 from causalstruct.sem import CHUNK, _guide, _lane_forward
 
@@ -49,6 +57,7 @@ from oracles import (
     reference_gap,
     reference_joint,
     reference_marginals,
+    reference_report,
     reference_sample,
     reference_sem_joint,
 )
@@ -422,7 +431,7 @@ def test_lane_pass_equals_the_per_draw_reference_at_the_edges(sem, data):
         for latents in draws
         for v, m in enumerate(latents)
     )
-    assert list(_lane_forward(sem._lanes, raw, k)) == [
+    assert list(iter_unpack(f"{sem.n}B", _lane_forward(sem._lanes, raw, k))) == [
         reference_evaluate(sem, {v: 1.0 - m / 2**53 for v, m in enumerate(latents)}) for latents in draws
     ]
 
@@ -470,6 +479,36 @@ def test_sample_past_the_byte_lanes_equals_the_per_draw_reference(sem, in_lanes,
     # pass, CHUNK // 4 draws at a time; 254 outcomes and 256 rows still fit.
     assert (sem._lanes is not None) == in_lanes
     assert list(sample(sem, 23, count).items()) == list(reference_sample(sem, 23, count).items())
+
+
+@st.composite
+def report_systems(draw, max_nodes=4):
+    """Systems of 2 to 12 outcomes per variable, so labels of one or two
+    widths, named by any characters UTF-8 can encode."""
+    n = draw(st.integers(1, max_nodes))
+    name = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3)
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    counts = [draw(st.integers(2, 12)) for _ in range(n)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    equations = []
+    for v, k in enumerate(counts):
+        parents = tuple(draw(st.lists(st.integers(0, v - 1), unique=True, max_size=2))) if v else ()
+        rows = [(*sorted(rng.random() for _ in range(k - 1)), 1.0) for _ in range(math.prod(counts[p] for p in parents))]
+        equations.append(ThresholdEquation(parents, tuple(rows)))
+    return ThresholdEquationSystem(tuple(names), tuple(equations))
+
+
+@given(report_systems(), st.integers(0, 2**32 - 1), st.integers(1, 600))
+@example(ThresholdEquationSystem((), ()), 5, 3)
+@example(_deep_system(9), 23, CHUNK // 4 + 1)  # an equation of 512 rows: the float pass
+@settings(max_examples=40, deadline=None)
+def test_sample_report_equals_the_row_by_row_reference(sem, seed, count):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "system.json"
+        path.write_text(json.dumps(sem_to_dict(sem)), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["sample", str(path), "--seed", str(seed), "--count", str(count)]) == 0
+    assert out.getvalue() == reference_report(sem, seed, count)
 
 
 @given(shuffled_bbns(), st.data())
