@@ -24,6 +24,9 @@ from .errors import (
     NotSelfContainedError,
 )
 
+# The digit of each value byte below 10, for the labels of the ``sample`` report.
+_DIGITS = b"0123456789".ljust(256)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -197,56 +200,45 @@ def _cmd_sample(args):
     except CycleError as exc:
         return 1, "", f"error:cyclic: {exc.describe(sem.variable_names)}"
     total = args.count
-    labels = [
-        [f"{name}={j}" for j in range(k)]
-        for name, k in zip(sem.variable_names, sem.outcome_counts())
-    ]
     # Keys of one length sort the same as bytes and as tuples of values.
     keys = sorted(counts)
     # Few counts recur across many rows, so each count's columns are formatted once.
     tail = {n: "  %10d  %.6f\n" % (n, n / total) for n in set(counts.values())}
-    tails = [tail[counts[key]] for key in keys]
-    # Byte-lane keys give rows of one stride when each variable's labels have
-    # one width (at most 10 outcomes) and no count passes ten digits.
-    if isinstance(keys[0], bytes) and all(len(row) <= 10 for row in labels) and len(set(map(len, tail.values()))) == 1:
-        text = " ".join(row[0] for row in labels)
-        width = max(len("assignment"), len(text))
-        body = _columns(labels, keys, tails, width - len(text))
+    # Byte-lane keys give rows of one stride when every label has one digit
+    # (at most 10 outcomes) and every count fits its ten columns.
+    if isinstance(keys[0], bytes) and max(sem.outcome_counts()) <= 10 and total < 10**10:
+        head = " ".join(f"{name}=0" for name in sem.variable_names)
+        width = max(len("assignment"), len(head))
+        tail = {n: t.encode("ascii") for n, t in tail.items()}
+        body = _columns(sem.variable_names, keys, [tail[counts[key]] for key in keys], head.ljust(width))
     else:
+        labels = [
+            [f"{name}={j}" for j in range(k)]
+            for name, k in zip(sem.variable_names, sem.outcome_counts())
+        ]
         texts = [" ".join(map(getitem, labels, key)) for key in keys]
         width = max(len("assignment"), *map(len, texts))
-        body = "".join([text.ljust(width) + t for text, t in zip(texts, tails)])
+        body = "".join([text.ljust(width) + tail[counts[key]] for text, key in zip(texts, keys)])
     return 0, f"draws: {total}\nseed: {args.seed}\n{'assignment':<{width}}  {'count':>10}  frequency\n" + body, None
 
 
-def _columns(labels, keys, tails, pad):
-    """The report rows of the byte keys ``keys``: labels joined, ``pad`` spaces, then the tails.
+def _columns(names, keys, tails, head):
+    """The report rows of the byte keys ``keys``: ``head`` with the key's digits written in, then its tail.
 
-    Each variable's labels have one length and so do the tails, so the rows
-    have one stride.  They start as copies of the first row and are written
-    column by column where they differ: a byte of a variable's labels is one
-    ``translate`` of its column of values, a byte of the tails one slice.
-    Encoding with ``surrogatepass`` gives a name UTF-8 cannot encode back
-    unchanged, to fail where every report does.
+    ``head`` is every variable's outcome-0 label, joined by spaces and
+    padded.  Every label has one digit and the tails share one width, so the
+    rows have one stride, and each variable's digits are one strided slice of
+    ``b"".join(keys).translate(_DIGITS)``.  Encoding with ``surrogatepass``
+    gives a name UTF-8 cannot encode back unchanged, to fail where every
+    report does.
     """
-    encoded = [[label.encode("utf-8", "surrogatepass") for label in row] for row in labels]
-    text = b" ".join(row[0] for row in encoded) + b" " * pad
-    first = text + tails[0].encode("ascii")
-    start, stride = len(text), len(first)
-    body = bytearray(first) * len(keys)
-    values = b"".join(keys)
-    at = 0
-    for v, row in enumerate(encoded):
-        column = values[v::len(labels)]
-        for c in range(len(row[0])):
-            if len({label[c] for label in row}) > 1:
-                body[at + c::stride] = column.translate(bytes(label[c] for label in row).ljust(256))
-        at += len(row[0]) + 1
-    tail = "".join(tails).encode("ascii")
-    for c in range(len(tails[0])):
-        column = tail[c::len(tails[0])]
-        if column != column[:1] * len(keys):
-            body[start + c::stride] = column
+    head = head.encode("utf-8", "surrogatepass")
+    body = bytearray(head) + head.join(tails)
+    digits = b"".join(keys).translate(_DIGITS)
+    stride, at = len(head) + len(tails[0]), -2
+    for v, name in enumerate(names):
+        at += len(name.encode("utf-8", "surrogatepass")) + 3  # the digit ending label v
+        body[at::stride] = digits[v::len(names)]
     return body.decode("utf-8", "surrogatepass")
 
 

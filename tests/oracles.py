@@ -4,7 +4,8 @@ The structure oracles work by subset enumeration over bitmasks, by pivoting
 rows one at a time, or by recursive depth-first search, and deliberately
 avoid the matching/SCC/Kahn machinery of the package under test.
 The probability oracles form one joint probability per assignment, ranking
-each node's parent values afresh, without the compiled per-model plans.
+each node's parent values afresh, without the compiled per-model plans;
+``exact_joint`` forms it in exact rationals from the same float tables.
 The sampling oracle evaluates one draw at a time, one variable at a time,
 and the report oracle renders its tallies one row at a time.
 ``chain_rule_network`` refactors a network's joint along another order by
@@ -19,6 +20,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 
@@ -39,6 +41,25 @@ def reference_joint(bbn, assignment) -> float:
         radices = [bbn.nodes[q].outcome_count for q in node.parents]
         p *= node.cpt[_rank(radices, [assignment[q] for q in node.parents])][assignment[i]]
     return p
+
+
+def exact_joint(bbn) -> dict[tuple[int, ...], Fraction]:
+    """Every assignment's joint probability in ``Fraction``, each table entry read exactly.
+
+    The values are the exact products of the float entries, with no
+    rounding; enumerate only small networks (n <= 6).  A float is an integer
+    over a power of two, so each product is formed as one such ratio.
+    """
+    tables = [[[x.as_integer_ratio() for x in row] for row in node.cpt] for node in bbn.nodes]
+    joint = {}
+    for assignment in product(*map(range, bbn.outcome_counts())):
+        numerator = denominator = 1
+        for node, table, j in zip(bbn.nodes, tables, assignment):
+            radices = [bbn.nodes[q].outcome_count for q in node.parents]
+            n, d = table[_rank(radices, [assignment[q] for q in node.parents])][j]
+            numerator, denominator = numerator * n, denominator * d
+        joint[assignment] = Fraction(numerator, denominator)
+    return joint
 
 
 def reference_sem_joint(sem, assignment) -> float:

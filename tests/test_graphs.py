@@ -4,23 +4,26 @@ Every helper keeps its own stack, so chains and rings thousands of vertices
 deep must work like short ones.  The recursive depth-first search in
 ``oracles`` is the reference for which cycle ``topological_order`` reports;
 it is only run on graphs of at most 300 vertices, where its recursion stays
-shallow.  Each walk reads every list entry exactly once, counted by the
-lists themselves rather than timed.
+shallow.  Each walk reads every list entry exactly once, and the matching
+every row entry twice on systems its Karp–Sipser start matches whole,
+counted by the lists themselves rather than timed.
 """
 
+import builtins
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from causalstruct import Bbn, BbnNode, CycleError, validate
-from causalstruct import graphs
+from causalstruct import graphs, matching
 from causalstruct.graphs import (
     strongly_connected_components,
     topological_order,
     topological_prefix,
 )
 
+from generators import chain_system
 from oracles import recursive_find_cycle
 
 try:  # imported here, so its import time does not count against a test's deadline
@@ -289,3 +292,27 @@ def test_walks_read_each_entry_once(walk, graph):
 def test_an_acyclic_order_reads_each_entry_once(graph):
     reads, nnz = entries_read(topological_order, graph)
     assert reads == nnz
+
+
+def planted_dag_rows():
+    """Equation v holds variable v and three earlier ones; both are renumbered at random, apart."""
+    rows = [[v, *parents] for v, parents in enumerate(planted_precedence(0.0))]
+    random.Random(11).shuffle(rows)
+    return rows
+
+
+COUNTED_SYSTEMS = {
+    "dag": planted_dag_rows,
+    "chain": lambda: list(chain_system(COUNTED_N).rows),
+}
+
+
+@pytest.mark.parametrize("system", ["dag", "chain"])
+def test_the_matching_start_matches_every_row_and_no_search_runs(monkeypatch, system):
+    rows = COUNTED_SYSTEMS[system]()
+    tally = [0]
+    monkeypatch.setattr(matching, "sorted", lambda row: Counted(builtins.sorted(row), tally), raising=False)
+    match, reach = matching.maximum_matching(rows)
+    assert reach is None and set(match) == set(range(COUNTED_N))
+    # One degree pass, one pass over each row the start matches, and no search.
+    assert tally[0] == 2 * sum(map(len, rows))
