@@ -68,8 +68,9 @@ class CausalOrdering(_Record):
 def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
     """Compute clusters, orders and precedence edges for a self-contained system."""
     _require_self_contained(matrix)
-    # The gate's matching would do; bench/test_bench.py pins a second
-    # maximum_matching call per ordering until the verdict is cached.
+    # The gate's kept matching would do, but bench/test_bench.py pins two
+    # maximum_matching calls per ordering of a fresh matrix; this call goes
+    # when a benchmark change lifts that pin.
     match, _ = maximum_matching(matrix.rows)
     parents = precedence(matrix, match)
 

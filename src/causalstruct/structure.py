@@ -17,6 +17,7 @@ import json
 import os
 import stat
 import sys
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -122,6 +123,11 @@ class StructureMatrix(_Record):
     def n(self) -> int:
         return len(self.variable_names)
 
+    @cached_property
+    def _report(self) -> SystemReport:
+        """The verdict of ``check_system``; a matrix is immutable, so it is computed once."""
+        return _check_system(self)
+
     def equation_index(self, label: str) -> int:
         try:
             return self.equation_labels.index(label)
@@ -217,7 +223,13 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
     failed augmenting search: the lowest unmatched equation and every
     equation reachable from it along alternating paths.  Only then can a
     variable occur in no equation, so only then are the rows scanned for one.
+
+    The report is computed on the first call for a matrix and kept on it.
     """
+    return matrix._report
+
+
+def _check_system(matrix: StructureMatrix) -> SystemReport:
     # Imported here, so that the network commands, which load this module
     # only for its file and record helpers, do not load the matching.
     from .matching import maximum_matching

@@ -7,6 +7,7 @@ of them.  Prints one line per module and a total:
 
     python tests/code_lines.py            # src/causalstruct
     python tests/code_lines.py DIRECTORY  # the modules of another checkout
+    python tests/code_lines.py OLD NEW    # both, and NEW's difference from OLD
 """
 
 import ast
@@ -46,13 +47,22 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def module_counts(package: Path) -> dict[str, int]:
+    return {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
+
+
 def main(argv) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
-    counts = {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
-    width = max(map(len, counts), default=0)
-    for name, count in counts.items():
-        print(f"{name:<{width}}  {count:>5}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>5}")
+    packages = [Path(directory) for directory in argv] or [PACKAGE]
+    counts = [module_counts(package) for package in packages]
+    names = sorted(set().union(*counts))
+    rows = [(name, [c.get(name, 0) for c in counts]) for name in names]
+    rows.append(("total", [sum(c.values()) for c in counts]))
+    width = max(map(len, names), default=0)
+    for name, values in rows:
+        shown = "".join(f"  {value:>5}" for value in values)
+        if len(values) == 2:
+            shown += f"  {values[1] - values[0]:>+5}"
+        print(f"{name:<{width}}{shown}")
     return 0
 
 

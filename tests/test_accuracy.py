@@ -14,9 +14,9 @@ Numerical Algorithms*, 2nd ed., 2002, §3.1).  A cell whose exact value is
 import random
 from fractions import Fraction
 
-from causalstruct import marginals
+from causalstruct import Bbn, BbnNode, compare_marginals, intervene_bbn, marginals
 
-from generators import random_bbn
+from generators import random_bbn, random_probability_row
 from oracles import exact_joint
 
 U = Fraction(1, 2**53)
@@ -44,3 +44,54 @@ def test_marginal_cells_lie_within_their_rounding_bound_of_exact():
             for cell, value in zip(cells, exact):
                 # At an exact 0 the bound is 0: the cell must be exactly 0.0.
                 assert abs(Fraction(cell) - value) <= (bbn.n + 1) * U * value
+
+
+def ancestral_exact_marginals(bbn, variables):
+    """Per variable of ``variables``, its exact marginal in the network of
+    ``variables`` and their ancestors, the nodes ``compare_marginals`` enumerates."""
+    kept, stack = set(), list(variables)
+    while stack:
+        v = stack.pop()
+        if v not in kept:
+            kept.add(v)
+            stack.extend(bbn.nodes[v].parents)
+    nodes = sorted(kept)
+    position = {v: k for k, v in enumerate(nodes)}
+    sub = Bbn(tuple(
+        BbnNode(node.name, node.outcomes, tuple(position[p] for p in node.parents), node.cpt)
+        for node in map(bbn.nodes.__getitem__, nodes)
+    ))
+    cells = exact_marginals(sub)
+    return {v: cells[position[v]] for v in variables}
+
+
+def test_intervention_deltas_lie_within_their_rounding_bound_of_exact():
+    """Each network is enumerated over the ancestors of the variables the
+    change can move, so a cell's exact value is that variable's marginal in
+    the ancestral network; summing the other nodes out as well would weigh
+    it by their row sums, which are 1 only within rounding.  A cell x of
+    exact value X <= 1 lies within (n + 1)·u·X <= (n + 1)·u of it (module
+    docstring), and so does y of Y.  Then x − y is within 2(n + 1)·u of
+    X − Y, and its rounding adds at most u·|x − y| <= u + O(u²).  A maximum
+    over outcomes is off by no more than its worst term, so each delta is
+    within (2n + 3)·u + O(u²) of the exact delta; (2n + 4)·u is tested.  A
+    variable with no changed ancestor reads exactly 0.0."""
+    rng = random.Random(5)
+    for _ in range(100):
+        before = random_bbn(rng)
+        cut = rng.randrange(before.n)
+        after = intervene_bbn(before, cut, random_probability_row(rng, before.nodes[cut].outcome_count))
+        moved, stack = set(), [cut]
+        while stack:
+            v = stack.pop()
+            if v not in moved:
+                moved.add(v)
+                stack.extend(c for c, node in enumerate(before.nodes) if v in node.parents)
+        exact = [ancestral_exact_marginals(bbn, moved) for bbn in (before, after)]
+        deltas = compare_marginals(before, after)
+        for v, node in enumerate(before.nodes):
+            if v not in moved:
+                assert deltas[node.name] == 0.0
+                continue
+            delta = max(abs(x - y) for x, y in zip(exact[0][v], exact[1][v]))
+            assert abs(Fraction(deltas[node.name]) - delta) <= (2 * before.n + 4) * U

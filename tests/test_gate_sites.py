@@ -54,6 +54,7 @@ LIBRARY_ONLY = {
 # such as a name index is a scan or a caller's local map instead.
 CACHED = {
     "Bbn": {"_plan", "_report"},
+    "StructureMatrix": {"_report"},
     "ThresholdEquationSystem": {"evaluation_order", "_plan", "_steps", "_lanes"},
 }
 # Flags that leave a file as it is; os.open with any other flag writes.

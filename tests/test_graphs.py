@@ -301,18 +301,41 @@ def planted_dag_rows():
     return rows
 
 
+def overfull_rows():
+    """``planted_dag_rows`` plus a row of two columns that no other row holds
+    and a row repeating the first entry of the first row: one row too many."""
+    rows = planted_dag_rows()
+    return rows + [[COUNTED_N, COUNTED_N + 1], [rows[0][0]]]
+
+
 COUNTED_SYSTEMS = {
     "dag": planted_dag_rows,
     "chain": lambda: list(chain_system(COUNTED_N).rows),
+    "overfull": overfull_rows,
 }
+
+
+def counted_matching(monkeypatch, system):
+    """The system's rows, its matching, and the entries the matching read."""
+    rows = COUNTED_SYSTEMS[system]()
+    tally = [0]
+    monkeypatch.setattr(matching, "sorted", lambda row: Counted(builtins.sorted(row), tally), raising=False)
+    return rows, matching.maximum_matching(rows), tally[0]
 
 
 @pytest.mark.parametrize("system", ["dag", "chain"])
 def test_the_matching_start_matches_every_row_and_no_search_runs(monkeypatch, system):
-    rows = COUNTED_SYSTEMS[system]()
-    tally = [0]
-    monkeypatch.setattr(matching, "sorted", lambda row: Counted(builtins.sorted(row), tally), raising=False)
-    match, reach = matching.maximum_matching(rows)
+    rows, (match, reach), reads = counted_matching(monkeypatch, system)
     assert reach is None and set(match) == set(range(COUNTED_N))
     # One degree pass, one pass over each row the start matches, and no search.
-    assert tally[0] == 2 * sum(map(len, rows))
+    assert reads == 2 * sum(map(len, rows))
+
+
+def test_the_matching_start_keeps_going_past_a_matched_column(monkeypatch):
+    """The start pops a degree-1 column whose one row it has already matched
+    and goes on.  Stopping there leaves the same unmatched row and reach to
+    the searches, which then read 529,682 entries: only the count tells."""
+    rows, (match, reach), reads = counted_matching(monkeypatch, "overfull")
+    assert [i for i, j in enumerate(match) if j == -1] == [COUNTED_N + 1]
+    assert (len(reach[0]), len(reach[1])) == (1007, 1006)
+    assert reads == 114_877

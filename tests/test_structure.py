@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -15,11 +19,12 @@ from causalstruct import (
     system_from_dict,
     triangularize,
 )
+from causalstruct import matching, ordering
 from causalstruct.graphs import strongly_connected_components, topological_order
 from causalstruct.matching import maximum_matching
 
 from conftest import DATA
-from generators import permute, random_self_contained_system, random_square_matrix, subsystem
+from generators import chain_system, permute, random_self_contained_system, random_square_matrix, subsystem
 from oracles import brute_is_self_contained, brute_self_contained_subsets, surplus_core
 
 
@@ -238,6 +243,87 @@ class TestSelfContainmentGate:
     @pytest.mark.parametrize("operation", sorted(STRUCTURE_OPERATIONS))
     def test_self_contained_system_passes(self, operation, model5):
         STRUCTURE_OPERATIONS[operation](model5)
+
+
+def _small_chain():
+    """A fresh three-equation chain, whose verdict no earlier test has kept."""
+    return StructureMatrix.from_names(
+        ["x", "y", "z"], [("e1", ["x"]), ("e2", ["x", "y"]), ("e3", ["y", "z"])]
+    )
+
+
+class TestKeptVerdict:
+    """``check_system`` decides a matrix once; every later gate reads that report."""
+
+    @pytest.fixture
+    def matchings(self, monkeypatch):
+        """The number of ``maximum_matching`` calls since the last read of it."""
+        calls = [0]
+
+        def counted(rows):
+            calls[0] += 1
+            return maximum_matching(rows)
+
+        monkeypatch.setattr(matching, "maximum_matching", counted)
+        monkeypatch.setattr(ordering, "maximum_matching", counted)
+
+        def since():
+            count, calls[0] = calls[0], 0
+            return count
+
+        return since
+
+    def test_each_operation_matches_only_what_is_not_yet_decided(self, matchings):
+        matrix = _small_chain()
+        report = check_system(matrix)
+        assert matchings() == 1
+        assert check_system(matrix) is report
+        assert matchings() == 0
+        causal_ordering(matrix)
+        assert matchings() == 1  # the ordering's own matching; the gate reads the kept report
+        triangularize(matrix)
+        is_triangularizable(matrix)
+        assert matchings() == 0
+        edited = apply_change(matrix, StructuralChange("replace_equation", "e3", ("x", "z")))
+        assert matchings() == 1
+        causal_ordering(edited)
+        assert matchings() == 1
+        causal_ordering(_small_chain())
+        assert matchings() == 2
+
+    def test_a_kept_report_takes_no_part_in_the_value(self):
+        checked, fresh = _small_chain(), _small_chain()
+        report = check_system(checked)
+        assert checked == fresh and hash(checked) == hash(fresh)
+        assert pickle.dumps(checked) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(checked)), copy.copy(checked)):
+            assert twin == checked and "_report" not in vars(twin)
+        assert check_system(fresh) == report
+
+    def test_first_reads_from_eight_threads_agree(self):
+        """Eight threads released together each check one fresh matrix; a short
+        switch interval makes their first reads interleave."""
+        matrix = chain_system(2000)
+        barrier = threading.Barrier(8, timeout=30)
+        reports = []
+
+        def read():
+            barrier.wait()
+            reports.append(check_system(matrix))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(reports) == 8
+        expected = check_system(chain_system(2000))
+        assert all(report == expected for report in reports)
 
 
 class TestConstruction:
