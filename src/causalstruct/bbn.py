@@ -195,23 +195,15 @@ class Bbn(_Record):
 
 class BbnIssue(_Record):
     """One invariant violation found by ``validate``; ``node`` is None for a
-    cycle, and ``detail`` names the row of a row-level issue."""
+    cycle, and ``detail`` names the row of a row-level issue.  ``kind`` is
+    one of "cycle", "row-count", "row-length", "row-sum", "entry-range" and
+    "duplicate-parent"."""
 
     _fields = ("kind", "node", "detail")
-
-    def __init__(self, kind: str, node: int | None, detail: str):
-        # kind: "cycle" | "row-count" | "row-length" | "row-sum" | "entry-range" | "duplicate-parent"
-        _store(self, "kind", kind)
-        _store(self, "node", node)
-        _store(self, "detail", detail)
 
 
 class BbnReport(_Record):
     _fields = ("bbn", "issues")
-
-    def __init__(self, bbn: Bbn, issues: tuple[BbnIssue, ...]):
-        _store(self, "bbn", bbn)
-        _store(self, "issues", issues)
 
     @property
     def valid(self) -> bool:

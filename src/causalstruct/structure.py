@@ -34,8 +34,10 @@ _store = object.__setattr__
 class _Record:
     """Base of the package's records: immutable values compared by their fields.
 
-    A subclass names its fields in ``_fields`` and stores each one in its
-    own ``__init__`` with ``_store``, because ``__setattr__`` and
+    A subclass names its fields in ``_fields``.  The shared constructor
+    binds them positionally or by keyword, in that order, each exactly
+    once.  A subclass that checks its fields defines its own ``__init__``
+    and stores each one with ``_store``, because ``__setattr__`` and
     ``__delattr__`` refuse.  Equality, hashing, ``repr`` and pickling read
     the fields in that order; a record equals only a record of its own
     class, and values a ``cached_property`` keeps take no part.
@@ -43,6 +45,15 @@ class _Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes each of its fields ({', '.join(fields)}) once")
+        for name, value in zip(fields, values):
+            _store(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -160,10 +171,6 @@ class EquationSubset(_Record):
 
     _fields = ("equations", "variables")
 
-    def __init__(self, equations: frozenset[int], variables: frozenset[int]):
-        _store(self, "equations", equations)
-        _store(self, "variables", variables)
-
     def describe(self, matrix: StructureMatrix) -> str:
         eqs = ", ".join(matrix.equation_labels[e] for e in sorted(self.equations))
         vs = ", ".join(matrix.variable_names[v] for v in sorted(self.variables))
@@ -182,18 +189,6 @@ class SystemReport(_Record):
     """
 
     _fields = ("matrix", "unused_variables", "violation", "matching")
-
-    def __init__(
-        self,
-        matrix: StructureMatrix,
-        unused_variables: tuple[int, ...],
-        violation: EquationSubset | None,
-        matching: tuple[int, ...],
-    ):
-        _store(self, "matrix", matrix)
-        _store(self, "unused_variables", unused_variables)
-        _store(self, "violation", violation)
-        _store(self, "matching", matching)
 
     @property
     def self_contained(self) -> bool:

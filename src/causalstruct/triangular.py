@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import CyclicStructureError
 from .graphs import topological_prefix
-from .structure import StructureMatrix, _Record, _require_self_contained, _store, precedence
+from .structure import StructureMatrix, _Record, _require_self_contained, precedence
 
 
 class Triangularization(_Record):
@@ -25,10 +25,6 @@ class Triangularization(_Record):
     """
 
     _fields = ("row_perm", "col_perm")
-
-    def __init__(self, row_perm: tuple[int, ...], col_perm: tuple[int, ...]):
-        _store(self, "row_perm", row_perm)
-        _store(self, "col_perm", col_perm)
 
 
 def triangularize(matrix: StructureMatrix) -> Triangularization:

@@ -5,7 +5,8 @@ rows one at a time, or by recursive depth-first search, and deliberately
 avoid the matching/SCC/Kahn machinery of the package under test.
 The probability oracles form one joint probability per assignment, ranking
 each node's parent values afresh, without the compiled per-model plans;
-``exact_joint`` forms it in exact rationals from the same float tables.
+``exact_joint`` and ``exact_sem_joint`` form it in exact rationals from the
+same float tables and thresholds.
 The sampling oracle evaluates one draw at a time, one variable at a time,
 and the report oracle renders its tallies one row at a time.
 ``chain_rule_network`` refactors a network's joint along another order by
@@ -43,23 +44,39 @@ def reference_joint(bbn, assignment) -> float:
     return p
 
 
+def _exact_products(mechanisms, tables) -> dict[tuple[int, ...], Fraction]:
+    """Every assignment's exact product of the entries it selects, one per
+    mechanism; ``tables[i][r][j]`` is mechanism i's entry at row r, outcome j,
+    as an integer ratio, so each product is formed as one such ratio."""
+    joint = {}
+    for assignment in product(*(range(m.outcome_count) for m in mechanisms)):
+        numerator = denominator = 1
+        for m, table, j in zip(mechanisms, tables, assignment):
+            radices = [mechanisms[q].outcome_count for q in m.parents]
+            n, d = table[_rank(radices, [assignment[q] for q in m.parents])][j]
+            numerator, denominator = numerator * n, denominator * d
+        joint[assignment] = Fraction(numerator, denominator)
+    return joint
+
+
 def exact_joint(bbn) -> dict[tuple[int, ...], Fraction]:
     """Every assignment's joint probability in ``Fraction``, each table entry read exactly.
 
     The values are the exact products of the float entries, with no
-    rounding; enumerate only small networks (n <= 6).  A float is an integer
-    over a power of two, so each product is formed as one such ratio.
+    rounding; enumerate only small networks (n <= 6).
     """
     tables = [[[x.as_integer_ratio() for x in row] for row in node.cpt] for node in bbn.nodes]
-    joint = {}
-    for assignment in product(*map(range, bbn.outcome_counts())):
-        numerator = denominator = 1
-        for node, table, j in zip(bbn.nodes, tables, assignment):
-            radices = [bbn.nodes[q].outcome_count for q in node.parents]
-            n, d = table[_rank(radices, [assignment[q] for q in node.parents])][j]
-            numerator, denominator = numerator * n, denominator * d
-        joint[assignment] = Fraction(numerator, denominator)
-    return joint
+    return _exact_products(bbn.nodes, tables)
+
+
+def exact_sem_joint(sem) -> dict[tuple[int, ...], Fraction]:
+    """Every assignment's joint probability in ``Fraction``: the exact product
+    of the exact differences of the float thresholds that select it."""
+    tables = [
+        [[(Fraction(c) - Fraction(b)).as_integer_ratio() for b, c in zip((0.0,) + row, row)] for row in eq.thresholds]
+        for eq in sem.equations
+    ]
+    return _exact_products(sem.equations, tables)
 
 
 def reference_sem_joint(sem, assignment) -> float:

@@ -14,10 +14,10 @@ Numerical Algorithms*, 2nd ed., 2002, §3.1).  A cell whose exact value is
 import random
 from fractions import Fraction
 
-from causalstruct import Bbn, BbnNode, compare_marginals, intervene_bbn, marginals
+from causalstruct import Bbn, BbnNode, bbn_to_sem, check_equivalence, compare_marginals, intervene_bbn, marginals
 
 from generators import random_bbn, random_probability_row
-from oracles import exact_joint
+from oracles import exact_joint, exact_sem_joint
 
 U = Fraction(1, 2**53)
 
@@ -95,3 +95,29 @@ def test_intervention_deltas_lie_within_their_rounding_bound_of_exact():
                 continue
             delta = max(abs(x - y) for x, y in zip(exact[0][v], exact[1][v]))
             assert abs(Fraction(deltas[node.name]) - delta) <= (2 * before.n + 4) * U
+
+
+def test_equivalence_gap_lies_within_its_rounding_bound_of_exact():
+    """The exact gap is the largest |a − b| over assignments, with a the
+    exact product of the network's float entries and b that of the exact
+    differences of the equations' float thresholds; both lie in [0, 1].
+    ``check_equivalence`` forms a with n − 1 rounded products, so within
+    (n − 1)·u·a + O(u²) of exact, and b with n rounded subtractions, each
+    within u of its exact length relative to it, and n − 1 rounded products,
+    so within (2n − 1)·u·b + O(u²).  Rounding the difference of values in
+    [0, 1] adds at most u, and a maximum is off by no more than its worst
+    term, so the result is within (3n − 1)·u + O(u²) of the exact gap;
+    3n·u is tested.  Each network is held against its own equations, whose
+    exact gap is a few u at most, and against those of the network with one
+    node cut loose, whose gap is large, so that an error both joints share
+    cannot cancel out."""
+    rng, redraw = random.Random(5), random.Random(6)
+    for _ in range(100):
+        bbn = random_bbn(rng)
+        cut = redraw.randrange(bbn.n)
+        after = intervene_bbn(bbn, cut, random_probability_row(redraw, bbn.nodes[cut].outcome_count))
+        network = exact_joint(bbn)
+        for sem in map(bbn_to_sem, (bbn, after)):
+            equations = exact_sem_joint(sem)
+            exact = max(abs(network[a] - equations[a]) for a in network)
+            assert abs(Fraction(check_equivalence(bbn, sem)) - exact) <= 3 * bbn.n * U

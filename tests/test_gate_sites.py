@@ -4,7 +4,8 @@ has a user or a stated reason to be public, no function reaches itself
 through calls, records cache only the listed values, no source generates
 code with ``exec``, ``eval`` or ``compile``, importing the CLI loads no
 code-generation or introspection module, each command loads only the
-package modules it runs, and the built-in ``sum`` adds only integers."""
+package modules it runs, the built-in ``sum`` adds only integers, and a
+record defines its own constructor only to check its fields."""
 
 import ast
 import graphlib
@@ -56,6 +57,12 @@ CACHED = {
     "Bbn": {"_plan", "_report"},
     "StructureMatrix": {"_report"},
     "ThresholdEquationSystem": {"evaluation_order", "_plan", "_steps", "_lanes"},
+}
+# Records with a constructor of their own that checks nothing, each with the
+# reason it does not use the shared ``_Record.__init__``.
+OWN_CONSTRUCTOR = {
+    "Cluster": "causal_ordering builds one per cluster, 500 to 8000 per structure op; "
+    "its own constructor takes 0.5 us against the shared one's 0.95 us",
 }
 # Flags that leave a file as it is; os.open with any other flag writes.
 READ_FLAGS = {"os", "O_RDONLY", "O_CLOEXEC", "O_NOFOLLOW"}
@@ -370,6 +377,20 @@ def test_only_the_listed_values_are_cached():
                 if names:
                     cached[node.name] = names
     assert cached == CACHED
+
+
+def test_a_record_defines_its_constructor_only_to_check_its_fields():
+    """A ``_Record`` subclass that only stores its fields uses the shared
+    constructor; one that defines ``__init__`` raises in it or is listed."""
+    unchecked = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and "_Record" in {getattr(b, "id", None) for b in node.bases}:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        if not any(isinstance(n, ast.Raise) for n in ast.walk(item)):
+                            unchecked.add(node.name)
+    assert unchecked == OWN_CONSTRUCTOR.keys()
 
 
 def test_no_module_imports_a_name_it_never_uses():

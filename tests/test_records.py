@@ -1,9 +1,10 @@
 """Every record is an immutable value: built from its fields positionally or
-by keyword, equal and hashed by those fields alone, never equal to a record
-of another class, shown as ``Name(field=value, ...)``, and unchanged by a
-pickle round trip."""
+by keyword, each given exactly once, equal and hashed by those fields alone,
+never equal to a record of another class, shown as ``Name(field=value,
+...)``, and unchanged by a pickle round trip."""
 
 import pickle
+import re
 
 import pytest
 
@@ -69,6 +70,22 @@ def test_positional_and_keyword_construction_agree(cls, fields, change):
     built = cls(*fields.values())
     assert built == cls(**fields)
     assert tuple(getattr(built, name) for name in fields) == tuple(fields.values())
+
+
+@pytest.mark.parametrize("cls, fields, change", RECORDS, ids=IDS)
+def test_each_field_is_bound_exactly_once(cls, fields, change):
+    """A missing field, an unknown keyword, a field given twice or one
+    positional too many is a ``TypeError`` that names the class."""
+    values = tuple(fields.values())
+    first = next(iter(fields))
+    for args, named in [
+        (values[:-1], {}),
+        (values, {"extra": None}),
+        (values, {first: values[0]}),
+        ((*values, None), {}),
+    ]:
+        with pytest.raises(TypeError, match=rf"\b{re.escape(cls.__name__)}\b"):
+            cls(*args, **named)
 
 
 @pytest.mark.parametrize("cls, fields, change", RECORDS, ids=IDS)
