@@ -51,6 +51,7 @@ from causalstruct.cli import main  # noqa: E402
 from generators import (  # noqa: E402
     binary_chain_network,
     chain_system,
+    fan_in_sem_doc,
     independent_binary_network,
     random_bbn,
     random_distribution,
@@ -203,7 +204,11 @@ def build() -> tuple[dict[str, bytes], list[Case]]:
         *({"target": p, "parents": [], "thresholds": [[rng.random(), 1.0]]} for p in parents),
         {"target": "c", "parents": parents, "thresholds": [[rng.random(), 1.0] for _ in range(512)]},
     ]})
-    for stem in ("edges", "wide", "deep"):
+    # Equations whose rows the byte lanes settle in more than one group: 256
+    # rows over 8 binary parents, and a ternary child of 3 ternary parents.
+    inputs["rows-256.sem.json"] = _json(fan_in_sem_doc(random.Random(256), 8, 2))
+    inputs["ternary-27.sem.json"] = _json(fan_in_sem_doc(random.Random(27), 3, 3))
+    for stem in ("edges", "wide", "deep", "rows-256", "ternary-27"):
         for count in (700, 4097):
             case(f"sem-{stem}/sample-{count}", "sample", f"{{tmp}}/{stem}.sem.json", "--seed", 7, "--count", count)
 

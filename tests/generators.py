@@ -176,3 +176,18 @@ def binary_chain_network(n: int) -> Bbn:
     first = BbnNode("c0", ("h", "t"), (), ((0.5, 0.5),))
     rest = (BbnNode(f"c{i}", ("h", "t"), (i - 1,), ((0.9, 0.1), (0.2, 0.8))) for i in range(1, n))
     return Bbn((first, *rest))
+
+
+def fan_in_sem_doc(rng: random.Random, parents: int, outcomes: int) -> dict:
+    """A threshold file: ``parents`` roots and one child of all of them, each
+    of ``outcomes`` outcomes, so the child has ``outcomes ** parents`` rows
+    of seeded cut points."""
+    names = [f"p{i}" for i in range(parents)]
+
+    def row():
+        return [*sorted(rng.random() for _ in range(outcomes - 1)), 1.0]
+
+    return {"equations": [
+        *({"target": name, "parents": [], "thresholds": [row()]} for name in names),
+        {"target": "c", "parents": names, "thresholds": [row() for _ in range(outcomes**parents)]},
+    ]}

@@ -32,7 +32,7 @@ from causalstruct import (
 from causalstruct.cli import main
 
 from conftest import DATA
-from generators import binary_chain_network, independent_binary_network, random_bbn
+from generators import binary_chain_network, fan_in_sem_doc, independent_binary_network, random_bbn
 
 
 RING = 3000
@@ -348,7 +348,10 @@ class TestSample:
     # sampler that evaluated one draw at a time.  Both systems take the byte
     # lanes, which draw `sem.CHUNK` (4096) per chunk; net30's counts straddle
     # one and two chunks.  The counts near 1024 straddle the float pass's
-    # `CHUNK // 4`, which neither system takes.
+    # `CHUNK // 4`, which neither system takes.  fan-256 and fan-27, each one
+    # child of all its roots (`generators.fan_in_sem_doc`: 8 binary roots,
+    # and 3 ternary roots), have equations of 256 and 27 rows; their digests
+    # were recorded from the per-draw reference, `oracles.reference_report`.
     GOLDEN = {
         ("xy", 1): "376313a7ff8f135875da5a5a66f63de72cbb364b9ae5a62c04121f208170b16f",
         ("xy", 1023): "d09d065a0ac6e9af07cf577fbfbb8675f2c5c96fdc494e2a03c8c39c2de375e8",
@@ -366,18 +369,25 @@ class TestSample:
         ("net30", 4096): "f31cddc7d599ba4233e4b4329d91427219317e867524bdb8600521fddb7472b1",
         ("net30", 4097): "63314dde27c33e1f18d5e0237f05a0e6b8e7df3483904d90dedb8cfe42449ece",
         ("net30", 8195): "1c9b8969b2c39804e21680ab639394eeee817257d1758d714494453fe3050bca",
+        ("fan-256", 4097): "75da2f1d2ac654995d09333b7582be3dc0c3aa3cb9a1bec82028f10ac5a7da1c",
+        ("fan-27", 4097): "9722a7d7cdd65040ca4fee2a819355add717f014ed0bbd67240892c84948ea46",
     }
+    FANS = {"fan-256": (8, 2), "fan-27": (3, 3)}
 
-    @pytest.mark.parametrize("name", ["xy", "net30"])
+    @pytest.mark.parametrize("name", ["xy", "net30", "fan-256", "fan-27"])
     def test_golden_digests(self, capsys, tmp_path, name):
-        if name == "xy":
-            bbn_path = DATA / "xy.json"
-        else:
-            # Nine nodes of two or three outcomes, up to three parents each.
-            bbn_path = tmp_path / "net30.json"
-            save_bbn(random_bbn(random.Random(30), max_nodes=9, max_outcomes=3, max_parents=3), bbn_path)
         sem_path = tmp_path / "sem.json"
-        assert run(["to-sem", bbn_path, "--out", sem_path], capsys)[0] == 0
+        if name in self.FANS:
+            parents, outcomes = self.FANS[name]
+            sem_path.write_text(json.dumps(fan_in_sem_doc(random.Random(outcomes**parents), parents, outcomes)))
+        else:
+            if name == "xy":
+                bbn_path = DATA / "xy.json"
+            else:
+                # Nine nodes of two or three outcomes, up to three parents each.
+                bbn_path = tmp_path / "net30.json"
+                save_bbn(random_bbn(random.Random(30), max_nodes=9, max_outcomes=3, max_parents=3), bbn_path)
+            assert run(["to-sem", bbn_path, "--out", sem_path], capsys)[0] == 0
         for (net, count), digest in self.GOLDEN.items():
             if net == name:
                 code, out, err = run(["sample", sem_path, "--seed", 5, "--count", count], capsys)
