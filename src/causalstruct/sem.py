@@ -20,8 +20,11 @@ evaluation order selects all its values at once from its parents' value
 columns, so the per-draw work runs in C.  ``evaluate`` bisects float
 latents in the rows.  ``sample`` reads each latent as the 53-bit integer m
 behind ``random() == m / 2**53`` and settles most draws from m's leading
-byte alone, through one 256-entry guide table per threshold row (Chen and
-Asau's guide table, indexed by the uniform's leading digits); a draw the
+byte alone.  Each threshold row has a guide table from that byte to the
+outcome (Chen and Asau's guide table, indexed by the uniform's leading
+digits), and a variable's rows share one combined 256-entry table per
+group of rows, indexed by a draw's row rank and its leading byte's class,
+so a variable costs one table pass per group, not per row; a draw the
 byte cannot settle is bisected exactly, as ``evaluate`` would.  Systems
 whose values or row ranks do not fit a byte sample through ``evaluate``'s
 pass.
@@ -191,12 +194,19 @@ class ThresholdEquationSystem(_Record):
         """``sample``'s byte-lane plan, or None when values or row ranks outgrow a byte.
 
         Per target in evaluation order: the target, its (parent, stride)
-        pairs from its ``_plan`` factor, whose weighted sum of parent values
-        is the row's mixed-radix rank, and per row its pick table (255 for
-        its own rank, else 0), its guide table (see ``_guide``) and the row.
-        Values must stay below ``_UNSETTLED`` and ranks below 256: systems
-        with a variable of 255 or more outcomes or an equation of more than
-        256 rows get None.  Raises ``CycleError`` on feedback.
+        pairs from its ``_plan`` factor with each stride times the scale,
+        and its groups of consecutive rows (see ``_group``).  A row's guide
+        table (see ``_guide``) changes only at its ``_bounds``, so the
+        bounds of a group's rows cut the leading byte into C classes, and g
+        rows fill g * C entries of one 256-entry table.  Each row joins the
+        group before it while (g + 1) * C <= 256 holds, which leaves room
+        for a row of zeros.  When one group holds every row, the scale is
+        C: the scaled strides sum a draw's parent values to rank * C, the
+        first table entry of its row.  Otherwise the scale is 1, and each
+        group's rank map places the ranks.  Values must stay below
+        ``_UNSETTLED`` and ranks below 256: systems with a variable of 255
+        or more outcomes or an equation of more than 256 rows get None.
+        Raises ``CycleError`` on feedback.
         """
         counts = self.outcome_counts()
         if max(counts, default=0) >= _UNSETTLED or any(len(eq.thresholds) > 256 for eq in self.equations):
@@ -204,11 +214,16 @@ class ThresholdEquationSystem(_Record):
         lanes = []
         for v in self.evaluation_order:
             parents, strides, _ = self._plan[v]
-            rows = tuple(
-                (bytes(r) + b"\xff" + bytes(255 - r), _guide(row), row)
-                for r, row in enumerate(self.equations[v].thresholds)
-            )
-            lanes.append((v, tuple(zip(parents, strides)), rows))
+            spans = [(0, set(), [])]  # per group: its first rank, its rows' bucket bounds, its rows
+            for r, row in enumerate(self.equations[v].thresholds):
+                cut = _bounds(row)
+                if r > spans[-1][0] and (r - spans[-1][0] + 2) * (len(spans[-1][1] | cut) + 1) > 256:
+                    spans.append((r, set(), []))
+                spans[-1][1].update(cut)
+                spans[-1][2].append(row)
+            scale = 1 if len(spans) > 1 else len(spans[0][1]) + 1
+            groups = tuple(_group(rows, bounds, lo, len(spans) > 1) for lo, bounds, rows in spans)
+            lanes.append((v, tuple((p, stride * scale) for p, stride in zip(parents, strides)), groups))
         return tuple(lanes)
 
 
@@ -220,7 +235,9 @@ def _guide(row: tuple[float, ...]) -> bytes:
     bucket h when h < (2**53 - X) >> 45, and for none when h is past that.
     At h == (2**53 - X) >> 45 it is split, unless 2**45 divides 2**53 - X;
     a bucket holding a split threshold gets ``_UNSETTLED``.  The outcome of
-    a settled bucket is the number of thresholds below all of it.
+    a settled bucket is the number of thresholds below all of it.  The
+    lane pass reads no guide table itself: ``_group`` copies one entry per
+    class of leading bytes into its group's combined table.
     """
     ends = [2**53 - int(c * 2**53) for c in row]
     table = bytearray(256)
@@ -232,6 +249,41 @@ def _guide(row: tuple[float, ...]) -> bytes:
         if d % 2**_BUCKET:
             table[d >> _BUCKET] = _UNSETTLED
     return bytes(table)
+
+
+def _bounds(row: tuple[float, ...]) -> set[int]:
+    """The leading bytes past 0 at which ``_guide(row)`` may change value.
+
+    Per cut point c, with d = 2**53 - int(c * 2**53) as in ``_guide``:
+    d / 2**45 rounded down and up, the byte where the outcome steps and,
+    when c splits that bucket, the next one, where its ``_UNSETTLED`` ends.
+    """
+    return {h for c in row[:-1] for d in [2**53 - int(c * 2**53)] for h in (d >> _BUCKET, -(-d >> _BUCKET)) if 0 < h < 256}
+
+
+def _group(rows: list, bounds: set[int], lo: int, shared: bool) -> tuple:
+    """The (rank map, class map, table, rows by index) of ``rows``, of ranks lo, lo + 1, ....
+
+    The class map sends each leading byte to its class, the run of bytes
+    between two of the ``bounds`` its byte lies in, numbered up from 0.
+    Entry (local rank * C + class) of the table is the outcome of every
+    latent of the class in that row (see ``_guide``), or ``_UNSETTLED``
+    when the guide differs at the class's two ends: it falls as the byte
+    grows, apart from unsettled bytes, so equal ends mean one value
+    throughout.  Rows by index gives each table index its row, for the
+    bisection.  A group that shares its variable has a rank map, sending
+    its ranks to local rank * C and every other rank to 256 - C, the row
+    of zero entries that ends the table, so the groups' values OR
+    together; a lone row of 128 or more bounds merges its classes in pairs
+    to leave room for that row.
+    """
+    starts = [0, *sorted(bounds)][::2 if shared and len(bounds) >= 128 else 1]
+    tops = [b - 1 for b in starts[1:]] + [255]
+    classmap = b"".join(bytes([c]) * (top + 1 - a) for c, (a, top) in enumerate(zip(starts, tops)))
+    table = b"".join(bytes(g[a] if g[a] == g[top] else _UNSETTLED for a, top in zip(starts, tops)) for g in map(_guide, rows))
+    sentinel = bytes([256 - len(starts)])  # the first index of the row of zeros that ends the table
+    rankmap = (sentinel * lo + bytes(range(0, len(table), len(starts)))).ljust(256, sentinel) if shared else None
+    return rankmap, classmap, table.ljust(256, b"\0"), tuple(row for row in rows for _ in starts)
 
 
 def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
@@ -334,9 +386,9 @@ def sample(
     in first-drawn order.  Draws are evaluated in chunks, which changes
     neither the stream nor the tallies.  Within a chunk of ``CHUNK`` draws,
     the bytes of ``getrandbits(64 * latents)`` are the words ``random()``
-    would read, and the guide tables of ``ThresholdEquationSystem._lanes``
-    settle each latent from its leading byte, or flag it for an exact
-    bisection.  A system without that plan evaluates float latents as
+    would read, and the grouped tables of ``ThresholdEquationSystem._lanes``
+    settle each latent from its row and its leading byte, or flag it for an
+    exact bisection.  A system without that plan evaluates float latents as
     ``evaluate`` does, ``CHUNK // 4`` draws at a time.
     """
     return _tally(sem, seed, count, "B")
@@ -380,32 +432,35 @@ def _lane_forward(lanes, raw: bytes, k: int) -> bytearray:
     values are ``result[i * n:(i + 1) * n]``.  ``raw`` holds 8 bytes per
     latent in the same order, each latent's two 32-bit words little-endian:
     ``random()`` reads m = (w1 >> 5) << 26 | w2 >> 6 from them, so m's
-    leading byte is w1's, at offset 3.  Per variable, parents first, the
-    row ranks are the stride-weighted sum of the parents' value columns
-    read as integers (a rank stays below 256, so no byte carries into the
-    next), and each row's guide table is applied to the draws its pick
-    table selects.  Latents left ``_UNSETTLED`` are bisected in their row.
+    leading byte is w1's, at offset 3.  Per variable, parents first, each
+    finished value column is kept as one integer, and the scaled strides
+    weight the parents' columns into one integer of ranks (a byte never
+    passes 255, so none carries into the next).  Per group of rows, each
+    draw's table index is its rank's entry in the rank map (or the scaled
+    rank itself, for a lone group) plus its leading byte's class; the
+    table gives its value, and the groups' values OR together.  Latents
+    left ``_UNSETTLED`` are bisected in their row.
     """
     n = len(lanes)
     draws = bytearray(k * n)
-    columns = [b""] * n
-    for v, parents, rows in lanes:
+    columns = [0] * n
+    for v, parents, groups in lanes:
         lead = raw[8 * v + 3::8 * n]
-        ranks = sum(stride * int.from_bytes(columns[p], "little") for p, stride in parents).to_bytes(k, "little")
-        values = 0
-        for pick, guide, _ in rows:
-            chosen = int.from_bytes(ranks.translate(pick), "little")
-            values |= chosen & int.from_bytes(lead.translate(guide), "little")
-        column = bytearray(values.to_bytes(k, "little"))
-        i = column.find(_UNSETTLED)
-        while i >= 0:
-            at = 8 * (i * n + v)
-            words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
-            m = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
-            column[i] = bisect_left(rows[ranks[i]][2], 1.0 - m / 2**53)
-            i = column.find(_UNSETTLED, i + 1)
-        columns[v] = column
-        draws[v::n] = column
+        ranks = sum(stride * columns[p] for p, stride in parents)
+        where = ranks.to_bytes(k, "little") if len(groups) > 1 else b""  # the rank maps read ranks as bytes
+        for rankmap, classmap, table, rows in groups:
+            base = int.from_bytes(where.translate(rankmap), "little") if rankmap else ranks
+            index = (base + int.from_bytes(lead.translate(classmap), "little")).to_bytes(k, "little")
+            column = bytearray(index.translate(table))
+            i = column.find(_UNSETTLED)
+            while i >= 0:
+                at = 8 * (i * n + v)
+                words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
+                m = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
+                column[i] = bisect_left(rows[index[i]], 1.0 - m / 2**53)
+                i = column.find(_UNSETTLED, i + 1)
+            columns[v] |= int.from_bytes(column, "little")
+        draws[v::n] = column if len(groups) == 1 else columns[v].to_bytes(k, "little")
     return draws
 
 

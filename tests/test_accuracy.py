@@ -11,12 +11,26 @@ Numerical Algorithms*, 2nd ed., 2002, §3.1).  A cell whose exact value is
 0 sums only zeros, so it is exactly 0.
 """
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
-from causalstruct import Bbn, BbnNode, bbn_to_sem, check_equivalence, compare_marginals, intervene_bbn, marginals
+import pytest
 
-from generators import random_bbn, random_probability_row
+from causalstruct import (
+    Bbn,
+    BbnNode,
+    bbn_to_sem,
+    check_equivalence,
+    compare_marginals,
+    intervene_bbn,
+    marginals,
+    sample,
+    sem_from_dict,
+)
+
+from generators import fan_in_sem_doc, random_bbn, random_probability_row
 from oracles import exact_joint, exact_sem_joint
 
 U = Fraction(1, 2**53)
@@ -121,3 +135,64 @@ def test_equivalence_gap_lies_within_its_rounding_bound_of_exact():
             equations = exact_sem_joint(sem)
             exact = max(abs(network[a] - equations[a]) for a in network)
             assert abs(Fraction(check_equivalence(bbn, sem)) - exact) <= 3 * bbn.n * U
+
+
+# The false-alarm probability allowed per checked cell of a sample, as in
+# the benchmark's checks (bench/checks.py::SAMPLE_DELTA).
+SAMPLE_DELTA = 1e-9
+
+
+def deviation_bound(p: float, m: int) -> float:
+    """Bernstein: |k/m - p| exceeds this with probability below SAMPLE_DELTA.
+
+    k counts the hits among m independent draws that each hit with
+    probability p, so P(|k/m - p| >= e) <= 2 exp(-m e^2 / (2p(1 - p) + 2e/3));
+    this is the e at which the right side is SAMPLE_DELTA.  Restates
+    bench/checks.py::deviation_bound.
+    """
+    t = math.log(2 / SAMPLE_DELTA)
+    return (2 * t / 3 + math.sqrt(4 * t * t / 9 + 8 * m * p * (1 - p) * t)) / (2 * m)
+
+
+@pytest.mark.parametrize(
+    "sem",
+    [
+        # Six-node networks whose variables take one group of rows or several.
+        *(bbn_to_sem(random_bbn(random.Random(seed))) for seed in (19, 20, 37)),
+        # A ternary child of 3 ternary roots: 27 rows in more than one group.
+        sem_from_dict(fan_in_sem_doc(random.Random(27), 3, 3)),
+    ],
+    ids=["network-19", "network-20", "network-37", "fan-27"],
+)
+def test_sample_frequencies_lie_within_bernsteins_bound_of_exact(sem):
+    """No draw has exact probability 0, and every joint cell, drawn or not,
+    and every conditional cell (a variable's outcome given its parents'
+    values, over the draws that take them) lies within ``deviation_bound``
+    of its exact probability: the exact product of the exact threshold
+    differences that select the assignment, and the exact difference of
+    two float thresholds.  The
+    latents are independent, so given its parents' values each variable's
+    outcomes are an exact multinomial sample of its row.  At SAMPLE_DELTA
+    per cell and fewer than 10^4 cells a system, a correct sampler fails a
+    system with probability below 10^-5; the seeds are fixed, so the test
+    is deterministic."""
+    draws = 40_000
+    counts = sample(sem, seed=20, count=draws)
+    joint = exact_sem_joint(sem)
+    assert all(joint[assignment] > 0 for assignment in counts)
+    for assignment, p in joint.items():
+        k = counts.get(assignment, 0)
+        assert abs(Fraction(k, draws) - p) <= deviation_bound(float(p), draws), assignment
+    outcome_counts = sem.outcome_counts()
+    for v, eq in enumerate(sem.equations):
+        cells = [Counter() for _ in eq.thresholds]
+        for assignment, k in counts.items():
+            rank = 0
+            for q in eq.parents:
+                rank = rank * outcome_counts[q] + assignment[q]
+            cells[rank][assignment[v]] += k
+        for row, cell in zip(eq.thresholds, cells):
+            m = sum(cell.values())
+            for j, (low, high) in enumerate(zip((0.0,) + row, row) if m else ()):
+                p = Fraction(high) - Fraction(low)
+                assert abs(Fraction(cell[j], m) - p) <= deviation_bound(float(p), m), (v, row, j)

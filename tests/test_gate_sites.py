@@ -72,7 +72,7 @@ CODE_BUILDERS = {"exec", "eval", "compile"}
 # it adds.  Floats are summed with ``math.fsum``: its correctly rounded total
 # is the same on every interpreter, while the built-in's float total is
 # compensated from Python 3.12 on.
-INTEGER_SUMS = {"sem._lane_forward": "row ranks: each stride times a parent's value column read as one integer"}
+INTEGER_SUMS = {"sem._lane_forward": "row ranks: each scaled stride times a parent's value column, kept as one integer"}
 # Modules that every CLI process would pay to import and none needs: the
 # dataclasses code generator and the inspect, ast and dis modules it loads.
 START_UP_ABSENT = ("dataclasses", "inspect", "ast", "dis")

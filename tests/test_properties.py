@@ -46,7 +46,7 @@ from causalstruct.cli import main
 from causalstruct.matching import maximum_matching
 from causalstruct.sem import CHUNK, _guide, _lane_forward
 
-from generators import permute, subsystem
+from generators import permute, random_bbn, subsystem
 from oracles import (
     brute_self_contained_subsets,
     ordering_restores_dag,
@@ -386,7 +386,7 @@ def edge_rows(draw, k):
 
 
 @st.composite
-def edge_systems(draw, max_nodes=4, max_outcomes=4):
+def edge_systems(draw, max_nodes=4, max_outcomes=4, max_parents=2):
     """Equation systems of ``edge_rows``, variables in a drawn topological order."""
     n = draw(st.integers(1, max_nodes))
     order = draw(st.permutations(range(n)))
@@ -394,10 +394,39 @@ def edge_systems(draw, max_nodes=4, max_outcomes=4):
     equations = [None] * n
     for position, i in enumerate(order):
         earlier = order[:position]
-        parents = tuple(draw(st.lists(st.sampled_from(earlier), unique=True, max_size=2))) if earlier else ()
+        parents = tuple(draw(st.lists(st.sampled_from(earlier), unique=True, max_size=max_parents))) if earlier else ()
         rows = tuple(draw(edge_rows(counts[i])) for _ in range(math.prod(counts[p] for p in parents)))
         equations[i] = ThresholdEquation(parents, rows)
     return ThresholdEquationSystem(tuple(f"v{i}" for i in range(n)), tuple(equations))
+
+
+def _wide_system(outcomes):
+    """One variable of ``outcomes`` outcomes and a binary child of it."""
+    cuts = tuple((j + 1) / outcomes for j in range(outcomes))
+    return ThresholdEquationSystem(
+        ("w", "b"),
+        (ThresholdEquation((), (cuts,)), ThresholdEquation((0,), tuple((j / outcomes, 1.0) for j in range(outcomes)))),
+    )
+
+
+def _deep_system(parents):
+    """``parents`` binary roots and one child whose equation has 2**parents rows."""
+    rng = random.Random(parents)
+    roots = [ThresholdEquation((), ((rng.random(), 1.0),)) for _ in range(parents)]
+    child = ThresholdEquation(tuple(range(parents)), tuple((rng.random(), 1.0) for _ in range(2**parents)))
+    return ThresholdEquationSystem(tuple(f"v{i}" for i in range(parents + 1)), (*roots, child))
+
+
+def _crowded_system():
+    """A binary root and a child of 100 outcomes whose two rows each cut
+    the leading byte into over 128 classes, so each row takes a group of its
+    own and merges its classes in pairs to leave room for a row of zeros."""
+    def row(shift):
+        return (*((j + shift) / 100 for j in range(99)), 1.0)
+
+    return ThresholdEquationSystem(
+        ("b", "w"), (ThresholdEquation((), ((0.5, 1.0),)), ThresholdEquation((0,), (row(0.37), row(0.61))))
+    )
 
 
 @given(st.integers(2, 6).flatmap(edge_rows))
@@ -415,16 +444,22 @@ def test_guide_table_settles_exactly_the_buckets_one_outcome_fills(row):
         assert table[h] == (low if low == high else 255), h
 
 
-@given(edge_systems(), st.data())
-@settings(max_examples=100, deadline=None)
-def test_lane_pass_equals_the_per_draw_reference_at_the_edges(sem, data):
+@given(
+    # Up to 4 parents of up to 4 outcomes give up to 256 rows, which the
+    # lanes settle in several groups.
+    edge_systems() | edge_systems(max_nodes=5, max_parents=4),
+    st.randoms(use_true_random=False),
+)
+@example(_deep_system(8), random.Random(8))  # 256 rows in 25 groups
+@example(_crowded_system(), random.Random(9))  # two groups of one row, classes merged in pairs
+@settings(max_examples=150, deadline=None)
+def test_lane_pass_equals_the_per_draw_reference_at_the_edges(sem, rng):
     # Latents 1 - m / 2**53 where some threshold flips or a bucket starts or ends.
     ends = {2**53 - int(c * 2**53) for eq in sem.equations for row in eq.thresholds for c in row}
     flips = [m for d in sorted(ends) for m in (d - 1, d) if 0 <= m < 2**53]
     edges = [m for h in range(256) for m in (h << 45, (h + 1 << 45) - 1)]
-    latent = st.sampled_from(flips) | st.sampled_from(edges)
-    k = data.draw(st.integers(1, 6))
-    draws = [[data.draw(latent) for _ in range(sem.n)] for _ in range(k)]
+    k = rng.randint(1, 6)
+    draws = [[rng.choice(rng.choice((flips, edges))) for _ in range(sem.n)] for _ in range(k)]
     # The words random() reads m from, with their unread low bits set or clear.
     raw = b"".join(
         (m >> 26 << 5 | 31 * (v % 2) | ((m & 2**26 - 1) << 6 | 63 * (v % 2)) << 32).to_bytes(8, "little")
@@ -449,28 +484,11 @@ def test_sample_equals_the_per_draw_reference(sem, seed, count):
     )
 
 
-def _wide_system(outcomes):
-    """One variable of ``outcomes`` outcomes and a binary child of it."""
-    cuts = tuple((j + 1) / outcomes for j in range(outcomes))
-    return ThresholdEquationSystem(
-        ("w", "b"),
-        (ThresholdEquation((), (cuts,)), ThresholdEquation((0,), tuple((j / outcomes, 1.0) for j in range(outcomes)))),
-    )
-
-
-def _deep_system(parents):
-    """``parents`` binary roots and one child whose equation has 2**parents rows."""
-    rng = random.Random(parents)
-    roots = [ThresholdEquation((), ((rng.random(), 1.0),)) for _ in range(parents)]
-    child = ThresholdEquation(tuple(range(parents)), tuple((rng.random(), 1.0) for _ in range(2**parents)))
-    return ThresholdEquationSystem(tuple(f"v{i}" for i in range(parents + 1)), (*roots, child))
-
-
 @pytest.mark.parametrize(
     "sem, in_lanes",
     [(_wide_system(254), True), (_wide_system(255), False), (_wide_system(300), False),
-     (_deep_system(8), True), (_deep_system(9), False)],
-    ids=["254-outcomes", "255-outcomes", "300-outcomes", "256-rows", "512-rows"],
+     (_deep_system(8), True), (_deep_system(9), False), (_crowded_system(), True)],
+    ids=["254-outcomes", "255-outcomes", "300-outcomes", "256-rows", "512-rows", "merged-classes"],
 )
 @pytest.mark.parametrize("count", [CHUNK // 4 - 1, CHUNK // 4 + 1, CHUNK + 1])
 def test_sample_past_the_byte_lanes_equals_the_per_draw_reference(sem, in_lanes, count):
@@ -479,6 +497,35 @@ def test_sample_past_the_byte_lanes_equals_the_per_draw_reference(sem, in_lanes,
     # pass, CHUNK // 4 draws at a time; 254 outcomes and 256 rows still fit.
     assert (sem._lanes is not None) == in_lanes
     assert list(sample(sem, 23, count).items()) == list(reference_sample(sem, 23, count).items())
+
+
+# Counted contracts on the lane plan, without a clock: each group of rows
+# costs the lane pass one table translate per chunk (and one rank-map
+# translate when its variable has several), so a variable's group count
+# fixes its table passes per chunk.
+
+
+def test_variables_of_few_rows_take_one_group():
+    # A row of O outcomes has at most 2(O - 1) bucket bounds, so R rows cut
+    # the leading byte into C <= 2R(O - 1) + 1 classes, and (R + 1) * C <= 256
+    # holds for a binary variable of up to 9 rows and a ternary one of up to
+    # 6: each takes one table pass, however many rows it has.
+    taken = Counter()
+    for seed in range(150):
+        sem = bbn_to_sem(random_bbn(random.Random(seed), max_outcomes=3))
+        for v, _, groups in sem._lanes:
+            eq = sem.equations[v]
+            if len(eq.thresholds) <= {2: 9, 3: 6}.get(eq.outcome_count, 0):
+                assert len(groups) == 1, (seed, v)
+                taken[eq.outcome_count, len(eq.thresholds)] += 1
+    assert {(2, 9), (3, 6)} <= set(taken)  # the widest of each
+
+
+@pytest.mark.parametrize("parents", [2, 4, 6, 8])
+def test_rows_share_groups_of_eight_or_more(parents):
+    # A binary row has at most 2 bucket bounds, so (g + 1)(2g + 1) <= 256
+    # lets 10 rows share a group: 2**parents rows take at most 2**parents / 8.
+    assert len(_deep_system(parents)._lanes[-1][2]) <= -(-2**parents // 8)
 
 
 @st.composite
