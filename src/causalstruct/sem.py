@@ -19,22 +19,24 @@ Forward evaluation runs by columns: for a block of draws, each variable in
 evaluation order selects all its values at once from its parents' value
 columns, so the per-draw work runs in C.  ``evaluate`` bisects float
 latents in the rows.  ``sample`` reads each latent as the 53-bit integer m
-behind ``random() == m / 2**53`` and settles most draws from m's leading
-byte alone.  Each threshold row has a guide table from that byte to the
-outcome (Chen and Asau's guide table, indexed by the uniform's leading
-digits), and a variable's rows share one combined 256-entry table per
-group of rows, indexed by a draw's row rank and its leading byte's class,
-so a variable costs one table pass per group, not per row; a draw the
-byte cannot settle is bisected exactly, as ``evaluate`` would.  Systems
-whose values or row ranks do not fit a byte sample through ``evaluate``'s
-pass.
+behind ``random() == m / 2**53``: the latent 1 - m / 2**53 passes a cut
+point c exactly when m < d, c's bucket end 2**53 * (1 - c) rounded up, so
+its outcome is the number of its row's ends above m.  Most draws are
+settled from m's leading byte alone, as with Chen and Asau's guide tables
+(AIIE Transactions 6(2), 1974), indexed by the uniform's leading digits: a
+variable's rows share one combined 256-entry table per group of rows,
+indexed by a draw's row rank and its leading byte's class, so a variable
+costs one table pass per group, not per row; a draw the byte cannot
+settle has its row's ends counted exactly, and selects what ``evaluate``
+would.  Systems whose values or row ranks do not fit a byte sample
+through ``evaluate``'s pass.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, repeat, starmap
@@ -58,7 +60,7 @@ CHUNK = 4096
 
 # A latent's leading byte is m >> 45, so bucket h holds m in [h, h + 1) * 2**45.
 _BUCKET = 45
-# A guide-table entry for a bucket that holds more than one outcome.
+# A table entry for a class of leading bytes that holds more than one outcome.
 _UNSETTLED = 255
 
 
@@ -195,18 +197,22 @@ class ThresholdEquationSystem(_Record):
 
         Per target in evaluation order: the target, its (parent, stride)
         pairs from its ``_plan`` factor with each stride times the scale,
-        and its groups of consecutive rows (see ``_group``).  A row's guide
-        table (see ``_guide``) changes only at its ``_bounds``, so the
-        bounds of a group's rows cut the leading byte into C classes, and g
-        rows fill g * C entries of one 256-entry table.  Each row joins the
-        group before it while (g + 1) * C <= 256 holds, which leaves room
-        for a row of zeros.  When one group holds every row, the scale is
-        C: the scaled strides sum a draw's parent values to rank * C, the
-        first table entry of its row.  Otherwise the scale is 1, and each
-        group's rank map places the ranks.  Values must stay below
-        ``_UNSETTLED`` and ranks below 256: systems with a variable of 255
-        or more outcomes or an equation of more than 256 rows get None.
-        Raises ``CycleError`` on feedback.
+        and its groups of consecutive rows (see ``_group``).  Each row is
+        held as its ascending bucket ends, d = 2**53 - int(c * 2**53) for
+        every cut point c but the last: a latent 1 - m / 2**53 passes c
+        exactly when m < d, so its outcome is the number of ends above m.
+        That count can change only at a leading byte d >> 45 or, when d
+        splits that byte's bucket, at the next one; these bounds of a
+        group's rows cut the leading byte into C classes, and g rows fill
+        g * C entries of one 256-entry table.  Each row joins the group
+        before it while (g + 1) * C <= 256 holds, which leaves room for a
+        row of zeros.  When one group holds every row, the scale is C: the
+        scaled strides sum a draw's parent values to rank * C, the first
+        table entry of its row.  Otherwise the scale is 1, and each group's
+        rank map places the ranks.  Values must stay below ``_UNSETTLED``
+        and ranks below 256: systems with a variable of 255 or more
+        outcomes or an equation of more than 256 rows get None.  Raises
+        ``CycleError`` on feedback.
         """
         counts = self.outcome_counts()
         if max(counts, default=0) >= _UNSETTLED or any(len(eq.thresholds) > 256 for eq in self.equations):
@@ -214,76 +220,50 @@ class ThresholdEquationSystem(_Record):
         lanes = []
         for v in self.evaluation_order:
             parents, strides, _ = self._plan[v]
-            spans = [(0, set(), [])]  # per group: its first rank, its rows' bucket bounds, its rows
+            spans = [(0, set(), [])]  # per group: its first rank, its rows' bucket bounds, its rows' ends
             for r, row in enumerate(self.equations[v].thresholds):
-                cut = _bounds(row)
+                ends = tuple(2**53 - int(c * 2**53) for c in reversed(row[:-1]))
+                cut = {h for d in ends for h in (d >> _BUCKET, -(-d >> _BUCKET)) if 0 < h < 256}
                 if r > spans[-1][0] and (r - spans[-1][0] + 2) * (len(spans[-1][1] | cut) + 1) > 256:
                     spans.append((r, set(), []))
                 spans[-1][1].update(cut)
-                spans[-1][2].append(row)
+                spans[-1][2].append(ends)
             scale = 1 if len(spans) > 1 else len(spans[0][1]) + 1
             groups = tuple(_group(rows, bounds, lo, len(spans) > 1) for lo, bounds, rows in spans)
             lanes.append((v, tuple((p, stride * scale) for p, stride in zip(parents, strides)), groups))
         return tuple(lanes)
 
 
-def _guide(row: tuple[float, ...]) -> bytes:
-    """Per leading byte h of m, the outcome every latent ``1 - m / 2**53`` in it selects.
-
-    With X = int(c * 2**53), exact for any c in [0, 1], threshold c lies
-    below the latent exactly when m < 2**53 - X: below it for every m in
-    bucket h when h < (2**53 - X) >> 45, and for none when h is past that.
-    At h == (2**53 - X) >> 45 it is split, unless 2**45 divides 2**53 - X;
-    a bucket holding a split threshold gets ``_UNSETTLED``.  The outcome of
-    a settled bucket is the number of thresholds below all of it.  The
-    lane pass reads no guide table itself: ``_group`` copies one entry per
-    class of leading bytes into its group's combined table.
-    """
-    ends = [2**53 - int(c * 2**53) for c in row]
-    table = bytearray(256)
-    top = 256
-    for j, d in enumerate(ends):  # the row ascends, so the bucket bounds descend
-        table[d >> _BUCKET:top] = bytes([j]) * (top - (d >> _BUCKET))
-        top = d >> _BUCKET
-    for d in ends:
-        if d % 2**_BUCKET:
-            table[d >> _BUCKET] = _UNSETTLED
-    return bytes(table)
-
-
-def _bounds(row: tuple[float, ...]) -> set[int]:
-    """The leading bytes past 0 at which ``_guide(row)`` may change value.
-
-    Per cut point c, with d = 2**53 - int(c * 2**53) as in ``_guide``:
-    d / 2**45 rounded down and up, the byte where the outcome steps and,
-    when c splits that bucket, the next one, where its ``_UNSETTLED`` ends.
-    """
-    return {h for c in row[:-1] for d in [2**53 - int(c * 2**53)] for h in (d >> _BUCKET, -(-d >> _BUCKET)) if 0 < h < 256}
-
-
 def _group(rows: list, bounds: set[int], lo: int, shared: bool) -> tuple:
-    """The (rank map, class map, table, rows by index) of ``rows``, of ranks lo, lo + 1, ....
+    """The (rank map, class map, table, ends by index) of ``rows``, of ranks lo, lo + 1, ....
 
-    The class map sends each leading byte to its class, the run of bytes
-    between two of the ``bounds`` its byte lies in, numbered up from 0.
-    Entry (local rank * C + class) of the table is the outcome of every
-    latent of the class in that row (see ``_guide``), or ``_UNSETTLED``
-    when the guide differs at the class's two ends: it falls as the byte
-    grows, apart from unsettled bytes, so equal ends mean one value
-    throughout.  Rows by index gives each table index its row, for the
-    bisection.  A group that shares its variable has a rank map, sending
-    its ranks to local rank * C and every other rank to 256 - C, the row
-    of zero entries that ends the table, so the groups' values OR
-    together; a lone row of 128 or more bounds merges its classes in pairs
-    to leave room for that row.
+    ``rows`` holds each row's ascending bucket ends (see ``_lanes``).  The
+    class map sends each leading byte to its class, the run of bytes
+    [a, b) between two of the ``bounds`` its byte lies in, numbered up
+    from 0; the class holds the m in [a * 2**45, b * 2**45).  A latent
+    1 - m / 2**53 passes a cut point exactly when m is below its end d, so
+    when no end lies strictly inside the class, every latent of the class
+    in a row selects the number of the row's ends at or above b * 2**45,
+    and entry (local rank * C + class) of the table holds it; otherwise the
+    entry is ``_UNSETTLED``.  Ends by index gives each table index its
+    row's ends, for the exact count.  A group that shares its variable has
+    a rank map, sending its ranks to local rank * C and every other rank
+    to 256 - C, the row of zero entries that ends the table, so the
+    groups' values OR together; a lone row of 128 or more bounds merges
+    its classes in pairs to leave room for that row.
     """
     starts = [0, *sorted(bounds)][::2 if shared and len(bounds) >= 128 else 1]
-    tops = [b - 1 for b in starts[1:]] + [255]
-    classmap = b"".join(bytes([c]) * (top + 1 - a) for c, (a, top) in enumerate(zip(starts, tops)))
-    table = b"".join(bytes(g[a] if g[a] == g[top] else _UNSETTLED for a, top in zip(starts, tops)) for g in map(_guide, rows))
+    stops = starts[1:] + [256]
+    classmap = b"".join(bytes([c]) * (b - a) for c, (a, b) in enumerate(zip(starts, stops)))
+    table = bytes(
+        len(ends) - below if bisect_right(ends, a << _BUCKET) == below else _UNSETTLED
+        for ends in rows
+        for a, b in zip(starts, stops)
+        for below in [bisect_left(ends, b << _BUCKET)]  # the ends at or below a << 45, and any strictly inside
+    )
     sentinel = bytes([256 - len(starts)])  # the first index of the row of zeros that ends the table
     rankmap = (sentinel * lo + bytes(range(0, len(table), len(starts)))).ljust(256, sentinel) if shared else None
-    return rankmap, classmap, table.ljust(256, b"\0"), tuple(row for row in rows for _ in starts)
+    return rankmap, classmap, table.ljust(256, b"\0"), tuple(ends for ends in rows for _ in starts)
 
 
 def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
@@ -319,7 +299,7 @@ def evaluate(
             raise ValueError(
                 f"latent for {sem.variable_names[v]!r} is {u!r}, outside (0, 1]"
             )
-    return next(_forward(sem._steps, flat, 1))
+    return next(_forward(sem._steps, flat, 1), ())  # a system of no variables selects no columns
 
 
 def _forward(steps, flat, k: int) -> Iterator[Assignment]:
@@ -330,8 +310,6 @@ def _forward(steps, flat, k: int) -> Iterator[Assignment]:
     come from one pass over its parents' value columns, parents first.
     """
     n = len(steps)
-    if not n:
-        return repeat((), k)
     columns = [None] * n
     for v, parents, rows in steps:
         selected = repeat(rows, k)
@@ -438,8 +416,9 @@ def _lane_forward(lanes, raw: bytes, k: int) -> bytearray:
     passes 255, so none carries into the next).  Per group of rows, each
     draw's table index is its rank's entry in the rank map (or the scaled
     rank itself, for a lone group) plus its leading byte's class; the
-    table gives its value, and the groups' values OR together.  Latents
-    left ``_UNSETTLED`` are bisected in their row.
+    table gives its value, and the groups' values OR together.  A latent
+    left ``_UNSETTLED`` takes the number of its row's ends above m, since
+    1 - m / 2**53 passes a cut point exactly when m is below its end d.
     """
     n = len(lanes)
     draws = bytearray(k * n)
@@ -448,7 +427,7 @@ def _lane_forward(lanes, raw: bytes, k: int) -> bytearray:
         lead = raw[8 * v + 3::8 * n]
         ranks = sum(stride * columns[p] for p, stride in parents)
         where = ranks.to_bytes(k, "little") if len(groups) > 1 else b""  # the rank maps read ranks as bytes
-        for rankmap, classmap, table, rows in groups:
+        for rankmap, classmap, table, row_ends in groups:
             base = int.from_bytes(where.translate(rankmap), "little") if rankmap else ranks
             index = (base + int.from_bytes(lead.translate(classmap), "little")).to_bytes(k, "little")
             column = bytearray(index.translate(table))
@@ -456,8 +435,8 @@ def _lane_forward(lanes, raw: bytes, k: int) -> bytearray:
             while i >= 0:
                 at = 8 * (i * n + v)
                 words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
-                m = (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38
-                column[i] = bisect_left(rows[index[i]], 1.0 - m / 2**53)
+                ends = row_ends[index[i]]
+                column[i] = len(ends) - bisect_right(ends, (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38)
                 i = column.find(_UNSETTLED, i + 1)
             columns[v] |= int.from_bytes(column, "little")
         draws[v::n] = column if len(groups) == 1 else columns[v].to_bytes(k, "little")

@@ -1,5 +1,6 @@
 """Each refusal error, shape refusal and naming refusal has one raise site,
-files are written at one site, the CLI prints at one, no module imports a name it never uses, every public name
+files are written at one site, the CLI prints at one, a cut point's bucket
+end is computed at one, no module imports a name it never uses, every public name
 has a user or a stated reason to be public, no function reaches itself
 through calls, records cache only the listed values, no source generates
 code with ``exec``, ``eval`` or ``compile``, importing the CLI loads no
@@ -37,6 +38,9 @@ SHARED_RULES = {
     "must be distinct": ("ValueError", "structure._require_names"),
 }
 WRITER = "structure._write_text"
+# The one site of a threshold's bucket end 2**53 - int(c * 2**53): a latent
+# 1 - m / 2**53 passes c exactly when m is below it.
+BUCKET_END = "sem.ThresholdEquationSystem._lanes"
 PRINTERS = {"cli.main"}
 # (module, name) imported and never used: bench/test_bench.py's
 # test_tracer_restores_every_binding patches sem.joint_probability.
@@ -222,6 +226,21 @@ class _OutputSites(_Scoped):
         self.generic_visit(node)
 
 
+class _BucketEndSites(_Scoped):
+    """``module.function`` for each ``2**53 - int(...)``."""
+
+    def visit_BinOp(self, node):
+        right = node.right
+        if (
+            isinstance(node.op, ast.Sub)
+            and ast.unparse(node.left) == "2 ** 53"
+            and isinstance(right, ast.Call)
+            and getattr(right.func, "id", None) == "int"
+        ):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
 class _SumSites(_Scoped):
     """``module.function`` for each call of the built-in ``sum`` by its bare name."""
 
@@ -283,6 +302,10 @@ def test_only_the_writer_writes_a_file():
 
 def test_only_main_prints():
     assert set(_sites(_OutputSites)) == PRINTERS
+
+
+def test_each_bucket_end_is_computed_at_one_site():
+    assert _sites(_BucketEndSites) == [BUCKET_END]
 
 
 def test_no_function_reaches_itself_through_calls():

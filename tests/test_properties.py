@@ -44,7 +44,7 @@ from causalstruct import (
 )
 from causalstruct.cli import main
 from causalstruct.matching import maximum_matching
-from causalstruct.sem import CHUNK, _guide, _lane_forward
+from causalstruct.sem import CHUNK, _lane_forward
 
 from generators import permute, random_bbn, subsystem
 from oracles import (
@@ -429,19 +429,36 @@ def _crowded_system():
     )
 
 
-@given(st.integers(2, 6).flatmap(edge_rows))
-@example((0.0, 1.0))
-@example((5e-324, 1.0))
-@example((2.0**-53, 1.0))
-@example((1 - 2.0**-53, 1.0))
-@example(tuple(j / 256 for j in range(1, 257)))
-@settings(max_examples=300)
-def test_guide_table_settles_exactly_the_buckets_one_outcome_fills(row):
-    table = _guide(row)
-    for h in range(256):
-        # Outcomes only grow with m, so a bucket's two ends decide it.
-        low, high = (bisect_left(row, 1.0 - m / 2**53) for m in (h << 45, (h + 1 << 45) - 1))
-        assert table[h] == (low if low == high else 255), h
+def _cut_at_every_256th():
+    """One variable whose row has a cut point at every j / 256 up to 253 / 256,
+    each on a bucket edge: 254 outcomes, the most the byte lanes hold."""
+    return ThresholdEquationSystem(("r",), (ThresholdEquation((), ((*(j / 256 for j in range(1, 254)), 1.0),)),))
+
+
+@given(edge_systems() | edge_systems(max_nodes=5, max_parents=4))
+@example(_deep_system(8))  # 256 rows in 25 groups
+@example(_crowded_system())  # two groups of one row, classes merged in pairs
+@example(_cut_at_every_256th())  # 254 classes of one byte
+@example(ThresholdEquationSystem(("r",), (ThresholdEquation((), ((0.0, 5e-324, 2.0**-53, 1 - 2.0**-53, 1.0),)),)))
+@settings(max_examples=150, deadline=None)
+def test_group_tables_settle_exactly_the_classes_one_outcome_fills(sem):
+    for v, _, groups in sem._lanes:
+        rows = sem.equations[v].thresholds
+        for rankmap, classmap, table, _ in groups:
+            classes = classmap[-1] + 1
+            # Outcomes only grow with m, so the first and last m of a class decide it.
+            spans = [(classmap.index(c) << 45, (classmap.rindex(c) + 1 << 45) - 1) for c in range(classes)]
+            filled = set()
+            for r, row in enumerate(rows):
+                if rankmap and rankmap[r] == 256 - classes:
+                    continue  # a rank of another group: it reads the row of zeros
+                base = rankmap[r] if rankmap else r * classes
+                for c, span in enumerate(spans):
+                    low, high = (bisect_left(row, 1.0 - m / 2**53) for m in span)
+                    assert table[base + c] == (low if low == high else 255), (v, r, c)
+                    filled.add(base + c)
+            assert filled == set(range(len(filled))) and len(table) == 256
+            assert not any(table[len(filled):]), "padding"
 
 
 @given(

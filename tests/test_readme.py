@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -69,3 +70,15 @@ def test_error_categories_are_exactly_those_the_cli_prints():
     printed = set(re.findall(r"error:([a-z-]+)", CLI.read_text()))
     assert documented
     assert documented == printed
+
+
+def test_every_test_the_bounds_table_names_exists():
+    named = re.findall(r"^\|.*\| `(tests/[^`]+)` \|$", README.read_text(), re.M)
+    assert len(named) == 6
+    for name in named:
+        path, *scopes = name.split("::")
+        node = ast.parse((README.parent / path).read_text(encoding="utf-8"))
+        for scope in scopes:  # a class, then a test function in it, or a test function
+            node = next((n for n in node.body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == scope), None)
+            assert node is not None, name
+        assert isinstance(node, ast.FunctionDef) and node.name.startswith("test_"), name

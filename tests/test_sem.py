@@ -194,6 +194,9 @@ class TestEvaluate:
         latents = {0: 0.123456, 1: 0.654321}
         assert evaluate(xy_sem, latents) == evaluate(xy_sem, latents)
 
+    def test_system_of_no_variables_selects_the_empty_assignment(self):
+        assert evaluate(ThresholdEquationSystem((), ()), {}) == ()
+
     def test_cyclic_system_rejected(self):
         sem = ThresholdEquationSystem(
             ("x", "y"),
