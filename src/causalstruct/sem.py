@@ -24,9 +24,10 @@ point c exactly when m < d, c's bucket end 2**53 * (1 - c) rounded up, so
 its outcome is the number of its row's ends above m.  Most draws are
 settled from m's leading byte alone, as with Chen and Asau's guide tables
 (AIIE Transactions 6(2), 1974), indexed by the uniform's leading digits: a
-variable's rows share one combined 256-entry table per group of rows,
-indexed by a draw's row rank and its leading byte's class, so a variable
-costs one table pass per group, not per row; a draw the byte cannot
+variable's rows share one 256-entry table, indexed by a draw's row rank
+and its leading byte's class, so a variable costs one table pass
+whatever its row count.  Its classes are exact while rows times classes
+fit the table, and merged to fit otherwise; a draw the byte cannot
 settle has its row's ends counted exactly, and selects what ``evaluate``
 would.  Systems whose values or row ranks do not fit a byte sample
 through ``evaluate``'s pass.
@@ -196,23 +197,26 @@ class ThresholdEquationSystem(_Record):
         """``sample``'s byte-lane plan, or None when values or row ranks outgrow a byte.
 
         Per target in evaluation order: the target, its (parent, stride)
-        pairs from its ``_plan`` factor with each stride times the scale,
-        and its groups of consecutive rows (see ``_group``).  Each row is
-        held as its ascending bucket ends, d = 2**53 - int(c * 2**53) for
+        pairs from its ``_plan`` factor with each stride times its class
+        count C, its class map and table, and its rows.  Each row is held
+        once, as its ascending bucket ends, d = 2**53 - int(c * 2**53) for
         every cut point c but the last: a latent 1 - m / 2**53 passes c
         exactly when m < d, so its outcome is the number of ends above m.
         That count can change only at a leading byte d >> 45 or, when d
-        splits that byte's bucket, at the next one; these bounds of a
-        group's rows cut the leading byte into C classes, and g rows fill
-        g * C entries of one 256-entry table.  Each row joins the group
-        before it while (g + 1) * C <= 256 holds, which leaves room for a
-        row of zeros.  When one group holds every row, the scale is C: the
-        scaled strides sum a draw's parent values to rank * C, the first
-        table entry of its row.  Otherwise the scale is 1, and each group's
-        rank map places the ranks.  Values must stay below ``_UNSETTLED``
-        and ranks below 256: systems with a variable of 255 or more
-        outcomes or an equation of more than 256 rows get None.  Raises
-        ``CycleError`` on feedback.
+        splits that byte's bucket, at the next one.  These bounds of all
+        R rows cut the leading byte into C classes, the runs of bytes
+        between them, and when R * C <= 256 the classes are exact;
+        otherwise every ceil(C / floor(256 / R))-th class start is kept, so
+        the table still fits.  The class map sends each leading byte to its
+        class, numbered up from 0; the class [a, b) holds the m in
+        [a * 2**45, b * 2**45).  Entry r * C + class of the table holds the
+        number of row r's ends at or above b * 2**45, the outcome of every
+        latent of the class, when none of its ends lies strictly inside the
+        class, and ``_UNSETTLED`` otherwise; entries past R * C are 0.  The
+        scaled strides sum a draw's parent values to r * C, the first entry
+        of its row.  Values must stay below ``_UNSETTLED`` and ranks below
+        256: systems with a variable of 255 or more outcomes or an equation
+        of more than 256 rows get None.  Raises ``CycleError`` on feedback.
         """
         counts = self.outcome_counts()
         if max(counts, default=0) >= _UNSETTLED or any(len(eq.thresholds) > 256 for eq in self.equations):
@@ -220,50 +224,20 @@ class ThresholdEquationSystem(_Record):
         lanes = []
         for v in self.evaluation_order:
             parents, strides, _ = self._plan[v]
-            spans = [(0, set(), [])]  # per group: its first rank, its rows' bucket bounds, its rows' ends
-            for r, row in enumerate(self.equations[v].thresholds):
-                ends = tuple(2**53 - int(c * 2**53) for c in reversed(row[:-1]))
-                cut = {h for d in ends for h in (d >> _BUCKET, -(-d >> _BUCKET)) if 0 < h < 256}
-                if r > spans[-1][0] and (r - spans[-1][0] + 2) * (len(spans[-1][1] | cut) + 1) > 256:
-                    spans.append((r, set(), []))
-                spans[-1][1].update(cut)
-                spans[-1][2].append(ends)
-            scale = 1 if len(spans) > 1 else len(spans[0][1]) + 1
-            groups = tuple(_group(rows, bounds, lo, len(spans) > 1) for lo, bounds, rows in spans)
-            lanes.append((v, tuple((p, stride * scale) for p, stride in zip(parents, strides)), groups))
+            rows = tuple(tuple(2**53 - int(c * 2**53) for c in reversed(row[:-1])) for row in self.equations[v].thresholds)
+            bounds = sorted({h for ends in rows for d in ends for h in (d >> _BUCKET, -(-d >> _BUCKET)) if 0 < h < 256})
+            starts = [0, *bounds][::-(-(len(bounds) + 1) // (256 // len(rows)))]
+            stops = starts[1:] + [256]
+            classmap = b"".join(bytes([c]) * (b - a) for c, (a, b) in enumerate(zip(starts, stops)))
+            table = bytes(
+                len(ends) - below if bisect_right(ends, a << _BUCKET) == below else _UNSETTLED
+                for ends in rows
+                for a, b in zip(starts, stops)
+                for below in [bisect_left(ends, b << _BUCKET)]  # the ends at or below a << 45, and any strictly inside
+            )
+            scaled = tuple((p, stride * len(starts)) for p, stride in zip(parents, strides))
+            lanes.append((v, scaled, classmap, table.ljust(256, b"\0"), rows))
         return tuple(lanes)
-
-
-def _group(rows: list, bounds: set[int], lo: int, shared: bool) -> tuple:
-    """The (rank map, class map, table, ends by index) of ``rows``, of ranks lo, lo + 1, ....
-
-    ``rows`` holds each row's ascending bucket ends (see ``_lanes``).  The
-    class map sends each leading byte to its class, the run of bytes
-    [a, b) between two of the ``bounds`` its byte lies in, numbered up
-    from 0; the class holds the m in [a * 2**45, b * 2**45).  A latent
-    1 - m / 2**53 passes a cut point exactly when m is below its end d, so
-    when no end lies strictly inside the class, every latent of the class
-    in a row selects the number of the row's ends at or above b * 2**45,
-    and entry (local rank * C + class) of the table holds it; otherwise the
-    entry is ``_UNSETTLED``.  Ends by index gives each table index its
-    row's ends, for the exact count.  A group that shares its variable has
-    a rank map, sending its ranks to local rank * C and every other rank
-    to 256 - C, the row of zero entries that ends the table, so the
-    groups' values OR together; a lone row of 128 or more bounds merges
-    its classes in pairs to leave room for that row.
-    """
-    starts = [0, *sorted(bounds)][::2 if shared and len(bounds) >= 128 else 1]
-    stops = starts[1:] + [256]
-    classmap = b"".join(bytes([c]) * (b - a) for c, (a, b) in enumerate(zip(starts, stops)))
-    table = bytes(
-        len(ends) - below if bisect_right(ends, a << _BUCKET) == below else _UNSETTLED
-        for ends in rows
-        for a, b in zip(starts, stops)
-        for below in [bisect_left(ends, b << _BUCKET)]  # the ends at or below a << 45, and any strictly inside
-    )
-    sentinel = bytes([256 - len(starts)])  # the first index of the row of zeros that ends the table
-    rankmap = (sentinel * lo + bytes(range(0, len(table), len(starts)))).ljust(256, sentinel) if shared else None
-    return rankmap, classmap, table.ljust(256, b"\0"), tuple(ends for ends in rows for _ in starts)
 
 
 def bbn_to_sem(bbn: Bbn) -> ThresholdEquationSystem:
@@ -364,7 +338,7 @@ def sample(
     in first-drawn order.  Draws are evaluated in chunks, which changes
     neither the stream nor the tallies.  Within a chunk of ``CHUNK`` draws,
     the bytes of ``getrandbits(64 * latents)`` are the words ``random()``
-    would read, and the grouped tables of ``ThresholdEquationSystem._lanes``
+    would read, and the tables of ``ThresholdEquationSystem._lanes``
     settle each latent from its row and its leading byte, or flag it for an
     exact bisection.  A system without that plan evaluates float latents as
     ``evaluate`` does, ``CHUNK // 4`` draws at a time.
@@ -412,34 +386,31 @@ def _lane_forward(lanes, raw: bytes, k: int) -> bytearray:
     ``random()`` reads m = (w1 >> 5) << 26 | w2 >> 6 from them, so m's
     leading byte is w1's, at offset 3.  Per variable, parents first, each
     finished value column is kept as one integer, and the scaled strides
-    weight the parents' columns into one integer of ranks (a byte never
-    passes 255, so none carries into the next).  Per group of rows, each
-    draw's table index is its rank's entry in the rank map (or the scaled
-    rank itself, for a lone group) plus its leading byte's class; the
-    table gives its value, and the groups' values OR together.  A latent
-    left ``_UNSETTLED`` takes the number of its row's ends above m, since
+    weight the parents' columns into one integer of row starts r * C (a
+    byte never passes 255, so none carries into the next).  Each draw's
+    table index is its row start plus its leading byte's class, and the
+    table gives its value.  A latent left ``_UNSETTLED`` takes the number
+    of the ends of its row, ``rows[index // C]``, above m, since
     1 - m / 2**53 passes a cut point exactly when m is below its end d.
     """
     n = len(lanes)
     draws = bytearray(k * n)
     columns = [0] * n
-    for v, parents, groups in lanes:
+    for v, parents, classmap, table, rows in lanes:
         lead = raw[8 * v + 3::8 * n]
         ranks = sum(stride * columns[p] for p, stride in parents)
-        where = ranks.to_bytes(k, "little") if len(groups) > 1 else b""  # the rank maps read ranks as bytes
-        for rankmap, classmap, table, row_ends in groups:
-            base = int.from_bytes(where.translate(rankmap), "little") if rankmap else ranks
-            index = (base + int.from_bytes(lead.translate(classmap), "little")).to_bytes(k, "little")
-            column = bytearray(index.translate(table))
-            i = column.find(_UNSETTLED)
-            while i >= 0:
-                at = 8 * (i * n + v)
-                words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
-                ends = row_ends[index[i]]
-                column[i] = len(ends) - bisect_right(ends, (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38)
-                i = column.find(_UNSETTLED, i + 1)
-            columns[v] |= int.from_bytes(column, "little")
-        draws[v::n] = column if len(groups) == 1 else columns[v].to_bytes(k, "little")
+        index = (ranks + int.from_bytes(lead.translate(classmap), "little")).to_bytes(k, "little")
+        column = bytearray(index.translate(table))
+        classes = classmap[-1] + 1
+        i = column.find(_UNSETTLED)
+        while i >= 0:
+            at = 8 * (i * n + v)
+            words = int.from_bytes(raw[at:at + 8], "little")  # w1 | w2 << 32
+            ends = rows[index[i] // classes]
+            column[i] = len(ends) - bisect_right(ends, (words & 0xFFFFFFFF) >> 5 << 26 | words >> 38)
+            i = column.find(_UNSETTLED, i + 1)
+        columns[v] = int.from_bytes(column, "little")
+        draws[v::n] = column
     return draws
 
 

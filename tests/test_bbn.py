@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import causalstruct.bbn as bbn_module
 from causalstruct import (
     Bbn,
     BbnNode,
@@ -335,3 +336,26 @@ def test_marginals_refuse_past_the_enumeration_bound():
     refusal = r"^at least 2\*\*15000 joint configurations exceed the enumeration bound 1048576$"
     with pytest.raises(ValueError, match=refusal):
         marginals(independent_binary_network(15000))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+@pytest.mark.parametrize("build", [binary_chain_network, independent_binary_network])
+def test_joint_enumeration_multiplies_once_per_placed_assignment(monkeypatch, build, n):
+    # Counted, with no clock: the joint of n binary variables grows through
+    # 2, 4, ..., 2**n assignments, each taking one factor entry as it is
+    # placed, so marginals multiplies 2**(n + 1) - 2 times, and
+    # check_equivalence, which grows both joints in one pass, twice that.
+    net = build(n)
+    sem = bbn_to_sem(net)
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return a * b
+
+    monkeypatch.setattr(bbn_module, "mul", counted)
+    marginals(net)
+    assert len(calls) == 2 ** (n + 1) - 2
+    calls.clear()
+    check_equivalence(net, sem)
+    assert len(calls) == 2 * (2 ** (n + 1) - 2)

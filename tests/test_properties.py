@@ -38,6 +38,7 @@ from causalstruct import (
     roundtrip_check,
     sample,
     sem_joint,
+    sem_from_dict,
     sem_to_dict,
     sem_structure,
     triangularize,
@@ -46,7 +47,7 @@ from causalstruct.cli import main
 from causalstruct.matching import maximum_matching
 from causalstruct.sem import CHUNK, _lane_forward
 
-from generators import permute, random_bbn, subsystem
+from generators import fan_in_sem_doc, permute, random_bbn, subsystem
 from oracles import (
     brute_self_contained_subsets,
     ordering_restores_dag,
@@ -418,9 +419,9 @@ def _deep_system(parents):
 
 
 def _crowded_system():
-    """A binary root and a child of 100 outcomes whose two rows each cut
-    the leading byte into over 128 classes, so each row takes a group of its
-    own and merges its classes in pairs to leave room for a row of zeros."""
+    """A binary root and a child of 100 outcomes whose two rows together cut
+    the leading byte into over 128 classes, so the child's table keeps every
+    second class start, and a merged class holds one of its row's ends."""
     def row(shift):
         return (*((j + shift) / 100 for j in range(99)), 1.0)
 
@@ -435,40 +436,48 @@ def _cut_at_every_256th():
     return ThresholdEquationSystem(("r",), (ThresholdEquation((), ((*(j / 256 for j in range(1, 254)), 1.0),)),))
 
 
+# A ternary child of three ternary roots: 27 rows whose classes merge.
+_FAN_IN_27 = sem_from_dict(fan_in_sem_doc(random.Random(27), 3, 3))
+
+
+def _bounds(rows):
+    """The leading bytes where a row's count of bucket ends above m can change."""
+    ends = [2**53 - int(c * 2**53) for row in rows for c in row[:-1]]
+    return {h for d in ends for h in (d >> 45, -(-d >> 45)) if 0 < h < 256}
+
+
 @given(edge_systems() | edge_systems(max_nodes=5, max_parents=4))
-@example(_deep_system(8))  # 256 rows in 25 groups
-@example(_crowded_system())  # two groups of one row, classes merged in pairs
+@example(_deep_system(8))  # 256 rows of one class: every latent counted exactly
+@example(_deep_system(5))  # 32 rows, classes merged to fit
+@example(_FAN_IN_27)  # 27 ternary rows, classes merged to fit
+@example(_crowded_system())  # two rows, every second class start kept
 @example(_cut_at_every_256th())  # 254 classes of one byte
 @example(ThresholdEquationSystem(("r",), (ThresholdEquation((), ((0.0, 5e-324, 2.0**-53, 1 - 2.0**-53, 1.0),)),)))
 @settings(max_examples=150, deadline=None)
-def test_group_tables_settle_exactly_the_classes_one_outcome_fills(sem):
-    for v, _, groups in sem._lanes:
+def test_lane_tables_settle_exactly_the_classes_one_outcome_fills(sem):
+    for v, _, classmap, table, _ in sem._lanes:
         rows = sem.equations[v].thresholds
-        for rankmap, classmap, table, _ in groups:
-            classes = classmap[-1] + 1
-            # Outcomes only grow with m, so the first and last m of a class decide it.
-            spans = [(classmap.index(c) << 45, (classmap.rindex(c) + 1 << 45) - 1) for c in range(classes)]
-            filled = set()
-            for r, row in enumerate(rows):
-                if rankmap and rankmap[r] == 256 - classes:
-                    continue  # a rank of another group: it reads the row of zeros
-                base = rankmap[r] if rankmap else r * classes
-                for c, span in enumerate(spans):
-                    low, high = (bisect_left(row, 1.0 - m / 2**53) for m in span)
-                    assert table[base + c] == (low if low == high else 255), (v, r, c)
-                    filled.add(base + c)
-            assert filled == set(range(len(filled))) and len(table) == 256
-            assert not any(table[len(filled):]), "padding"
+        classes = classmap[-1] + 1
+        # Outcomes only grow with m, so the first and last m of a class decide it.
+        spans = [(classmap.index(c) << 45, (classmap.rindex(c) + 1 << 45) - 1) for c in range(classes)]
+        for r, row in enumerate(rows):
+            for c, span in enumerate(spans):
+                low, high = (bisect_left(row, 1.0 - m / 2**53) for m in span)
+                assert table[r * classes + c] == (low if low == high else 255), (v, r, c)
+        assert len(table) == 256 and len(rows) * classes <= 256
+        assert not any(table[len(rows) * classes:]), "padding"
 
 
 @given(
-    # Up to 4 parents of up to 4 outcomes give up to 256 rows, which the
-    # lanes settle in several groups.
+    # Up to 4 parents of up to 4 outcomes give up to 256 rows, whose
+    # classes merge to fit one table.
     edge_systems() | edge_systems(max_nodes=5, max_parents=4),
     st.randoms(use_true_random=False),
 )
-@example(_deep_system(8), random.Random(8))  # 256 rows in 25 groups
-@example(_crowded_system(), random.Random(9))  # two groups of one row, classes merged in pairs
+@example(_deep_system(8), random.Random(8))  # 256 rows of one class: every latent counted exactly
+@example(_deep_system(5), random.Random(5))  # 32 rows, classes merged to fit
+@example(_FAN_IN_27, random.Random(27))  # 27 ternary rows, classes merged to fit
+@example(_crowded_system(), random.Random(9))  # two rows, every second class start kept
 @settings(max_examples=150, deadline=None)
 def test_lane_pass_equals_the_per_draw_reference_at_the_edges(sem, rng):
     # Latents 1 - m / 2**53 where some threshold flips or a bucket starts or ends.
@@ -516,33 +525,66 @@ def test_sample_past_the_byte_lanes_equals_the_per_draw_reference(sem, in_lanes,
     assert list(sample(sem, 23, count).items()) == list(reference_sample(sem, 23, count).items())
 
 
-# Counted contracts on the lane plan, without a clock: each group of rows
-# costs the lane pass one table translate per chunk (and one rank-map
-# translate when its variable has several), so a variable's group count
-# fixes its table passes per chunk.
+# Counted contracts on the lane plan, without a clock: each variable holds
+# one 256-entry table, so it costs the lane pass one class-map translate and
+# one table translate per chunk whatever its row count, and only latents of
+# a class that one of their row's ends splits are counted exactly.
 
 
-def test_variables_of_few_rows_take_one_group():
+def test_variables_of_few_rows_keep_exact_classes():
     # A row of O outcomes has at most 2(O - 1) bucket bounds, so R rows cut
-    # the leading byte into C <= 2R(O - 1) + 1 classes, and (R + 1) * C <= 256
-    # holds for a binary variable of up to 9 rows and a ternary one of up to
-    # 6: each takes one table pass, however many rows it has.
+    # the leading byte into C <= 2R(O - 1) + 1 classes, and R * C <= 256
+    # holds for a binary variable of up to 11 rows and a ternary one of up
+    # to 7: random networks reach 9 and 6.  Exact classes leave unsettled
+    # only the buckets an end splits, one byte wide.
     taken = Counter()
     for seed in range(150):
         sem = bbn_to_sem(random_bbn(random.Random(seed), max_outcomes=3))
-        for v, _, groups in sem._lanes:
+        for v, _, classmap, table, _ in sem._lanes:
             eq = sem.equations[v]
-            if len(eq.thresholds) <= {2: 9, 3: 6}.get(eq.outcome_count, 0):
-                assert len(groups) == 1, (seed, v)
-                taken[eq.outcome_count, len(eq.thresholds)] += 1
+            rows = len(eq.thresholds)
+            if rows * (2 * rows * (eq.outcome_count - 1) + 1) <= 256:
+                starts = [h for h in range(256) if not h or classmap[h] != classmap[h - 1]]
+                assert starts == [0, *sorted(_bounds(eq.thresholds))], (seed, v)
+                classes = len(starts)
+                unsettled = {i % classes for i in range(rows * classes) if table[i] == 255}
+                assert all(classmap.count(c) == 1 for c in unsettled), (seed, v)
+                taken[eq.outcome_count, rows] += 1
     assert {(2, 9), (3, 6)} <= set(taken)  # the widest of each
 
 
-@pytest.mark.parametrize("parents", [2, 4, 6, 8])
-def test_rows_share_groups_of_eight_or_more(parents):
-    # A binary row has at most 2 bucket bounds, so (g + 1)(2g + 1) <= 256
-    # lets 10 rows share a group: 2**parents rows take at most 2**parents / 8.
-    assert len(_deep_system(parents)._lanes[-1][2]) <= -(-2**parents // 8)
+@pytest.mark.parametrize("parents", [0, 2, 4, 6, 8])
+def test_each_variable_takes_one_table_pass_per_chunk(parents):
+    # One class map and one 256-byte table per variable, for 1 to 256 rows.
+    sem = _deep_system(parents)
+    assert [len(lane) for lane in sem._lanes] == [5] * sem.n
+    for v, _, classmap, table, rows in sem._lanes:
+        assert (len(classmap), len(table), len(rows)) == (256, 256, len(sem.equations[v].thresholds))
+
+
+@given(
+    edge_systems()
+    | edge_systems(max_nodes=5, max_parents=4)
+    | st.integers(0, 2**32 - 1).map(lambda seed: bbn_to_sem(random_bbn(random.Random(seed), max_parents=4)))
+)
+@example(_deep_system(5))
+@example(_FAN_IN_27)
+@example(_crowded_system())
+@settings(max_examples=150, deadline=None)
+def test_unsettled_share_of_a_row_is_bounded_by_its_ends(sem):
+    # Each unsettled class holds an end strictly inside, and an end lies
+    # inside at most one class: a row's unsettled width is at most its end
+    # count times the widest class.  With exact classes, each unsettled
+    # class is the one byte an end off a bucket edge splits.
+    for v, _, classmap, table, rows in sem._lanes:
+        classes = classmap[-1] + 1
+        widths = [classmap.count(c) for c in range(classes)]
+        exact = len(rows) * (len(_bounds(sem.equations[v].thresholds)) + 1) <= 256
+        for r, ends in enumerate(rows):
+            unsettled = sum(w for c, w in enumerate(widths) if table[r * classes + c] == 255)
+            assert unsettled <= len(ends) * max(widths), (v, r)
+            if exact:
+                assert unsettled <= sum(d % 2**45 != 0 for d in ends), (v, r)
 
 
 @st.composite
