@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from itertools import count
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bbn import Bbn, BbnNode, _marginals, _require_enumerable, validate
 from .graphs import reachable_from
-from .ordering import CausalOrdering
-from .structure import StructureMatrix, _Record, _require_self_contained, _store
+from .structure import StructureMatrix, _Record, _require_self_contained, _store, _system_report
+
+if TYPE_CHECKING:  # the intervene command loads no ordering code
+    from .ordering import CausalOrdering
 
 CHANGE_KINDS = ("replace_equation", "add_exogenous_variable")
 
@@ -46,7 +48,14 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
 
     For ``replace_equation`` e is the target equation; for
     ``add_exogenous_variable`` e = n, a new row whose variable and label are
-    appended.  Raises ``KeyError`` for an unknown target equation,
+    appended.  An edit of a self-contained matrix costs one augmenting
+    search over the matching its report keeps: dropping row e's pair leaves
+    every other equation matched, and a maximum matching of the edited rows
+    has at most one pair more, so the search decides the verdict.  If it
+    fails, row e is the one equation left over and its reach is the
+    violation, the same as a check from scratch finds.  The edited matrix
+    keeps that report; an edit of a matrix that is not self-contained is
+    checked from scratch.  Raises ``KeyError`` for an unknown target equation,
     ``ValueError`` for an added variable that already exists, an unknown
     variable in the row, or an empty row, and ``NotSelfContainedError``, with
     ``check_system``'s report, when the edited system is not self-contained.
@@ -67,6 +76,11 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
     except KeyError as exc:
         raise ValueError(f"unknown variable {exc.args[0]!r} in new row") from None
     edited = StructureMatrix(names, labels, matrix.rows[:e] + (row,) + matrix.rows[e + 1:])
+    kept = matrix._report
+    if kept.self_contained:
+        from .matching import rematch
+
+        _store(edited, "_report", _system_report(edited, *rematch(edited.rows, kept.matching, e)))
     _require_self_contained(edited, "change leaves the system ")
     return edited
 

@@ -42,6 +42,16 @@ alternating path reaches a column that only such rows hold.  The start
 therefore changes which columns rows take, but not which rows stay
 unmatched nor the violator, which are those of a plain ascending
 augmenting-path (Kuhn) search.
+
+An edited system needs no second matching.  Replacing one row of a system
+that a perfect matching covers leaves every other row matched once that
+row's pair is dropped, so the edited system's matching number is n or
+n - 1: its deficiency is at most one, and ``rematch`` decides it with one
+search from the replaced row, the same search ``maximum_matching`` runs.
+With one row left over, the rows alternating paths reach from it are the
+over-determined part of the Dulmage–Mendelsohn decomposition (Pothen & Fan
+1990), which every maximum matching leaves the same, so that reach is the
+violator a matching from scratch finds.
 """
 
 from __future__ import annotations
@@ -91,27 +101,91 @@ def maximum_matching(
     for i in range(n):
         if match_left[i] != -1:
             continue
-        queue = [i]  # the rows the search has reached, breadth first
-        for r in queue:
-            for j in adjacency[r]:
-                if stamp[j] < i:
-                    stamp[j] = i
-                    via[j] = r
-                    if match_right[j] == -1:
-                        break  # a free column: augment to it
-                    queue.append(match_right[j])
-            else:
-                continue
-            break
-        else:  # no free column is reachable: row i stays unmatched
-            columns = [match_left[r] for r in queue[1:]]
+        failed = _augment(adjacency, match_left, match_right, stamp, via, i)
+        if failed is not None:  # no free column is reachable: row i stays unmatched
             if reach is None:
-                reach = (frozenset(queue), frozenset(columns))
-            for j in columns:
+                reach = failed
+            for j in failed[1]:
                 stamp[j] = n
-            continue
-        while j != -1:  # flip the path back to row i, whose old column is -1
-            r = via[j]
-            match_right[j] = r
-            match_left[r], j = j, match_left[r]
     return match_left, reach
+
+
+class _Ascending:
+    """Rows by index, each sorted only when a search reads it."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[Iterable[int]]):
+        self.rows = rows
+
+    def __getitem__(self, r: int) -> list[int]:
+        return sorted(self.rows[r])
+
+
+def rematch(
+    rows: Sequence[Iterable[int]], match: Sequence[int], e: int,
+) -> tuple[list[int], tuple[frozenset[int], frozenset[int]] | None]:
+    """``maximum_matching(rows)`` for rows that a perfect matching held but row e.
+
+    ``match`` perfectly matches rows that equal ``rows`` except row e: its
+    row e was replaced, or, when e == len(match), row e and column e are new.
+    Dropping row e's pair leaves every other row matched, and a maximum
+    matching of ``rows`` has at most one row more, so one augmenting search
+    from row e decides it.  Returns ``(match, reach)`` as
+    ``maximum_matching`` does.  When the search fails, row e is the one row
+    left over, and its reach is every row that some maximum matching leaves
+    unmatched: the over-determined part of the Dulmage–Mendelsohn
+    decomposition, the same for every maximum matching, and so the reach
+    ``maximum_matching(rows)`` returns.  The matching itself may differ.
+    Only the rows the search reads are sorted, so the cost follows the
+    search's reach, plus O(n) to copy and invert ``match``.
+    """
+    n = len(rows)
+    match_right = [-1] * n
+    for r, j in enumerate(match):
+        match_right[j] = r
+    match_left = list(match)
+    if e < len(match):
+        match_right[match[e]] = -1
+        match_left[e] = -1
+    else:
+        match_left.append(-1)
+    return match_left, _augment(_Ascending(rows), match_left, match_right, [-1] * n, [0] * n, e)
+
+
+def _augment(
+    adjacency: Sequence[list[int]] | _Ascending,
+    match_left: list[int],
+    match_right: list[int],
+    stamp: list[int],
+    via: list[int],
+    i: int,
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Search breadth first from unmatched row i for a free column and flip the path.
+
+    ``adjacency[r]`` yields row r's columns in ascending order.  A column
+    whose ``stamp`` is i or more is skipped; each column visited is stamped
+    i, with ``via`` the row it was reached from.  Returns None once row i
+    is matched, and otherwise the reach of the failed search: the rows it
+    reached and the columns matched to all of them but row i, which are
+    every column those rows hold, one fewer than the rows.
+    """
+    queue = [i]  # the rows the search has reached, breadth first
+    for r in queue:
+        for j in adjacency[r]:
+            if stamp[j] < i:
+                stamp[j] = i
+                via[j] = r
+                if match_right[j] == -1:
+                    break  # a free column: augment to it
+                queue.append(match_right[j])
+        else:
+            continue
+        break
+    else:
+        return frozenset(queue), frozenset([match_left[r] for r in queue[1:]])
+    while j != -1:  # flip the path back to row i, whose old column is -1
+        r = via[j]
+        match_right[j] = r
+        match_left[r], j = j, match_left[r]
+    return None

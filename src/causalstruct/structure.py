@@ -184,11 +184,27 @@ class SystemReport(_Record):
     first equation, in file order, that a maximum matching leaves unmatched,
     with every equation reachable from it along alternating paths, one more
     equation than variables.  ``unused_variables`` lists the variables in no
-    equation, which only a system with a violation can have.
-    ``matching[e]`` is the variable the matching gives equation e, or -1 if none.
+    equation, which only a system with a violation can have.  When exactly
+    one equation is left over, as after any edit of a self-contained
+    system, the violation is the part every maximum matching leaves
+    over-determined, so it does not depend on the matching.
+
+    ``matching[e]`` is the variable a maximum matching gives equation e, or
+    -1 if none: the matching that decided the report.  It is a value the
+    report keeps, not a field, so it takes no part in ``==``, hashing,
+    ``repr`` or pickling.  A report that ``apply_change`` seeded holds the
+    matching its one augmenting search left, which can differ from the one
+    a check of an equal matrix built from scratch finds; a report that lost
+    it in a pickle round trip matches its matrix afresh.
     """
 
-    _fields = ("matrix", "unused_variables", "violation", "matching")
+    _fields = ("matrix", "unused_variables", "violation")
+
+    @cached_property
+    def matching(self) -> tuple[int, ...]:
+        from .matching import maximum_matching
+
+        return tuple(maximum_matching(self.matrix.rows)[0])
 
     @property
     def self_contained(self) -> bool:
@@ -220,6 +236,11 @@ def check_system(matrix: StructureMatrix) -> SystemReport:
     variable occur in no equation, so only then are the rows scanned for one.
 
     The report is computed on the first call for a matrix and kept on it.
+    A matrix that ``apply_change`` made from a self-contained one holds a
+    report already: replacing one row leaves at most one equation over, so
+    one augmenting search over the original's matching decided it.  That
+    report equals the one a check from scratch gives; only its kept
+    ``matching`` can differ.
     """
     return matrix._report
 
@@ -229,19 +250,26 @@ def _check_system(matrix: StructureMatrix) -> SystemReport:
     # only for its file and record helpers, do not load the matching.
     from .matching import maximum_matching
 
-    match, reach = maximum_matching(matrix.rows)
+    return _system_report(matrix, *maximum_matching(matrix.rows))
+
+
+def _system_report(
+    matrix: StructureMatrix,
+    match: Sequence[int],
+    reach: tuple[frozenset[int], frozenset[int]] | None,
+) -> SystemReport:
+    """The report of ``matrix`` from a maximum matching of its rows and that
+    matching's reach, as ``maximum_matching`` returns them; the one site
+    every report is built at."""
     unused: tuple[int, ...] = ()
     violation = None
     if reach is not None:
         used = frozenset().union(*matrix.rows)
         unused = tuple(v for v in range(matrix.n) if v not in used)
         violation = EquationSubset(*reach)
-    return SystemReport(
-        matrix=matrix,
-        unused_variables=unused,
-        violation=violation,
-        matching=tuple(match),
-    )
+    report = SystemReport(matrix, unused, violation)
+    _store(report, "matching", tuple(match))
+    return report
 
 
 def _require_self_contained(matrix: StructureMatrix, context: str = "") -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Each refusal error, shape refusal and naming refusal has one raise site,
 files are written at one site, the CLI prints at one, a cut point's bucket
-end is computed at one, no module imports a name it never uses, every public name
+end is computed at one, an augmenting path is flipped at one, no module
+imports a name it never uses, every public name
 has a user or a stated reason to be public, no function reaches itself
 through calls, records cache only the listed values, no source generates
 code with ``exec``, ``eval`` or ``compile``, importing the CLI loads no
@@ -41,6 +42,9 @@ WRITER = "structure._write_text"
 # The one site of a threshold's bucket end 2**53 - int(c * 2**53): a latent
 # 1 - m / 2**53 passes c exactly when m is below it.
 BUCKET_END = "sem.ThresholdEquationSystem._lanes"
+# The one search that flips an augmenting path, shared by the full matching
+# and the one search that decides an edited system.
+PATH_FLIP = "matching._augment"
 PRINTERS = {"cli.main"}
 # (module, name) imported and never used: bench/test_bench.py's
 # test_tracer_restores_every_binding patches sem.joint_probability.
@@ -55,11 +59,12 @@ LIBRARY_ONLY = {
     "Triangularization": "type of triangularize's result",
     "bbn_to_dict": "the document save_bbn writes",
 }
-# Each record's cached values, all derived plans or verdicts: a lookup table
-# such as a name index is a scan or a caller's local map instead.
+# Each record's cached values, all derived plans, verdicts or witnesses: a
+# lookup table such as a name index is a scan or a caller's local map instead.
 CACHED = {
     "Bbn": {"_plan", "_report"},
     "StructureMatrix": {"_report"},
+    "SystemReport": {"matching"},
     "ThresholdEquationSystem": {"evaluation_order", "_plan", "_steps", "_lanes"},
 }
 # Records with a constructor of their own that checks nothing, each with the
@@ -82,7 +87,8 @@ INTEGER_SUMS = {"sem._lane_forward": "row ranks: each scaled stride times a pare
 START_UP_ABSENT = ("dataclasses", "inspect", "ast", "dis")
 DATA = REPO / "tests" / "data"
 # Per CLI command, the file it runs on and the package modules its process
-# must not load.  ``sample`` runs on the threshold file of ``xy.json``.
+# must not load.  ``sample`` runs on the threshold file of ``xy.json``, and
+# ``intervene`` writes its edited network to a temporary file.
 STRUCTURE_ONLY = {"bbn", "sem", "intervention", "ordering", "dotutil"}
 NETWORK_ONLY = {"triangular", "intervention", "ordering", "matching", "dotutil"}
 NOT_LOADED = {
@@ -92,6 +98,7 @@ NOT_LOADED = {
     "verify": ("xy.json", NETWORK_ONLY),
     "to-sem": ("xy.json", NETWORK_ONLY),
     "sample": ("xy.sem.json", NETWORK_ONLY),
+    "intervene": ("xy.json", {"ordering", "matching", "dotutil", "triangular", "sem"}),
 }
 
 
@@ -241,6 +248,22 @@ class _BucketEndSites(_Scoped):
         self.generic_visit(node)
 
 
+class _PathFlipSites(_Scoped):
+    """``module.function`` for each swap ``a[i], b = b, a[i]``: the step of an
+    augmenting path's flip that gives a row its new column and takes its old one."""
+
+    def visit_Assign(self, node):
+        target, value = node.targets[0], node.value
+        if (
+            isinstance(target, ast.Tuple)
+            and isinstance(value, ast.Tuple)
+            and any(isinstance(item, ast.Subscript) for item in target.elts)
+            and [ast.unparse(item) for item in target.elts] == [ast.unparse(item) for item in reversed(value.elts)]
+        ):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
 class _SumSites(_Scoped):
     """``module.function`` for each call of the built-in ``sum`` by its bare name."""
 
@@ -306,6 +329,10 @@ def test_only_main_prints():
 
 def test_each_bucket_end_is_computed_at_one_site():
     assert _sites(_BucketEndSites) == [BUCKET_END]
+
+
+def test_an_augmenting_path_is_flipped_at_one_site():
+    assert _sites(_PathFlipSites) == [PATH_FLIP]
 
 
 def test_no_function_reaches_itself_through_calls():
@@ -380,7 +407,10 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     if command == "sample":
         path = tmp_path / name
         assert main(["to-sem", str(DATA / "xy.json"), "--out", str(path)]) == 0
-    loaded = _loaded_by([command, str(path)])
+    argv = [command, str(path)]
+    if command == "intervene":
+        argv += ["--node", "x", "--dist", "1,0", "--out", str(tmp_path / "out.json")]
+    loaded = _loaded_by(argv)
     assert {"cli", "structure"} <= loaded
     assert loaded & absent == set()
 

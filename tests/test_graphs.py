@@ -6,7 +6,9 @@ deep must work like short ones.  The recursive depth-first search in
 it is only run on graphs of at most 300 vertices, where its recursion stays
 shallow.  Each walk reads every list entry exactly once, and the matching
 every row entry twice on systems its Karp–Sipser start matches whole,
-counted by the lists themselves rather than timed.
+counted by the lists themselves rather than timed.  An edit of a checked
+system reads only the rows of its one augmenting search, as many at 4n as
+at n.
 """
 
 import builtins
@@ -15,7 +17,17 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from causalstruct import Bbn, BbnNode, CycleError, validate
+from causalstruct import (
+    Bbn,
+    BbnNode,
+    CycleError,
+    NotSelfContainedError,
+    StructuralChange,
+    StructureMatrix,
+    apply_change,
+    check_system,
+    validate,
+)
 from causalstruct import graphs, matching
 from causalstruct.graphs import (
     strongly_connected_components,
@@ -244,7 +256,7 @@ class Counted(list):
             yield entry
 
 
-def planted_precedence(feedback_share):
+def planted_precedence(feedback_share, n=COUNTED_N):
     """Parent lists of a planted DAG of blocks, with the vertices numbered at random.
 
     A block is a singleton or, with probability ``feedback_share``, a
@@ -252,13 +264,13 @@ def planted_precedence(feedback_share):
     three distinct vertices of earlier blocks.
     """
     rng = random.Random(7)
-    label = list(range(COUNTED_N))
+    label = list(range(n))
     rng.shuffle(label)
     lists = [[] for _ in label]
     start = 0
-    while start < COUNTED_N:
+    while start < n:
         size = rng.randint(2, 4) if rng.random() < feedback_share else 1
-        block = range(start, min(start + size, COUNTED_N))
+        block = range(start, min(start + size, n))
         for v in block:
             earlier = rng.sample(range(start), min(3, start))
             lists[label[v]] = [label[u] for u in block if u != v] + [label[u] for u in earlier]
@@ -294,9 +306,9 @@ def test_an_acyclic_order_reads_each_entry_once(graph):
     assert reads == nnz
 
 
-def planted_dag_rows():
+def planted_dag_rows(n=COUNTED_N):
     """Equation v holds variable v and three earlier ones; both are renumbered at random, apart."""
-    rows = [[v, *parents] for v, parents in enumerate(planted_precedence(0.0))]
+    rows = [[v, *parents] for v, parents in enumerate(planted_precedence(0.0, n))]
     random.Random(11).shuffle(rows)
     return rows
 
@@ -339,3 +351,36 @@ def test_the_matching_start_keeps_going_past_a_matched_column(monkeypatch):
     assert [i for i, j in enumerate(match) if j == -1] == [COUNTED_N + 1]
     assert (len(reach[0]), len(reach[1])) == (1007, 1006)
     assert reads == 114_877
+
+
+def planted_dag_system(n):
+    """``planted_dag_rows(n)`` as a matrix, named as ``chain_system`` names its own."""
+    rows = planted_dag_rows(n)
+    return StructureMatrix(
+        tuple(f"v{v}" for v in range(n)), tuple(f"e{e}" for e in range(n)), tuple(map(frozenset, rows))
+    )
+
+
+@pytest.mark.parametrize("system", [chain_system, planted_dag_system], ids=["chain", "dag"])
+@pytest.mark.parametrize("shape, expected", [("drop-parents", 1), ("root-row", 2)])
+def test_an_edit_reads_as_many_entries_at_4n_as_at_n(monkeypatch, system, shape, expected):
+    """The benchmark's two edits of a checked system: the equation of the
+    middle variable drops its parents, which frees the column its new row
+    holds, or takes the row of the equation with no parents, whose one
+    column leads the search to that equation and no further.  Either way the
+    search reads one or two entries, not the 2·nnz of a matching from scratch."""
+    tally = [0]
+    monkeypatch.setattr(matching, "sorted", lambda row: Counted(builtins.sorted(row), tally), raising=False)
+    for n in (COUNTED_N // 4, COUNTED_N):
+        matrix = system(n)
+        match = check_system(matrix).matching
+        e = match.index(n // 2)
+        root = next(r for r, row in enumerate(matrix.rows) if len(row) == 1)
+        row = {n // 2} if shape == "drop-parents" else matrix.rows[root]
+        change = StructuralChange("replace_equation", matrix.equation_labels[e], tuple(f"v{v}" for v in row))
+        tally[0] = 0
+        try:
+            assert apply_change(matrix, change).rows[e] == {n // 2}
+        except NotSelfContainedError as refused:
+            assert shape == "root-row" and refused.report.violation.equations == {e, root}
+        assert tally[0] == expected

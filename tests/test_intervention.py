@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -29,6 +31,7 @@ from generators import (
     random_bbn,
     random_distribution,
     random_self_contained_system,
+    random_square_matrix,
 )
 
 
@@ -115,37 +118,88 @@ class TestApplyChange:
         assert matrix.equation_labels == ("e3", "e2", "e4", "e5")
 
     def test_edits_equal_the_system_built_by_hand(self):
-        rng = random.Random(1301)
-        refused = 0
-        for _ in range(600):
-            matrix = random_self_contained_system(rng, max_n=8)
-            variables = list(matrix.variable_names)
-            equations = [
-                (label, [variables[v] for v in row])
-                for label, row in zip(matrix.equation_labels, matrix.rows)
-            ]
-            if rng.random() < 0.5:
-                e = rng.randrange(matrix.n)
-                kind, target = "replace_equation", matrix.equation_labels[e]
-            else:
-                e = matrix.n
-                kind, target = "add_exogenous_variable", "new"
-                variables.append("new")
-                equations.append((f"e{e + 1}", []))
-            row = rng.sample(variables, rng.randint(1, min(3, len(variables))))
-            equations[e] = (equations[e][0], row)
-            expected = StructureMatrix.from_names(variables, equations)
-            change = StructuralChange(kind, target, tuple(row))
-            report = check_system(expected)
-            if report.self_contained:
-                assert apply_change(matrix, change) == expected
-                continue
-            refused += 1
-            with pytest.raises(NotSelfContainedError) as caught:
-                apply_change(matrix, change)
-            assert caught.value.report == report
-            assert str(caught.value) == "change leaves the system " + report.describe()
-        assert 150 < refused < 450
+        """Random edits, some chained two or three deep, each seeded from the
+        report the edit before kept, decide as a check from scratch of the same
+        system built from names: equal matrix, report and refusal message, and
+        a kept matching that is a maximum matching of the edited rows.  Edits of
+        a system that is not self-contained take the full check."""
+        seen = Counter()
+        for seed in (1301, 7, 99):
+            rng = random.Random(seed)
+            for _ in range(600):
+                fallback = rng.random() < 0.2
+                matrix = (random_square_matrix if fallback else random_self_contained_system)(rng, max_n=8)
+                for depth in range(rng.randint(1, 3)):
+                    if depth:
+                        assert "_report" in vars(matrix)  # decided by the edit before
+                    change, expected = edit_by_hand(rng, matrix)
+                    seen[change.kind, not check_system(matrix).self_contained, depth] += 1
+                    matrix = decide_like_scratch(matrix, change, expected)
+                    if matrix is None:
+                        seen["refused"] += 1
+                        break
+        # Both kinds of edit, seeded and checked from scratch, chained three
+        # deep, and refused: 8 kinds of step and the refusals, each seen often.
+        assert len(seen) == 9 and min(seen.values()) > 50
+
+    def test_a_seeded_report_may_keep_another_maximum_matching(self):
+        """Both equations of the edited system can take either variable.  The
+        seeded search keeps y for e1; a check from scratch gives it x.  The
+        reports are equal all the same, and the matching takes no part in
+        ``repr`` or pickling: a pickled report matches its matrix afresh."""
+        matrix = StructureMatrix.from_names(["x", "y"], [("e1", ["y"]), ("e2", ["x", "y"])])
+        edited = apply_change(matrix, StructuralChange("replace_equation", "e1", ("x", "y")))
+        fresh = StructureMatrix.from_names(["x", "y"], [("e1", ["x", "y"]), ("e2", ["x", "y"])])
+        seeded, scratch = check_system(edited), check_system(fresh)
+        assert (seeded.matching, scratch.matching) == ((1, 0), (0, 1))
+        assert seeded == scratch and hash(seeded) == hash(scratch) and repr(seeded) == repr(scratch)
+        assert pickle.dumps(seeded) == pickle.dumps(scratch)
+        assert pickle.loads(pickle.dumps(seeded)).matching == (0, 1)
+
+
+def edit_by_hand(rng, matrix):
+    """A random edit of ``matrix``, and the system it gives built from names."""
+    variables = list(matrix.variable_names)
+    equations = [
+        (label, [variables[v] for v in row]) for label, row in zip(matrix.equation_labels, matrix.rows)
+    ]
+    if rng.random() < 0.5:
+        e = rng.randrange(matrix.n)
+        kind, target = "replace_equation", matrix.equation_labels[e]
+    else:
+        e = matrix.n
+        kind, target = "add_exogenous_variable", f"new{e}"
+        variables.append(target)
+        equations.append((f"e{e + 1}", []))
+    row = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+    equations[e] = (equations[e][0], row)
+    return StructuralChange(kind, target, tuple(row)), StructureMatrix.from_names(variables, equations)
+
+
+def decide_like_scratch(matrix, change, expected):
+    """Apply ``change`` and hold it to ``check_system`` of the fresh ``expected``;
+    the edited matrix, or None when the edit is refused."""
+    report = check_system(expected)
+    if report.self_contained:
+        edited = apply_change(matrix, change)
+        kept = check_system(edited)
+        assert edited == expected and kept == report
+        assert check_system(pickle.loads(pickle.dumps(edited))) == report
+    else:
+        with pytest.raises(NotSelfContainedError) as caught:
+            apply_change(matrix, change)
+        edited, kept = None, caught.value.report
+        assert kept == report
+        assert str(caught.value) == "change leaves the system " + report.describe()
+    # a matching of the edited rows, with as many unmatched as a maximum one
+    match = kept.matching
+    taken = [v for v in match if v != -1]
+    assert len(match) == expected.n and len(set(taken)) == len(taken)
+    assert all(v in row for v, row in zip(match, expected.rows) if v != -1)
+    assert match.count(-1) == report.matching.count(-1)
+    if match.count(-1) == 1:
+        assert match.index(-1) in kept.violation.equations
+    return edited
 
 
 class TestAffectedVariables:

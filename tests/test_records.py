@@ -44,8 +44,8 @@ RECORDS = [
     (EquationSubset, {"equations": frozenset({0}), "variables": frozenset()}, ("variables", frozenset({0}))),
     (
         SystemReport,
-        {"matrix": MATRIX, "unused_variables": (), "violation": None, "matching": (0,)},
-        ("matching", (-1,)),
+        {"matrix": MATRIX, "unused_variables": (), "violation": None},
+        ("violation", EquationSubset(frozenset({0}), frozenset())),
     ),
     (Cluster, {"equations": frozenset({0}), "variables": frozenset({0}), "order": 0}, ("order", 1)),
     (
