@@ -14,12 +14,13 @@ from collections.abc import Iterable, Sequence
 from .errors import CycleError
 
 
-def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
+def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Tarjan's algorithm, iterative to keep recursion depth flat.
 
-    Vertices are 0..len(adjacency)-1.  Components come with their members
-    sorted, in reverse topological order (every edge leaves a later component
-    toward an earlier one or stays inside its own).  The walk keeps one
+    Vertices are 0..len(adjacency)-1.  Components come as tuples of their
+    sorted members (tuples of ints, which the collector untracks at its
+    first pass), in reverse topological order (every edge leaves a later
+    component toward an earlier one or stays inside its own).  The walk keeps one
     adjacency iterator per vertex on it and one rank (Pearce 2016): the stack
     position a vertex is pushed at, lowered to the lowest live one it reaches.
     A root's rank names its own position; a finished vertex's is len(adjacency).
@@ -27,7 +28,7 @@ def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[li
     n = len(adjacency)
     rank = [-1] * n
     stack: list[int] = []
-    components: list[list[int]] = []
+    components: list[tuple[int, ...]] = []
 
     for root in range(n):
         if rank[root] != -1:
@@ -58,7 +59,8 @@ def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[li
                         component.append(w)
                         if w == v:
                             break
-                    components.append(sorted(component))
+                    component.sort()
+                    components.append(tuple(component))
                 elif rank[v] < rank[trail[-1]]:
                     rank[trail[-1]] = rank[v]
     return components
@@ -69,23 +71,33 @@ def topological_prefix(parents: Sequence[Sequence[int]]) -> list[int]:
 
     Vertices are 0..len(parents)-1; ``parents[v]`` lists the vertices that
     must precede ``v``.  The order leaves out exactly the vertices on or
-    downstream of a directed cycle.
+    downstream of a directed cycle.  Each vertex's children are chained
+    through two flat lists of ints, not held in a list of their own, so a
+    large graph leaves no list per vertex for the collector to promote; the
+    heap makes the order in which they are visited irrelevant.
     """
-    children: list[list[int]] = [[] for _ in parents]
     indegree = [len(ps) for ps in parents]
+    last = [-1] * len(parents)  # each vertex's latest arc to a child, or -1
+    before: list[int] = []  # per arc: the same parent's previous arc, or -1
+    child: list[int] = []  # per arc: its child
     for v, ps in enumerate(parents):
         for p in ps:
-            children[p].append(v)
+            before.append(last[p])
+            last[p] = len(child)
+            child.append(v)
     order = []
     ready = [v for v, d in enumerate(indegree) if d == 0]
     heapq.heapify(ready)
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in children[v]:
+        k = last[v]
+        while k != -1:
+            w = child[k]
             indegree[w] -= 1
             if indegree[w] == 0:
                 heapq.heappush(ready, w)
+            k = before[k]
     return order
 
 
@@ -117,16 +129,26 @@ def topological_order(parents: Sequence[Sequence[int]]) -> list[int]:
 
 
 def reachable_from(starts: Iterable[int], edges: Iterable[tuple[int, int]]) -> set[int]:
-    """``starts`` and every node reachable from them along directed edges."""
-    succs: dict[int, list[int]] = {}
+    """``starts`` and every node reachable from them along directed edges.
+
+    Each node's successors are chained through flat lists of ints, as in
+    ``topological_prefix``, with no list per node.
+    """
+    last: dict[int, int] = {}  # each node's latest edge, ints only: the collector never tracks it
+    before: list[int] = []  # per edge: the same node's previous edge, or -1
+    head: list[int] = []  # per edge: the node it leads to
     for u, v in edges:
-        succs.setdefault(u, []).append(v)
+        before.append(last.get(u, -1))
+        last[u] = len(head)
+        head.append(v)
     seen = set(starts)
     frontier = list(seen)
     while frontier:
-        v = frontier.pop()
-        for w in succs.get(v, ()):
+        k = last.get(frontier.pop(), -1)
+        while k != -1:
+            w = head[k]
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
+            k = before[k]
     return seen

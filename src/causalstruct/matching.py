@@ -70,7 +70,9 @@ def maximum_matching(
     ``reach`` is None when every row is matched, and otherwise the rows and
     columns that the lowest unmatched row's failed search visited.
     """
-    adjacency = [sorted(row) for row in rows]
+    # Tuples of ints: the collector untracks them at its first pass, so the
+    # rows of a large system are not promoted to older generations.
+    adjacency = [tuple(sorted(row)) for row in rows]
     n = len(adjacency)
     match_left, match_right = [-1] * n, [-1] * n
 
@@ -154,7 +156,7 @@ def rematch(
 
 
 def _augment(
-    adjacency: Sequence[list[int]] | _Ascending,
+    adjacency: Sequence[Sequence[int]] | _Ascending,
     match_left: list[int],
     match_right: list[int],
     stamp: list[int],

@@ -86,14 +86,19 @@ def causal_ordering(matrix: StructureMatrix) -> CausalOrdering:
                     order = max(order, orders[cluster_of[p]] + 1)
         orders.append(order)
     # Equal sets are one object: a singleton {k} serves as one cluster's
-    # equations and as another's variables.
+    # equations and as another's variables.  Each set is looked up as it is
+    # made, so a duplicate is dropped at once instead of outliving the rest.
     shared: dict[frozenset[int], frozenset[int]] = {}
     equations = [shared.setdefault(s, s) for s in map(frozenset, comps)]
-    variables = [frozenset(match[e] for e in comp) for comp in comps]
-    variables = [shared.setdefault(s, s) for s in variables]
+    at = match.__getitem__
+    variables = [shared.setdefault(s, s) for s in (frozenset(map(at, comp)) for comp in comps)]
     del parents, comps, shared  # freed before the edge sets are built
 
-    canonical = sorted(range(len(orders)), key=lambda ci: (orders[ci], min(variables[ci])))
+    # Clusters hold disjoint variables, so one int per cluster sorts them by
+    # (order, smallest variable) without a key tuple each.
+    n = matrix.n
+    key = [order * n + min(vs) for order, vs in zip(orders, variables)]
+    canonical = sorted(range(len(orders)), key=key.__getitem__)
     position = [0] * len(orders)
     for new, ci in enumerate(canonical):
         position[ci] = new

@@ -116,16 +116,20 @@ class StructureMatrix(_Record):
             )
         _require_names(variable_names, "variable names")
         _require_names(equation_labels, "equation labels")
-        for i, row in enumerate(rows):
-            if not row:
-                raise ValueError(
-                    f"equation {equation_labels[i]!r} mentions no variables"
-                )
-            if any(v < 0 or v >= n for v in row):
-                raise ValueError(
-                    f"equation {equation_labels[i]!r} references a variable "
-                    "index out of range"
-                )
+        # One pass over the set of every entry; the rows are walked one by
+        # one only on refusal, to name the first equation at fault.
+        used = frozenset().union(*rows)
+        if not all(rows) or used and (min(used) < 0 or max(used) >= n):
+            for i, row in enumerate(rows):
+                if not row:
+                    raise ValueError(
+                        f"equation {equation_labels[i]!r} mentions no variables"
+                    )
+                if any(v < 0 or v >= n for v in row):
+                    raise ValueError(
+                        f"equation {equation_labels[i]!r} references a variable "
+                        "index out of range"
+                    )
         _store(self, "variable_names", variable_names)
         _store(self, "equation_labels", equation_labels)
         _store(self, "rows", rows)
@@ -284,16 +288,18 @@ def _require_self_contained(matrix: StructureMatrix, context: str = "") -> tuple
     return report.matching
 
 
-def precedence(matrix: StructureMatrix, match: Sequence[int]) -> list[list[int]]:
+def precedence(matrix: StructureMatrix, match: Sequence[int]) -> list[tuple[int, ...]]:
     """Per equation, the equations matched to its other variables.
 
     ``match`` is a perfect matching (``match[e]`` the variable equation e
     determines); equation e can be solved only after the equations it lists.
+    Each list is a tuple of ints, which the collector untracks at its first
+    pass instead of promoting one list per equation.
     """
     equation_of = [0] * len(match)
     for e, v in enumerate(match):
         equation_of[v] = e
-    return [[equation_of[u] for u in row if u != v] for row, v in zip(matrix.rows, match)]
+    return [tuple([equation_of[u] for u in row if u != v]) for row, v in zip(matrix.rows, match)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ shallow.  Each walk reads every list entry exactly once, and the matching
 every row entry twice on systems its Karp–Sipser start matches whole,
 counted by the lists themselves rather than timed.  An edit of a checked
 system reads only the rows of its one augmenting search, as many at 4n as
-at n.
+at n.  The structure path leaves nothing but its result for the cyclic
+collector to promote, counted through ``gc.callbacks``, not timed either.
 """
 
 import builtins
+import gc
 import random
 
 import pytest
@@ -24,11 +26,14 @@ from causalstruct import (
     NotSelfContainedError,
     StructuralChange,
     StructureMatrix,
+    affected_variables,
     apply_change,
+    causal_ordering,
     check_system,
     validate,
 )
-from causalstruct import graphs, matching
+from causalstruct import graphs, matching, ordering
+from causalstruct.triangular import triangularize
 from causalstruct.graphs import (
     strongly_connected_components,
     topological_order,
@@ -189,7 +194,7 @@ def test_validate_names_a_deep_ring(path):
 def assert_components_ancestors_first(adjacency, components):
     """A sorted partition of the vertices in which no edge leads to a later component."""
     assert sorted(v for comp in components for v in comp) == list(range(len(adjacency)))
-    assert all(comp == sorted(comp) for comp in components)
+    assert all(comp == tuple(sorted(comp)) for comp in components)
     position = {v: c for c, comp in enumerate(components) for v in comp}
     for v, successors in enumerate(adjacency):
         assert all(position[w] <= position[v] for w in successors)
@@ -229,7 +234,7 @@ def test_chain_components_are_single_vertices_in_path_order(path):
     # Each vertex points at its predecessor on the path, so that one comes first.
     adjacency = chain_parents(path)
     components = strongly_connected_components(adjacency)
-    assert components == [[v] for v in path]
+    assert components == [(v,) for v in path]
 
 
 @given(paths())
@@ -237,7 +242,7 @@ def test_chain_components_are_single_vertices_in_path_order(path):
 @settings(max_examples=30, deadline=None)
 def test_ring_is_one_component(path):
     adjacency = ring_parents(path)
-    assert strongly_connected_components(adjacency) == [sorted(path)]
+    assert strongly_connected_components(adjacency) == [tuple(sorted(path))]
 
 
 COUNTED_N = 10_000
@@ -328,10 +333,14 @@ COUNTED_SYSTEMS = {
 
 
 def counted_matching(monkeypatch, system):
-    """The system's rows, its matching, and the entries the matching read."""
+    """The system's rows, its matching, and the entries the matching read.
+
+    The matching keeps each row as ``tuple(sorted(row))``; the patched
+    ``tuple`` keeps the sorted list as a ``Counted`` one instead, so only
+    the matching's own passes over the rows are counted, not the copy."""
     rows = COUNTED_SYSTEMS[system]()
     tally = [0]
-    monkeypatch.setattr(matching, "sorted", lambda row: Counted(builtins.sorted(row), tally), raising=False)
+    monkeypatch.setattr(matching, "tuple", lambda entries: Counted(entries, tally), raising=False)
     return rows, matching.maximum_matching(rows), tally[0]
 
 
@@ -384,3 +393,85 @@ def test_an_edit_reads_as_many_entries_at_4n_as_at_n(monkeypatch, system, shape,
         except NotSelfContainedError as refused:
             assert shape == "root-row" and refused.report.violation.equations == {e, root}
         assert tally[0] == expected
+
+
+def young_survivors(call):
+    """How many tracked objects ``call()`` made outlived a young collection,
+    and how many of its result's tracked objects are new.
+
+    After a full collection every older object sits in the oldest
+    generation; their ids are noted, and the list holding them keeps those
+    ids from being reused.  After each collection during the call, the
+    objects of the generation its survivors moved to that are not older are
+    survivors.  Only ids are kept, so no object lives longer for being
+    counted (and an id that a later survivor reuses is counted once).
+    """
+    found = set()  # ids in a generation that a collection's survivors moved to
+
+    def watch(phase, info):
+        if phase == "stop":
+            found.update(map(id, gc.get_objects(min(info["generation"] + 1, 2))))
+
+    gc.collect()
+    held = gc.get_objects()
+    older = set(map(id, held))
+    gc.callbacks.append(watch)
+    try:
+        result = call()
+    finally:
+        gc.callbacks.remove(watch)
+    found -= older
+    kept = set()
+    stack = [result]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in kept and id(obj) not in older and gc.is_tracked(obj):
+            kept.add(id(obj))
+            stack.extend(gc.get_referents(obj))
+    return len(found), len(kept)
+
+
+@pytest.fixture(scope="module")
+def checked_dag():
+    """``planted_dag_system(COUNTED_N)``, checked, with its causal ordering."""
+    matrix = planted_dag_system(COUNTED_N)
+    return matrix, causal_ordering(matrix)
+
+
+# An equation with no parents: every cluster that holds one of its children's
+# variables, and so on down, is affected.
+GC_CALLS = {
+    "causal_ordering": lambda matrix, _: causal_ordering(matrix),
+    "triangularize": lambda matrix, _: triangularize(matrix),
+    "affected_variables": lambda matrix, ordering: affected_variables(
+        ordering, next(e for e, row in enumerate(matrix.rows) if len(row) == 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(GC_CALLS))
+def test_only_the_result_outlives_a_young_collection(checked_dag, call):
+    """The structure path keeps its per-equation scaffolding in tuples of
+    ints, which the collector untracks at its first pass, or in flat lists
+    of ints, so the objects that outlive a young collection are the
+    result's own, plus a few live at the moment (frames' iterators, nested
+    comprehensions' functions).  A list per equation would add 10,000, and
+    each survivor counts toward a full collection of the whole heap."""
+    matrix, ordering = checked_dag
+    survivors, kept = young_survivors(lambda: GC_CALLS[call](matrix, ordering))
+    assert survivors <= kept + COUNTED_N // 20
+
+
+def test_clusters_sort_by_one_int_each(monkeypatch):
+    """The clusters' canonical order sorts one int key per cluster, with no
+    key tuple each.  A tuple of ints is untracked at its first pass, so the
+    survivor count above cannot see one; this counts the keys' types."""
+    keys = []
+
+    def sorting(items, key):
+        keys.extend(map(type, map(key, items)))
+        return builtins.sorted(items, key=key)
+
+    monkeypatch.setattr(ordering, "sorted", sorting, raising=False)
+    clusters = causal_ordering(planted_dag_system(300)).clusters
+    assert set(keys) == {int} and len(keys) == len(clusters) == 300

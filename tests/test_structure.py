@@ -349,6 +349,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="index out of range"):
             StructureMatrix(("x",), ("e1",), (frozenset({v}),))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((frozenset({0}), frozenset(), frozenset({3})), "equation 'e2' mentions no variables"),
+            (
+                (frozenset({0}), frozenset({-1}), frozenset()),
+                "equation 'e2' references a variable index out of range",
+            ),
+        ],
+        ids=["empty-first", "out-of-range-first"],
+    )
+    def test_the_first_faulty_equation_in_file_order_is_named(self, rows, message):
+        """An empty row and an out-of-range row: whichever comes first is refused."""
+        with pytest.raises(ValueError) as info:
+            StructureMatrix(("x", "y", "z"), ("e1", "e2", "e3"), rows)
+        assert str(info.value) == message
+
     def test_duplicate_rows_allowed(self, feedback2):
         assert feedback2.rows[0] == feedback2.rows[1]
 
