@@ -120,16 +120,21 @@ def _cmd_order(args):
     ordering = causal_ordering(matrix)
     if args.dot:
         _write_text(args.dot, ordering_to_dot(ordering))
+    names, n = matrix.variable_names, matrix.n
+    level = [0] * n  # each variable's order
     lines = ["order  degree  variables"]
     for cluster in ordering.clusters:
-        names = ", ".join(matrix.variable_names[v] for v in sorted(cluster.variables))
-        lines.append(f"{cluster.order:>5}  {cluster.degree:>6}  {names}")
+        members = sorted(cluster.variables)
+        for v in members:
+            level[v] = cluster.order
+        lines.append(f"{cluster.order:>5}  {cluster.degree:>6}  {', '.join([names[v] for v in members])}")
     lines.append("edges:")
-
-    order = {v: cluster.order for cluster in ordering.clusters for v in cluster.variables}
-    # Edges read top-down through the ordering.
-    for u, v in sorted(ordering.variable_edges, key=lambda e: (order[e[0]], order[e[1]], *e)):
-        lines.append(f"  {matrix.variable_names[u]} -> {matrix.variable_names[v]}")
+    # Edges read top-down through the ordering: sorted by (order of u, order
+    # of v, u, v), as one int per edge, from which u and v are read back.
+    span = (max(level, default=0) + 1) * n
+    keys = [((level[u] * span + level[v] * n) + u) * n + v for u, v in ordering.variable_edges]
+    keys.sort()
+    lines += [f"  {names[key // n % n]} -> {names[key % n]}" for key in keys]
     return 0, "\n".join(lines) + "\n", None
 
 

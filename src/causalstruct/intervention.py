@@ -59,6 +59,24 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
     ``ValueError`` for an added variable that already exists, an unknown
     variable in the row, or an empty row, and ``NotSelfContainedError``, with
     ``check_system``'s report, when the edited system is not self-contained.
+
+    An edit of an ordered matrix keeps, on the edited one, the original's
+    flat analysis and e, and nothing else; its ordering then reorders only
+    U, e's cluster and the clusters downstream of it.  Why the rest cannot
+    move: let S be the other equations.
+    - S is closed under precedence parents, so its rows mention only the
+      variables matched to S.  Row e lies in U, so S's rows do not change.
+    - Every perfect matching of the edited system matches S onto those same
+      variables (S has as many), and the augmenting search keeps S's pairs:
+      its path ends at row e's old column, which no row of S holds.  So no
+      precedence enters S from U, and S's clusters, their orders and the
+      edges among them stay as they were.
+    - Only U needs a new ordering: the components and orders of U's
+      precedence, with S's unchanged orders as inputs.
+    - For ``add_exogenous_variable``, the new variable occurs only in the
+      new row, which must therefore take it.  U is the new equation alone:
+      the edit adds one cluster, one order above the clusters of the row's
+      other variables, and changes nothing else.
     """
     names, labels = matrix.variable_names, matrix.equation_labels
     index = {name: v for v, name in enumerate(names)}
@@ -82,6 +100,9 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
 
         _store(edited, "_report", _system_report(edited, *rematch(edited.rows, kept.matching, e)))
     _require_self_contained(edited, "change leaves the system ")
+    analysis = vars(matrix).get("_analysis")
+    if analysis is not None:  # only a self-contained matrix is ordered
+        _store(edited, "_edit_of", (analysis, e))
     return edited
 
 
@@ -90,8 +111,14 @@ def affected_variables(ordering: CausalOrdering, changed_equation: int) -> froze
 
     The changed equation's cluster plus everything downstream of it along
     the cluster edges; all other variables are insulated by their own
-    mechanisms.  Raises ``KeyError`` for an equation not in the system.
+    mechanisms.  An ordering that ``causal_ordering`` made walks its
+    matrix's kept child links, reading only the clusters it returns; one
+    built from its four fields walks its given edges.  Raises ``KeyError``
+    for an equation not in the system.
     """
+    analysis = vars(ordering).get("_analysis")
+    if analysis is not None:
+        return analysis.affected(changed_equation)
     for start, cluster in enumerate(ordering.clusters):
         if changed_equation in cluster.equations:
             break

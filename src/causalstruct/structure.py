@@ -143,6 +143,18 @@ class StructureMatrix(_Record):
         """The verdict of ``check_system``; a matrix is immutable, so it is computed once."""
         return _check_system(self)
 
+    @cached_property
+    def _analysis(self):
+        """The causal ordering's flat analysis of a self-contained matrix, computed once.
+
+        A matrix that ``apply_change`` made from an ordered one holds that
+        one's analysis and the edited equation as ``_edit_of``, and its own
+        analysis reorders only the clusters the edit can move.
+        """
+        from .ordering import _analyse
+
+        return _analyse(self)
+
     def equation_index(self, label: str) -> int:
         try:
             return self.equation_labels.index(label)

@@ -8,10 +8,16 @@ does.  ``gc.callbacks`` time every collection that starts inside an
 operation's call.  Prints, per operation kind (the label's first word):
 
 - ``wall_ms``: wall time of the calls, per pass;
+- ``check_ms``: wall time of their checks, which the benchmark does not
+  time: fields an operation's result reads on first use are built there;
 - ``gc_ms``: time spent inside collections during those calls, per pass;
 - ``full``: generation-2 collections started during those calls, per pass.
 
-The CLI operations are not run.  Nothing under ``bench/`` is changed.
+Pass 1 is shown apart from the later passes, whose figures are averaged:
+what an operation keeps on its input (a verdict, an ordering's analysis)
+is built in pass 1 and read in the later ones, as in the benchmark, which
+repeats its pass.  The CLI operations are not run.  Nothing under
+``bench/`` is changed.
 
     python tests/gc_share.py                   # seed 9901, 3 passes
     python tests/gc_share.py --seed 8801 --passes 5
@@ -51,16 +57,18 @@ class Collections:
             self.full += info["generation"] == 2
 
 
-def replay(seed: int, passes: int, workdir: Path) -> dict[str, list[float]]:
-    """Per operation kind: [wall seconds, collection seconds, full collections], summed over passes."""
+def replay(seed: int, passes: int, workdir: Path) -> list[dict[str, list[float]]]:
+    """Per pass, per operation kind: [call seconds, check seconds, collection
+    seconds, full collections]."""
     ops, _ = harness.set_up("structure", seed, workdir, harness.Runner())
     ops = [op for op in ops if op.kind == "lib"]
     seen = Collections()
-    totals: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0, 0])
+    runs = []
     kept = []  # one record per operation, as the benchmark's loop keeps its samples
     gc.callbacks.append(seen)
     try:
         for _ in range(passes):
+            totals: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0, 0.0, 0])
             for op in ops:
                 seconds, full = seen.seconds, seen.full
                 seen.on = True
@@ -71,12 +79,28 @@ def replay(seed: int, passes: int, workdir: Path) -> dict[str, list[float]]:
                 op.check(result)
                 total = totals[op.label.split()[0]]
                 total[0] += wall
-                total[1] += seen.seconds - seconds
-                total[2] += seen.full - full
+                total[1] += time.perf_counter() - start - wall
+                total[2] += seen.seconds - seconds
+                total[3] += seen.full - full
                 kept.append((op, wall))
+            runs.append(totals)
     finally:
         gc.callbacks.remove(seen)
-    return totals
+    return runs
+
+
+def table(runs: list[dict[str, list[float]]]) -> list[str]:
+    """Per-pass means of the runs' figures, one line per kind and one for all."""
+    totals: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0, 0.0, 0])
+    for run in runs:
+        for kind, figures in run.items():
+            totals[kind] = [a + b for a, b in zip(totals[kind], figures)]
+    rows = sorted(totals.items()) + [("all", [sum(t[k] for t in totals.values()) for k in range(4)])]
+    p = len(runs)
+    return [
+        f"{kind:<16}{1e3 * wall / p:>10.1f}{1e3 * check / p:>10.1f}{1e3 * in_gc / p:>10.1f}{full / p:>8.2f}"
+        for kind, (wall, check, in_gc, full) in rows
+    ]
 
 
 def main(argv=None) -> int:
@@ -85,13 +109,12 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=3)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        totals = replay(args.seed, args.passes, Path(workdir))
+        runs = replay(args.seed, args.passes, Path(workdir))
     print(f"structure, seed {args.seed}, {args.passes} passes, python {sys.version.split()[0]}; per pass:")
-    print(f"{'kind':<16}{'wall_ms':>10}{'gc_ms':>10}{'full':>8}")
-    rows = sorted(totals.items()) + [("all", [sum(t[k] for t in totals.values()) for k in range(3)])]
-    for kind, (wall, in_gc, full) in rows:
-        p = args.passes
-        print(f"{kind:<16}{1e3 * wall / p:>10.1f}{1e3 * in_gc / p:>10.1f}{full / p:>8.2f}")
+    header = f"{'kind':<16}{'wall_ms':>10}{'check_ms':>10}{'gc_ms':>10}{'full':>8}"
+    for title, part in (("pass 1", runs[:1]), (f"passes 2-{args.passes}, mean", runs[1:])):
+        if part:
+            print(f"{title}:", header, *table(part), sep="\n")
     return 0
 
 

@@ -130,6 +130,11 @@ class TestOrder:
             "  a -> m\n"
         )
 
+    def test_a_system_of_no_equations_has_an_empty_table(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"variables": [], "equations": []}')
+        assert run(["order", path], capsys) == (0, "order  degree  variables\nedges:\n", "")
+
     def test_feedback_cluster_table(self, capsys):
         code, out, err = run(["order", DATA / "feedback.json"], capsys)
         assert code == 0

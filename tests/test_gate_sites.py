@@ -63,7 +63,8 @@ LIBRARY_ONLY = {
 # lookup table such as a name index is a scan or a caller's local map instead.
 CACHED = {
     "Bbn": {"_plan", "_report"},
-    "StructureMatrix": {"_report"},
+    "CausalOrdering": {"clusters", "cluster_edges", "variable_edges"},
+    "StructureMatrix": {"_report", "_analysis"},
     "SystemReport": {"matching"},
     "ThresholdEquationSystem": {"evaluation_order", "_plan", "_steps", "_lanes"},
 }

@@ -8,11 +8,15 @@ shallow.  Each walk reads every list entry exactly once, and the matching
 every row entry twice on systems its Karp–Sipser start matches whole,
 counted by the lists themselves rather than timed.  An edit of a checked
 system reads only the rows of its one augmenting search, as many at 4n as
-at n.  The structure path leaves nothing but its result for the cyclic
+at n, and the ordering of an edit of an ordered system reads only the rows
+of the clusters the edit changed, as many at 4n as at n.
+``affected_variables`` reads only the clusters it returns and their
+out-edges.  The structure path leaves nothing but its result for the cyclic
 collector to promote, counted through ``gc.callbacks``, not timed either.
 """
 
 import builtins
+import copy
 import gc
 import random
 
@@ -393,6 +397,108 @@ def test_an_edit_reads_as_many_entries_at_4n_as_at_n(monkeypatch, system, shape,
         except NotSelfContainedError as refused:
             assert shape == "root-row" and refused.report.violation.equations == {e, root}
         assert tally[0] == expected
+
+
+class CountedRow(frozenset):
+    """A row whose iterators add one to ``tally[0]`` for each entry they yield."""
+
+    tally = [0]
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            CountedRow.tally[0] += 1
+            yield entry
+
+
+EDITS = {
+    # The benchmark's edit: the middle variable's equation drops its parents.
+    "drop-parents": lambda matrix, e, n: StructuralChange(
+        "replace_equation", matrix.equation_labels[e], (f"v{n // 2}",)
+    ),
+    # A new variable, defined from the middle variable.
+    "add-variable": lambda matrix, e, n: StructuralChange("add_exogenous_variable", "new", ("new", f"v{n // 2}")),
+    # The benchmark's refused edit: the row of the equation with no parents.
+    "root-row": lambda matrix, e, n: StructuralChange(
+        "replace_equation",
+        matrix.equation_labels[e],
+        tuple(f"v{v}" for v in next(row for row in matrix.rows if len(row) == 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("system", [chain_system, planted_dag_system], ids=["chain", "dag"])
+@pytest.mark.parametrize("shape, expected", [("drop-parents", 1), ("add-variable", 2), ("root-row", None)])
+def test_a_reordering_reads_as_many_entries_at_4n_as_at_n(system, shape, expected):
+    """The ordering of an edit of an ordered system reads the rows only of
+    the clusters whose matching or rows the edit changed: the edited
+    equation's own row, here, whatever else lies downstream of it.  On the
+    chain that is half the system, whose orders all move, yet they are
+    read off the kept analysis.  The refused edit leaves nothing to order."""
+    for n in (COUNTED_N // 4, COUNTED_N):
+        plain = system(n)
+        matrix = StructureMatrix(plain.variable_names, plain.equation_labels, tuple(map(CountedRow, plain.rows)))
+        causal_ordering(matrix)
+        e = check_system(matrix).matching.index(n // 2)
+        try:
+            edited = apply_change(matrix, EDITS[shape](matrix, e, n))
+        except NotSelfContainedError:
+            assert expected is None
+            continue
+        object.__setattr__(edited, "rows", tuple(map(CountedRow, edited.rows)))
+        CountedRow.tally[0] = 0
+        ordering = causal_ordering(edited)
+        assert CountedRow.tally[0] == expected
+        assert "_edit_of" in vars(edited) and ordering == causal_ordering(plain_twin(edited))
+
+
+def plain_twin(matrix):
+    """``matrix`` built anew, with plain rows and nothing kept."""
+    return StructureMatrix(matrix.variable_names, matrix.equation_labels, tuple(map(frozenset, matrix.rows)))
+
+
+class CountedReads:
+    """A sequence that notes its reads: the indices read, in ``indices``,
+    how many index reads there were, in ``reads``, and the entries of the
+    slices read, in ``entries``."""
+
+    def __init__(self, items):
+        self.items = items
+        self.indices = set()
+        self.reads = self.entries = 0
+
+    def __getitem__(self, at):
+        got = self.items[at]
+        if type(at) is slice:
+            self.entries += len(got)
+        else:
+            self.indices.add(at)
+            self.reads += 1
+        return got
+
+    def __len__(self):
+        return len(self.items)
+
+
+@pytest.mark.parametrize("system", [chain_system, planted_dag_system], ids=["chain", "dag"])
+def test_affected_variables_visits_only_what_it_returns(system):
+    """``affected_variables`` of an ordering that ``causal_ordering`` made
+    reads the links and equations of the clusters it returns and of no
+    other: as many equations as its result holds, and those clusters'
+    out-edges."""
+    matrix = system(COUNTED_N)
+    ordering = causal_ordering(matrix)
+    kept = vars(ordering)["_analysis"]
+    for e in (matrix.n // 2, next(e for e, row in enumerate(matrix.rows) if len(row) == 1)):
+        counted = copy.copy(kept)
+        counted.last, counted.child, counted.pool = map(CountedReads, (kept.last, kept.child, kept.pool))
+        counting = causal_ordering(matrix)
+        object.__setattr__(counting, "_analysis", counted)
+        result = affected_variables(counting, e)
+        returned = {c for c, cluster in enumerate(ordering.clusters) if cluster.variables <= result}
+        out_edges = sum(1 for a, _ in ordering.cluster_edges if a in returned)
+        assert counted.last.indices == returned and counted.last.reads == len(returned)
+        assert counted.child.reads == out_edges
+        assert counted.pool.entries == len(result)
 
 
 def young_survivors(call):

@@ -9,6 +9,7 @@ import pytest
 from causalstruct import (
     Bbn,
     BbnNode,
+    CyclicStructureError,
     NotSelfContainedError,
     StructuralChange,
     StructureMatrix,
@@ -22,6 +23,7 @@ from causalstruct import (
     joint_probability,
     marginals,
     sem_structure,
+    triangularize,
     validate,
 )
 
@@ -122,7 +124,11 @@ class TestApplyChange:
         report the edit before kept, decide as a check from scratch of the same
         system built from names: equal matrix, report and refusal message, and
         a kept matching that is a maximum matching of the edited rows.  Edits of
-        a system that is not self-contained take the full check."""
+        a system that is not self-contained take the full check.  Each
+        self-contained step is ordered before it is edited, so the next
+        step's ordering reorders the kept analysis below the edit; it equals
+        the ordering from scratch in all four fields, and so do its
+        triangularization and every equation's affected variables."""
         seen = Counter()
         for seed in (1301, 7, 99):
             rng = random.Random(seed)
@@ -134,13 +140,19 @@ class TestApplyChange:
                         assert "_report" in vars(matrix)  # decided by the edit before
                     change, expected = edit_by_hand(rng, matrix)
                     seen[change.kind, not check_system(matrix).self_contained, depth] += 1
+                    if check_system(matrix).self_contained:
+                        causal_ordering(matrix)
                     matrix = decide_like_scratch(matrix, change, expected)
+                    if matrix is not None and "_edit_of" in vars(matrix):
+                        seen["reordered"] += 1
+                        assert_structure_equals_scratch(matrix, expected)
                     if matrix is None:
                         seen["refused"] += 1
                         break
         # Both kinds of edit, seeded and checked from scratch, chained three
-        # deep, and refused: 8 kinds of step and the refusals, each seen often.
-        assert len(seen) == 9 and min(seen.values()) > 50
+        # deep, refused, and reordered: 8 kinds of step, the refusals and
+        # the reorderings, each seen often.
+        assert len(seen) == 10 and min(seen.values()) > 50
 
     def test_a_seeded_report_may_keep_another_maximum_matching(self):
         """Both equations of the edited system can take either variable.  The
@@ -155,6 +167,27 @@ class TestApplyChange:
         assert seeded == scratch and hash(seeded) == hash(scratch) and repr(seeded) == repr(scratch)
         assert pickle.dumps(seeded) == pickle.dumps(scratch)
         assert pickle.loads(pickle.dumps(seeded)).matching == (0, 1)
+
+
+def assert_structure_equals_scratch(edited, expected):
+    """The ordering of ``edited``, read off its reordered analysis, equals
+    that of ``expected`` built from scratch; so do the triangularization and
+    each equation's affected variables."""
+    ordering, scratch = causal_ordering(edited), causal_ordering(expected)
+    assert "_edit_of" not in vars(expected)
+    assert ordering.matrix == scratch.matrix
+    assert ordering.clusters == scratch.clusters
+    assert ordering.cluster_edges == scratch.cluster_edges
+    assert ordering.variable_edges == scratch.variable_edges
+    results = []
+    for matrix in (edited, expected):
+        try:
+            results.append(triangularize(matrix))
+        except CyclicStructureError as exc:
+            results.append(exc.remaining_equations)
+    assert results[0] == results[1]
+    for e in range(edited.n):
+        assert affected_variables(ordering, e) == affected_variables(scratch, e)
 
 
 def edit_by_hand(rng, matrix):

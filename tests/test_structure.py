@@ -11,6 +11,7 @@ from causalstruct import (
     NotSelfContainedError,
     StructuralChange,
     StructureMatrix,
+    affected_variables,
     apply_change,
     causal_ordering,
     check_system,
@@ -245,6 +246,30 @@ class TestSelfContainmentGate:
         STRUCTURE_OPERATIONS[operation](model5)
 
 
+def _read_in_threads(read, count=8):
+    """``read()`` from ``count`` threads released together, under a short
+    switch interval that makes their first reads interleave; the results."""
+    barrier = threading.Barrier(count, timeout=30)
+    results = []
+
+    def run():
+        barrier.wait()
+        results.append(read())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == count
+    return results
+
+
 def _small_chain():
     """A fresh three-equation chain, whose verdict no earlier test has kept."""
     return StructureMatrix.from_names(
@@ -281,6 +306,8 @@ class TestKeptVerdict:
         assert matchings() == 0
         causal_ordering(matrix)
         assert matchings() == 1  # the ordering's own matching; the gate reads the kept report
+        causal_ordering(matrix)
+        assert matchings() == 0  # the matrix keeps its analysis
         triangularize(matrix)
         is_triangularizable(matrix)
         assert matchings() == 0
@@ -288,7 +315,7 @@ class TestKeptVerdict:
         assert matchings() == 0  # one augmenting search over the kept matching decides the edit
         assert "_report" in vars(edited)
         causal_ordering(edited)
-        assert matchings() == 1
+        assert matchings() == 0  # the ordered original's analysis, reordered below the edit
         causal_ordering(_small_chain())
         assert matchings() == 2
 
@@ -305,26 +332,64 @@ class TestKeptVerdict:
         """Eight threads released together each check one fresh matrix; a short
         switch interval makes their first reads interleave."""
         matrix = chain_system(2000)
-        barrier = threading.Barrier(8, timeout=30)
-        reports = []
-
-        def read():
-            barrier.wait()
-            reports.append(check_system(matrix))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads) and len(reports) == 8
+        reports = _read_in_threads(lambda: check_system(matrix))
         expected = check_system(chain_system(2000))
         assert all(report == expected for report in reports)
+
+
+def _fields(ordering):
+    return ordering.matrix, ordering.clusters, ordering.cluster_edges, ordering.variable_edges
+
+
+class TestKeptAnalysis:
+    """A matrix keeps one causal-ordering analysis, as it keeps its verdict,
+    and an ordering reads its fields off it on first use."""
+
+    def test_a_kept_analysis_takes_no_part_in_the_value(self):
+        ordered, fresh = chain_system(30), chain_system(30)
+        causal_ordering(ordered)
+        edited = apply_change(ordered, StructuralChange("replace_equation", "e3", ("v4",)))
+        assert "_analysis" in vars(ordered) and "_edit_of" in vars(edited)
+        assert ordered == fresh and hash(ordered) == hash(fresh) and repr(ordered) == repr(fresh)
+        assert pickle.dumps(ordered) == pickle.dumps(fresh)
+        twin = StructureMatrix(edited.variable_names, edited.equation_labels, edited.rows)
+        assert edited == twin and hash(edited) == hash(twin) and repr(edited) == repr(twin)
+        assert pickle.dumps(edited) == pickle.dumps(twin)
+        for matrix in (ordered, edited):
+            for copied in (pickle.loads(pickle.dumps(matrix)), copy.copy(matrix), copy.deepcopy(matrix)):
+                assert copied == matrix
+                assert not {"_report", "_analysis", "_edit_of"} & vars(copied).keys()
+
+    def test_a_lazy_ordering_is_the_ordering_of_its_four_fields(self):
+        """An ordering read off the analysis equals, hashes, prints, pickles
+        and copies exactly like one built from its four fields."""
+        for matrix in (chain_system(40), random_self_contained_system(random.Random(5), 12, 12, 0.3)):
+            lazy = causal_ordering(matrix)
+            built = ordering.CausalOrdering(*_fields(causal_ordering(matrix)))
+            assert "_analysis" in vars(lazy) and "clusters" not in vars(lazy)
+            assert lazy == built and built == lazy and hash(lazy) == hash(built)
+            assert repr(lazy) == repr(built)
+            assert pickle.dumps(lazy) == pickle.dumps(built)
+            for twin in (pickle.loads(pickle.dumps(lazy)), copy.copy(lazy), copy.deepcopy(lazy)):
+                assert twin == built and "_analysis" not in vars(twin)
+            for e in range(matrix.n):  # walked over the kept links, and over the given edges
+                assert affected_variables(lazy, e) == affected_variables(built, e)
+
+    def test_an_ordering_of_an_ordered_matrix_reads_the_same_analysis(self):
+        matrix = chain_system(50)
+        first, second = causal_ordering(matrix), causal_ordering(matrix)
+        assert first is not second and first == second
+        assert vars(first)["_analysis"] is vars(second)["_analysis"] is vars(matrix)["_analysis"]
+
+    def test_first_reads_from_eight_threads_agree(self):
+        """Eight threads order one fresh matrix, then read the fields of one
+        lazy ordering; each read equals the ordering from scratch."""
+        expected = _fields(causal_ordering(chain_system(2000)))
+        matrix = chain_system(2000)
+        check_system(matrix)
+        assert all(fields == expected for fields in _read_in_threads(lambda: _fields(causal_ordering(matrix))))
+        lazy = causal_ordering(chain_system(2000))
+        assert all(fields == expected for fields in _read_in_threads(lambda: _fields(lazy)))
 
 
 class TestConstruction:
