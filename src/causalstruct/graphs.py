@@ -2,7 +2,9 @@
 
 One Kahn pass gives the order or, where it stalls, a cycle: every vertex it
 leaves has a parent it also left, so a walk up those parents always closes,
-on the cycle a depth-first search would meet first.  Tarjan's walk (1972),
+on the cycle a depth-first search would meet first.  The pass runs over
+arcs chained through flat lists, which ``triangularize`` also finds kept
+on an ordered matrix.  Tarjan's walk (1972),
 with Pearce's one rank per vertex (2016), serves only the ordering's clusters.
 """
 
@@ -76,7 +78,6 @@ def topological_prefix(parents: Sequence[Sequence[int]]) -> list[int]:
     large graph leaves no list per vertex for the collector to promote; the
     heap makes the order in which they are visited irrelevant.
     """
-    indegree = [len(ps) for ps in parents]
     last = [-1] * len(parents)  # each vertex's latest arc to a child, or -1
     before: list[int] = []  # per arc: the same parent's previous arc, or -1
     child: list[int] = []  # per arc: its child
@@ -85,6 +86,16 @@ def topological_prefix(parents: Sequence[Sequence[int]]) -> list[int]:
             before.append(last[p])
             last[p] = len(child)
             child.append(v)
+    return _kahn([len(ps) for ps in parents], last, before, child)
+
+
+def _kahn(indegree: list[int], last: Sequence[int], before: Sequence[int], child: Sequence[int]) -> list[int]:
+    """Kahn's pass over chained arcs, lowest vertex first, stopping where it sticks.
+
+    ``indegree[v]`` counts the arcs into vertex v, and is used up;
+    ``last[v]`` is v's latest arc to a child, or -1; arc k leads to
+    ``child[k]``, and ``before[k]`` is the same parent's arc before it, or -1.
+    """
     order = []
     ready = [v for v, d in enumerate(indegree) if d == 0]
     heapq.heapify(ready)

@@ -56,9 +56,13 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
     violation, the same as a check from scratch finds.  The edited matrix
     keeps that report; an edit of a matrix that is not self-contained is
     checked from scratch.  Raises ``KeyError`` for an unknown target equation,
-    ``ValueError`` for an added variable that already exists, an unknown
-    variable in the row, or an empty row, and ``NotSelfContainedError``, with
-    ``check_system``'s report, when the edited system is not self-contained.
+    ``ValueError`` for an added variable that already exists or has an empty
+    name, an unknown variable in the row, or an empty row, and
+    ``NotSelfContainedError``, with ``check_system``'s report, when the
+    edited system is not self-contained.  The edited matrix is built by
+    ``StructureMatrix._edited``, which checks only the name and the row the
+    edit adds, with the constructor's own checks: the original's rows,
+    names and labels were checked when it was built.
 
     An edit of an ordered matrix keeps, on the edited one, the original's
     flat analysis and e, and nothing else; its ordering then reorders only
@@ -78,22 +82,21 @@ def apply_change(matrix: StructureMatrix, change: StructuralChange) -> Structure
       the edit adds one cluster, one order above the clusters of the row's
       other variables, and changes nothing else.
     """
-    names, labels = matrix.variable_names, matrix.equation_labels
-    index = {name: v for v, name in enumerate(names)}
+    index = {name: v for v, name in enumerate(matrix.variable_names)}
+    added = ()
     if change.kind == "replace_equation":
         e = matrix.equation_index(change.target)
     else:
         if change.target in index:
             raise ValueError(f"variable {change.target!r} already exists")
         e = index[change.target] = matrix.n
-        names += (change.target,)
-        taken = set(labels)
-        labels += (next(f"e{k}" for k in count(e + 1) if f"e{k}" not in taken),)
+        taken = set(matrix.equation_labels)
+        added = change.target, next(f"e{k}" for k in count(e + 1) if f"e{k}" not in taken)
     try:
         row = frozenset(index[name] for name in change.vars)
     except KeyError as exc:
         raise ValueError(f"unknown variable {exc.args[0]!r} in new row") from None
-    edited = StructureMatrix(names, labels, matrix.rows[:e] + (row,) + matrix.rows[e + 1:])
+    edited = matrix._edited(e, row, added)
     kept = matrix._report
     if kept.self_contained:
         from .matching import rematch

@@ -132,11 +132,11 @@ class _Analysis:
             k = before[k]
         return found
 
-    def downstream(self, c: int) -> list[int]:
-        """Cluster c and every cluster below it, in the order reached."""
+    def downstream(self, *clusters: int) -> list[int]:
+        """The given clusters, distinct, and every cluster below them, in the order reached."""
         last, before, child, cluster = self.last, self.before, self.child, self.cluster
-        seen = {c}
-        reached = [c]
+        seen = set(clusters)
+        reached = list(clusters)
         for c in reached:
             k = last[c]
             while k != -1:

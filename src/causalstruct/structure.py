@@ -92,6 +92,22 @@ def _require_names(names: Sequence[str], what: str) -> None:
         raise ValueError(f"{what} must be distinct")
 
 
+def _require_rows(rows: Sequence[frozenset[int]], labels: Sequence[str], n: int) -> None:
+    """Raise ``ValueError`` unless every row mentions a variable, each below ``n``.
+
+    ``labels[i]`` names row i in the message.  One pass over the set of
+    every entry; the rows are walked one by one only on refusal, to name
+    the first equation at fault.
+    """
+    used = frozenset().union(*rows)
+    if not all(rows) or used and (min(used) < 0 or max(used) >= n):
+        for label, row in zip(labels, rows):
+            if not row:
+                raise ValueError(f"equation {label!r} mentions no variables")
+            if any(v < 0 or v >= n for v in row):
+                raise ValueError(f"equation {label!r} references a variable index out of range")
+
+
 class StructureMatrix(_Record):
     """Boolean incidence of variables in equations, always square.
 
@@ -116,23 +132,31 @@ class StructureMatrix(_Record):
             )
         _require_names(variable_names, "variable names")
         _require_names(equation_labels, "equation labels")
-        # One pass over the set of every entry; the rows are walked one by
-        # one only on refusal, to name the first equation at fault.
-        used = frozenset().union(*rows)
-        if not all(rows) or used and (min(used) < 0 or max(used) >= n):
-            for i, row in enumerate(rows):
-                if not row:
-                    raise ValueError(
-                        f"equation {equation_labels[i]!r} mentions no variables"
-                    )
-                if any(v < 0 or v >= n for v in row):
-                    raise ValueError(
-                        f"equation {equation_labels[i]!r} references a variable "
-                        "index out of range"
-                    )
+        _require_rows(rows, equation_labels, n)
         _store(self, "variable_names", variable_names)
         _store(self, "equation_labels", equation_labels)
         _store(self, "rows", rows)
+
+    def _edited(self, e: int, row: frozenset[int], added: tuple[str, ...]) -> StructureMatrix:
+        """This matrix with row e replaced by ``row``: ``apply_change``'s one way to build its result.
+
+        ``added`` is empty, or the name and label of a variable and its
+        equation appended as number e == n.  Only what the edit adds is
+        checked, by the constructor's own checks: the new name, then the new
+        row.  This matrix's rows, names and labels were checked when it was
+        built, and ``apply_change`` picks the new label free.
+        """
+        names, labels = self.variable_names, self.equation_labels
+        if added:
+            _require_names(added[:1], "variable names")
+            names += added[:1]
+            labels += added[1:]
+        _require_rows((row,), labels[e:e + 1], len(names))
+        edited = StructureMatrix.__new__(StructureMatrix)
+        _store(edited, "variable_names", names)
+        _store(edited, "equation_labels", labels)
+        _store(edited, "rows", self.rows[:e] + (row,) + self.rows[e + 1:])
+        return edited
 
     @property
     def n(self) -> int:

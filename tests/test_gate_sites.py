@@ -1,4 +1,5 @@
-"""Each refusal error, shape refusal and naming refusal has one raise site,
+"""Each refusal error, shape refusal, naming refusal and row refusal has one
+raise site, only an edit builds a matrix past the constructor's full check,
 files are written at one site, the CLI prints at one, a cut point's bucket
 end is computed at one, an augmenting path is flipped at one, no module
 imports a name it never uses, every public name
@@ -29,15 +30,22 @@ GATES = {
     "InvalidBbnError": "bbn._require_valid",
     "CycleError": "graphs.topological_order",
 }
-# Each rule the three file formats and their records share, by a fragment of
-# its message: the exception it raises and the one function that raises it.
+# Each rule the three file formats and their records share, and each rule
+# the structure matrix's constructor shares with an edit's check, by a
+# fragment of its message: the exception it raises and the one function
+# that raises it.
 SHARED_RULES = {
     "must be a JSON object": ("FormatError", "structure._json_object"),
     "unknown keys in": ("FormatError", "structure._json_object"),
     "must be a list of strings": ("FormatError", "structure._json_strings"),
     "must be non-empty": ("ValueError", "structure._require_names"),
     "must be distinct": ("ValueError", "structure._require_names"),
+    "mentions no variables": ("ValueError", "structure._require_rows"),
+    "index out of range": ("ValueError", "structure._require_rows"),
 }
+# The one way to build a matrix that skips the constructor's full check,
+# and its one caller: an edit checks only the row and the name it adds.
+EDITED = ("_edited", "intervention.apply_change")
 WRITER = "structure._write_text"
 # The one site of a threshold's bucket end 2**53 - int(c * 2**53): a latent
 # 1 - m / 2**53 passes c exactly when m is below it.
@@ -265,6 +273,19 @@ class _PathFlipSites(_Scoped):
         self.generic_visit(node)
 
 
+class _EditedSites(_Scoped):
+    """``module.function`` for each read of ``EDITED``'s name, bare or as an attribute."""
+
+    def visit_Name(self, node):
+        if node.id == EDITED[0]:
+            self.sites.append(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr == EDITED[0]:
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
 class _SumSites(_Scoped):
     """``module.function`` for each call of the built-in ``sum`` by its bare name."""
 
@@ -317,6 +338,10 @@ def test_each_shared_rule_is_raised_only_by_its_helper():
     sites = _sites(_RaiseSites)
     for fragment, site in SHARED_RULES.items():
         assert [(name, where) for name, where, text in sites if fragment in text] == [site], fragment
+
+
+def test_only_apply_change_builds_a_matrix_past_the_full_check():
+    assert _sites(_EditedSites) == [EDITED[1]]
 
 
 def test_only_the_writer_writes_a_file():

@@ -11,7 +11,9 @@ system reads only the rows of its one augmenting search, as many at 4n as
 at n, and the ordering of an edit of an ordered system reads only the rows
 of the clusters the edit changed, as many at 4n as at n.
 ``affected_variables`` reads only the clusters it returns and their
-out-edges.  The structure path leaves nothing but its result for the cyclic
+out-edges.  ``triangularize`` and ``is_triangularizable`` of an ordered
+matrix read no row, and an edit builds its matrix reading no row entry of
+the original.  The structure path leaves nothing but its result for the cyclic
 collector to promote, counted through ``gc.callbacks``, not timed either.
 """
 
@@ -27,6 +29,7 @@ from causalstruct import (
     Bbn,
     BbnNode,
     CycleError,
+    CyclicStructureError,
     NotSelfContainedError,
     StructuralChange,
     StructureMatrix,
@@ -36,8 +39,8 @@ from causalstruct import (
     check_system,
     validate,
 )
-from causalstruct import graphs, matching, ordering
-from causalstruct.triangular import triangularize
+from causalstruct import graphs, matching, ordering, triangular
+from causalstruct.triangular import is_triangularizable, triangularize
 from causalstruct.graphs import (
     strongly_connected_components,
     topological_order,
@@ -499,6 +502,101 @@ def test_affected_variables_visits_only_what_it_returns(system):
         assert counted.last.indices == returned and counted.last.reads == len(returned)
         assert counted.child.reads == out_edges
         assert counted.pool.entries == len(result)
+
+
+def feedback_chain_system(n):
+    """``chain_system(n)`` whose middle equation also mentions the variable
+    two along: it and the next equation form a feedback pair, and every
+    equation after them is downstream of it."""
+    plain = chain_system(n)
+    k = n // 2
+    rows = plain.rows[:k] + (plain.rows[k] | {k + 2},) + plain.rows[k + 1:]
+    return StructureMatrix(plain.variable_names, plain.equation_labels, rows)
+
+
+def counted_rows(matrix):
+    """``matrix``'s rows as ``CountedReads`` of their sorted entries."""
+    return tuple(CountedReads(sorted(row)) for row in matrix.rows)
+
+
+def row_entries_read(rows):
+    return sum(row.reads + row.entries for row in rows)
+
+
+def triangular_outcome(matrix):
+    """``triangularize``'s result, or the equations it cannot place, and ``is_triangularizable``."""
+    try:
+        return triangularize(matrix), is_triangularizable(matrix)
+    except CyclicStructureError as exc:
+        return exc.remaining_equations, is_triangularizable(matrix)
+
+
+@pytest.mark.parametrize(
+    "system", [chain_system, planted_dag_system, feedback_chain_system], ids=["chain", "dag", "feedback"]
+)
+def test_an_ordered_matrix_triangularizes_reading_no_row(monkeypatch, system):
+    """``triangularize`` and ``is_triangularizable`` of an ordered matrix read
+    their answers off its kept analysis: no row entry is read and no
+    ``precedence`` is built, and the answers equal the precedence path's on
+    the same matrix never ordered."""
+    matrix = system(COUNTED_N)
+    expected = triangular_outcome(plain_twin(matrix))
+    causal_ordering(matrix)
+    rows = counted_rows(matrix)
+    object.__setattr__(matrix, "rows", rows)
+
+    def refuse(*args):
+        raise AssertionError("precedence built for an ordered matrix")
+
+    monkeypatch.setattr(triangular, "precedence", refuse)
+    assert triangular_outcome(matrix) == expected
+    assert expected[1] == (system is not feedback_chain_system)
+    assert row_entries_read(rows) == 0
+
+
+@pytest.mark.parametrize("system", [chain_system, planted_dag_system], ids=["chain", "dag"])
+@pytest.mark.parametrize("shape", sorted(EDITS))
+def test_an_edit_builds_its_matrix_reading_as_many_entries_at_4n_as_at_n(monkeypatch, system, shape):
+    """``apply_change`` builds the edited matrix checking only the row and
+    the name the edit adds: the original's rows were checked when it was
+    built.  That path reads no entry of the original's rows, and an
+    accepted edit as a whole reads only the entries of its one augmenting
+    search, as many at 4n as at n, not the O(nnz) of a constructor's check.
+    (The refused edit's report then scans the rows for unused variables.)"""
+    systems = []
+    for n in (COUNTED_N // 4, COUNTED_N):
+        plain = system(n)
+        change = EDITS[shape](plain, check_system(plain).matching.index(n // 2), n)
+        try:
+            systems.append((plain, change, apply_change(plain, change)))
+        except NotSelfContainedError:
+            systems.append((plain, change, None))
+    built = []
+    build = StructureMatrix._edited
+
+    def counted_build(matrix, *args):
+        before = row_entries_read(matrix.rows)
+        edited = build(matrix, *args)
+        built.append(row_entries_read(matrix.rows) - before)
+        return edited
+
+    monkeypatch.setattr(StructureMatrix, "_edited", counted_build)
+    reads = []
+    for plain, change, expected in systems:
+        rows = counted_rows(plain)
+        matrix = StructureMatrix(plain.variable_names, plain.equation_labels, rows)
+        check_system(matrix)
+        for row in rows:
+            row.reads = row.entries = 0
+        try:
+            edited = apply_change(matrix, change)
+        except NotSelfContainedError:
+            edited = None
+        reads.append(row_entries_read(rows))
+        assert (edited is None) == (expected is None) == (shape == "root-row")
+        assert edited is None or plain_twin(edited) == expected
+    assert built == [0, 0]
+    assert shape == "root-row" or reads[0] == reads[1] <= 2
 
 
 def young_survivors(call):

@@ -107,6 +107,10 @@ class TestApplyChange:
         with pytest.raises(ValueError, match="mentions no variables"):
             apply_change(model3, StructuralChange(kind, target, ()))
 
+    def test_added_variable_needs_a_name(self, model3):
+        with pytest.raises(ValueError, match="^variable names must be non-empty$"):
+            apply_change(model3, StructuralChange("add_exogenous_variable", "", ("d",)))
+
     def test_unknown_equation(self, model3):
         with pytest.raises(KeyError, match="unknown equation 'e9'"):
             apply_change(model3, StructuralChange("replace_equation", "e9", ("d",)))
@@ -171,8 +175,11 @@ class TestApplyChange:
 
 def assert_structure_equals_scratch(edited, expected):
     """The ordering of ``edited``, read off its reordered analysis, equals
-    that of ``expected`` built from scratch; so do the triangularization and
-    each equation's affected variables."""
+    that of ``expected`` built from scratch; so does each equation's
+    affected variables.  The triangularization, or the equations it cannot
+    place, read off either kept analysis equals the one the precedence path
+    gives for a copy of ``expected`` that was never ordered."""
+    never_ordered = StructureMatrix(expected.variable_names, expected.equation_labels, expected.rows)
     ordering, scratch = causal_ordering(edited), causal_ordering(expected)
     assert "_edit_of" not in vars(expected)
     assert ordering.matrix == scratch.matrix
@@ -180,12 +187,13 @@ def assert_structure_equals_scratch(edited, expected):
     assert ordering.cluster_edges == scratch.cluster_edges
     assert ordering.variable_edges == scratch.variable_edges
     results = []
-    for matrix in (edited, expected):
+    for matrix in (edited, expected, never_ordered):
         try:
             results.append(triangularize(matrix))
         except CyclicStructureError as exc:
             results.append(exc.remaining_equations)
-    assert results[0] == results[1]
+    assert "_analysis" not in vars(never_ordered)
+    assert results[0] == results[1] == results[2]
     for e in range(edited.n):
         assert affected_variables(ordering, e) == affected_variables(scratch, e)
 
@@ -250,6 +258,10 @@ class TestAffectedVariables:
         ordering = causal_ordering(model5)
         affected = affected_variables(ordering, model5.equation_index("e4"))
         assert names(model5, affected) == {"b", "m"}
+
+    def test_added_variable_needs_a_name(self, model3):
+        with pytest.raises(ValueError, match="^variable names must be non-empty$"):
+            apply_change(model3, StructuralChange("add_exogenous_variable", "", ("d",)))
 
     def test_unknown_equation(self, model3):
         ordering = causal_ordering(model3)
